@@ -32,11 +32,6 @@ let report_failure fmt =
    historical unbounded/no-GC behaviour. *)
 let dd_config : Dd.Pkg.config option ref = ref None
 
-(* --no-kernels routes every check through the generic
-   build-gate-DD-then-multiply path; the dedicated "kernels" section always
-   runs both paths regardless of this flag. *)
-let use_kernels = ref true
-
 (* --backend NAME runs every section under that DD backend (a
    [Dd.Registry] name); the dedicated "backends" section always A/Bs every
    registered backend regardless of this flag. *)
@@ -100,8 +95,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   let t_trans, t_ver, equivalent =
     if verify then begin
       let r =
-        V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
-          ~use_kernels:!use_kernels static dyn
+        V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config static dyn
       in
       if not r.Qcec.Verify.equivalent then
         report_failure "%s: NOT equivalent!@." static.Circ.name;
@@ -118,9 +112,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   in
   let t_extract, t_sim, distributions_equal =
     if extract then begin
-      let r =
-        V.distribution ?dd_config:!dd_config ~use_kernels:!use_kernels dyn static
-      in
+      let r = V.distribution ?dd_config:!dd_config dyn static in
       if not r.Qcec.Verify.distributions_equal then
         report_failure "%s: distributions differ!@." static.Circ.name;
       ( Some r.Qcec.Verify.t_extract
@@ -159,9 +151,6 @@ let json_rows : (string * row) list ref = ref []
 
 (* filled by the scaling section, emitted as the "scaling" field *)
 let scaling_json : Obs.Json.t option ref = ref None
-
-(* filled by the kernels section, emitted as the "kernels" field *)
-let kernels_json : Obs.Json.t option ref = ref None
 
 (* filled by the cache section, emitted as the "cache" field *)
 let cache_json : Obs.Json.t option ref = ref None
@@ -216,9 +205,6 @@ let write_json ~mode path =
   let scaling =
     match !scaling_json with None -> [] | Some j -> [ ("scaling", j) ]
   in
-  let kernels =
-    match !kernels_json with None -> [] | Some j -> [ ("kernels", j) ]
-  in
   let cache =
     match !cache_json with None -> [] | Some j -> [ ("cache", j) ]
   in
@@ -239,7 +225,6 @@ let write_json ~mode path =
        ; ("table1", Obs.Json.List table1)
        ]
       @ scaling
-      @ kernels
       @ cache
       @ backends
       @ lookahead
@@ -626,93 +611,6 @@ let scaling ~full ~quick () =
          ])
 
 (* ------------------------------------------------------------------ *)
-(* Kernels: direct gate-application kernels vs the generic path        *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B leg over the Table 1 functional workload: every pair is verified
-   once with the direct kernels and once through the generic
-   build-gate-DD-then-multiply path.  Verdicts must be identical (the
-   kernels are bit-identical by construction, and qcheck-tested to be);
-   the wall-clock ratio is the speedup the kernels buy. *)
-let kernels_section ~full ~quick () =
-  pr "@.== Kernels: direct gate application vs generic gate-DD multiply ==@.@.";
-  let pairs =
-    let bv n = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n) in
-    let qft n = Algorithms.Qft.make n in
-    let qpe m =
-      Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m
-    in
-    if quick then List.map bv [ 16; 24 ] @ List.map qft [ 8; 9 ] @ List.map qpe [ 8; 9 ]
-    else if full then
-      List.map bv [ 64; 96; 128 ] @ List.map qft [ 11; 12; 13 ] @ List.map qpe [ 12; 13; 14 ]
-    else
-      List.map bv [ 32; 48 ] @ List.map qft [ 9; 10 ] @ List.map qpe [ 10; 11 ]
-  in
-  (* the speedup compares the check phase only: the dynamic-to-static
-     transform and wire alignment run identically on both legs and would
-     just dilute the ratio the kernels actually change *)
-  let run_leg ~kernels =
-    let m0 = Obs.Metrics.snapshot () in
-    let t0 = Qcec.Verify.now () in
-    let check = ref 0.0 in
-    let verdicts =
-      List.map
-        (fun (pair : Pair.t) ->
-          let r =
-            Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static
-              ?dd_config:!dd_config ~use_kernels:kernels pair.Pair.static_circuit
-              pair.Pair.dynamic_circuit
-          in
-          check := !check +. r.Qcec.Verify.t_check;
-          if not r.Qcec.Verify.equivalent then
-            report_failure "kernels: %s NOT equivalent (kernels = %b)!@."
-              pair.Pair.static_circuit.Circ.name kernels;
-          (r.Qcec.Verify.equivalent, r.Qcec.Verify.exactly_equal))
-        pairs
-    in
-    let dt = Qcec.Verify.now () -. t0 in
-    (verdicts, dt, !check, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
-  in
-  let v_kernel, t_kernel, c_kernel, m_kernel = run_leg ~kernels:true in
-  let v_generic, t_generic, c_generic, m_generic = run_leg ~kernels:false in
-  if v_kernel <> v_generic then
-    report_failure "kernels: verdicts differ between kernel and generic paths!@.";
-  (* best-of-N: each leg keeps its fastest repetition, and the extra
-     repetitions alternate legs, so a transient machine-load spike cannot
-     land entirely on one side of the ratio *)
-  let reps = if quick || full then 1 else 3 in
-  let t_kernel = ref t_kernel and c_kernel = ref c_kernel in
-  let t_generic = ref t_generic and c_generic = ref c_generic in
-  for _ = 2 to reps do
-    let _, t, c, _ = run_leg ~kernels:true in
-    if c < !c_kernel then begin t_kernel := t; c_kernel := c end;
-    let _, t, c, _ = run_leg ~kernels:false in
-    if c < !c_generic then begin t_generic := t; c_generic := c end
-  done;
-  let t_kernel = !t_kernel and c_kernel = !c_kernel in
-  let t_generic = !t_generic and c_generic = !c_generic in
-  let speedup = if c_kernel > 0.0 then c_generic /. c_kernel else 1.0 in
-  pr "%10s %12s %12s@." "path" "wall [s]" "check [s]";
-  pr "%10s %12.4f %12.4f@." "kernels" t_kernel c_kernel;
-  pr "%10s %12.4f %12.4f@." "generic" t_generic c_generic;
-  pr "@.%d functional checks; kernel check-phase speedup: %.2fx@."
-    (List.length pairs) speedup;
-  kernels_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("reps", Obs.Json.Int reps)
-         ; ("verdicts_equal", Obs.Json.Bool (v_kernel = v_generic))
-         ; ("wall_seconds_kernels", Obs.Json.Float t_kernel)
-         ; ("wall_seconds_generic", Obs.Json.Float t_generic)
-         ; ("check_seconds_kernels", Obs.Json.Float c_kernel)
-         ; ("check_seconds_generic", Obs.Json.Float c_generic)
-         ; ("speedup", Obs.Json.Float speedup)
-         ; ("metrics_kernels", Obs.Metrics.to_json m_kernel)
-         ; ("metrics_generic", Obs.Metrics.to_json m_generic)
-         ])
-
-(* ------------------------------------------------------------------ *)
 (* Cache: cold vs warm verification through the verdict store          *)
 (* ------------------------------------------------------------------ *)
 
@@ -819,10 +717,16 @@ let cache_section ~full ~quick () =
    the same Table-1-style pairs through its own [Qcec.Verify.Make]
    instance.  Verdicts must be identical across backends, and each
    backend must actually exercise its direct kernels on its leg
-   ([dd.kernel.calls] > 0) — a backend silently falling back to the
-   generic path is a failure, not a slowdown.  The wall-clock columns are
-   the honest cost comparison between the hash-consed classic package and
-   the packed-array layout. *)
+   ([dd.kernel.calls] > 0) — a backend that bypasses them is a failure,
+   not a slowdown.  The wall-clock columns are the honest cost comparison
+   between the hash-consed classic package and the packed-array layout.
+   The gate-signature tier is process-wide and the heap only grows, so a
+   single pass would hand whichever leg runs second a warm process: one
+   untimed warm-up pass over every backend comes first, then
+   [backend_rounds] timed rounds alternate the leg order, and each leg
+   reports its median. *)
+let backend_rounds = 3
+
 let backends_section ~full ~quick () =
   pr "@.== Backends: DD backend A/B over the Table 1 workload ==@.@.";
   let pairs =
@@ -856,7 +760,7 @@ let backends_section ~full ~quick () =
         (fun (pair : Pair.t) ->
           let r =
             V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
-              ~use_kernels:true pair.Pair.static_circuit pair.Pair.dynamic_circuit
+              pair.Pair.static_circuit pair.Pair.dynamic_circuit
           in
           check := !check +. r.Qcec.Verify.t_check;
           if not r.Qcec.Verify.equivalent then
@@ -868,10 +772,33 @@ let backends_section ~full ~quick () =
     let dt = Qcec.Verify.now () -. t0 in
     (verdicts, dt, !check, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
   in
-  let legs = List.map (fun name -> (name, run_leg name)) (Dd.Registry.names ()) in
+  let names = Dd.Registry.names () in
+  List.iter (fun name -> ignore (run_leg name)) names;
+  let runs =
+    List.concat
+      (List.init backend_rounds (fun round ->
+           let order = if round mod 2 = 0 then names else List.rev names in
+           List.map (fun name -> (name, run_leg name)) order))
+  in
   Obs.Metrics.set_enabled was_enabled;
+  let median xs =
+    let a = Array.of_list (List.sort Float.compare xs) in
+    a.(Array.length a / 2)
+  in
+  (* per leg: median wall and check times, counters summed over the
+     timed rounds *)
+  let legs =
+    List.map
+      (fun name ->
+        let mine = List.filter_map (fun (n, r) -> if n = name then Some r else None) runs in
+        ( name
+        , ( median (List.map (fun (_, dt, _, _) -> dt) mine)
+          , median (List.map (fun (_, _, check, _) -> check) mine)
+          , Obs.Metrics.merge (List.map (fun (_, _, _, m) -> m) mine) ) ))
+      names
+  in
   let verdicts_equal =
-    match legs with
+    match runs with
     | [] -> true
     | (_, (reference, _, _, _)) :: rest ->
       List.for_all (fun (_, (v, _, _, _)) -> v = reference) rest
@@ -880,23 +807,25 @@ let backends_section ~full ~quick () =
     report_failure "backends: verdicts differ across DD backends!@.";
   pr "%10s %12s %12s %14s@." "backend" "wall [s]" "check [s]" "kernel calls";
   List.iter
-    (fun (name, (_, dt, check, m)) ->
+    (fun (name, (dt, check, m)) ->
       let kernel_calls = Obs.Metrics.find m "dd.kernel.calls" in
       if kernel_calls = 0 then
         report_failure "backends: %s recorded no kernel calls!@." name;
       pr "%10s %12.4f %12.4f %14d@." name dt check kernel_calls)
     legs;
-  pr "@.%d functional checks per backend; verdicts identical: %b@."
-    (List.length pairs) verdicts_equal;
+  pr "@.%d functional checks per backend; medians over %d alternating rounds \
+      after a warm-up; verdicts identical: %b@."
+    (List.length pairs) backend_rounds verdicts_equal;
   backends_json :=
     Some
       (Obs.Json.Obj
          [ ("jobs", Obs.Json.Int (List.length pairs))
+         ; ("rounds", Obs.Json.Int backend_rounds)
          ; ("verdicts_equal", Obs.Json.Bool verdicts_equal)
          ; ( "legs"
            , Obs.Json.List
                (List.map
-                  (fun (name, (_, dt, check, m)) ->
+                  (fun (name, (dt, check, m)) ->
                     Obs.Json.Obj
                       [ ("backend", Obs.Json.String name)
                       ; ("wall_seconds", Obs.Json.Float dt)
@@ -1075,7 +1004,7 @@ let portfolio_section ~full ~quick () =
               let t0 = Qcec.Verify.now () in
               let r =
                 Qcec.Verify.functional ~strategy ~seed ~perm:pair.Pair.dyn_to_static
-                  ?dd_config:!dd_config ~use_kernels:!use_kernels a b
+                  ?dd_config:!dd_config a b
               in
               (strategy, r, Qcec.Verify.now () -. t0))
             candidates
@@ -1083,8 +1012,7 @@ let portfolio_section ~full ~quick () =
         let race =
           Qcec.Verify.portfolio
             ~candidates:(List.map (fun s -> (s, !backend_name)) candidates)
-            ~seed ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
-            ~use_kernels:!use_kernels a b
+            ~seed ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config a b
         in
         let verdicts_equal =
           List.for_all
@@ -1267,9 +1195,6 @@ let () =
     | "--jobs" :: n :: rest ->
       jobs_n := int_opt "--jobs" n;
       extract_opts acc rest
-    | "--no-kernels" :: rest ->
-      use_kernels := false;
-      extract_opts acc rest
     | "--backend" :: name :: rest ->
       backend_name := name;
       ignore (backend_module ()) (* unknown names exit 2 before any work *);
@@ -1286,7 +1211,6 @@ let () =
     | "fig4" -> fig4 ()
     | "ablation" -> ablation ~full ()
     | "scaling" -> scaling ~full ~quick ()
-    | "kernels" -> kernels_section ~full ~quick ()
     | "cache" -> cache_section ~full ~quick ()
     | "backends" -> backends_section ~full ~quick ()
     | "lookahead" -> lookahead_section ~full ~quick ()
@@ -1297,7 +1221,6 @@ let () =
       fig4 ();
       ablation ~full ();
       scaling ~full ~quick ();
-      kernels_section ~full ~quick ();
       cache_section ~full ~quick ();
       backends_section ~full ~quick ();
       lookahead_section ~full ~quick ();
@@ -1306,7 +1229,7 @@ let () =
     | other ->
       Fmt.epr
         "unknown section %S (expected \
-         table1|fig4|ablation|scaling|kernels|cache|backends|lookahead|portfolio|\
+         table1|fig4|ablation|scaling|cache|backends|lookahead|portfolio|\
          micro|all)@."
         other;
       exit 2

@@ -190,16 +190,6 @@ let gc_threshold_arg =
           "Compact the DD package automatically once its unique tables grow \
            by $(docv) nodes since the last sweep (default: no auto-GC)")
 
-let no_kernels_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-kernels" ]
-        ~doc:
-          "Apply gates via the generic build-gate-DD-then-multiply path \
-           instead of the direct gate-application kernels (A/B escape \
-           hatch; verdicts are bit-identical either way)")
-
 let backend_arg =
   Arg.(
     value
@@ -313,7 +303,7 @@ let open_store ~cache_dir ~no_result_cache =
 
 let check_cmd =
   let run file_a file_b strategy scheme perm quiet stats_json cache_cap
-      gc_threshold no_kernels backend width =
+      gc_threshold backend width =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
     let module B = (val resolve_backend backend : Dd.Backend.S) in
@@ -325,8 +315,7 @@ let check_cmd =
         let candidates = portfolio_candidates ~width ~backend a b in
         let pr =
           try
-            Qcec.Verify.portfolio ~candidates ?perm ?dd_config
-              ~use_kernels:(not no_kernels) a b
+            Qcec.Verify.portfolio ~candidates ?perm ?dd_config a b
           with Qcec.Strategy.Non_unitary op -> report_non_unitary op
         in
         if not quiet then Fmt.pr "%a@." pp_portfolio_report pr;
@@ -342,8 +331,7 @@ let check_cmd =
         let strategy = resolve_scheme ~strategy ~scheme a b in
         let r =
           try
-            V.functional ~strategy ?perm ?dd_config
-              ~use_kernels:(not no_kernels) a b
+            V.functional ~strategy ?perm ?dd_config a b
           with Qcec.Strategy.Non_unitary op -> report_non_unitary op
         in
         (r, None)
@@ -407,23 +395,20 @@ let check_cmd =
           transformed with the Section 4 scheme first)")
     Term.(
       const run $ file_a $ file_b $ strategy $ scheme_arg $ perm $ quiet
-      $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ no_kernels_arg
-      $ backend_arg $ portfolio_width_arg)
+      $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ backend_arg
+      $ portfolio_width_arg)
 
 (* -- distribution ------------------------------------------------------ *)
 
 let distribution_cmd =
   let run dyn_file static_file cutoff domains eps stats_json cache_cap gc_threshold
-      no_kernels backend =
+      backend =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
     let module B = (val resolve_backend backend : Dd.Backend.S) in
     let module V = Qcec.Verify.Make (B) in
     let dyn = load dyn_file and static = load static_file in
-    let r =
-      V.distribution ~eps ~cutoff ~domains ?dd_config
-        ~use_kernels:(not no_kernels) dyn static
-    in
+    let r = V.distribution ~eps ~cutoff ~domains ?dd_config dyn static in
     Fmt.pr "%a@." Qcec.Verify.pp_distribution r;
     maybe_write_stats stats_json ~command:"distribution"
       ~files:[ dyn_file; static_file ]
@@ -465,25 +450,23 @@ let distribution_cmd =
           (extracted with the Section 5 scheme) against a static reference")
     Term.(
       const run $ dyn $ static $ cutoff $ domains $ eps $ stats_json_arg
-      $ cache_cap_arg $ gc_threshold_arg $ no_kernels_arg $ backend_arg)
+      $ cache_cap_arg $ gc_threshold_arg $ backend_arg)
 
 (* -- extract ------------------------------------------------------------ *)
 
 let extract_cmd =
-  let run file cutoff tree top stats_json cache_cap gc_threshold no_kernels
-      backend =
+  let run file cutoff tree top stats_json cache_cap gc_threshold backend =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
     let module B = (val resolve_backend backend : Dd.Backend.S) in
     let module E = Qsim.Extraction.Make (B) in
-    let use_kernels = not no_kernels in
     let c = load file in
     if tree then begin
       Fmt.pr "%a@." Qsim.Extraction.pp_tree
-        (E.tree ~cutoff ~use_kernels ?dd_config c)
+        (E.tree ~cutoff ?dd_config c)
     end
     else begin
-      let r = E.run ~cutoff ~use_kernels ?dd_config c in
+      let r = E.run ~cutoff ?dd_config c in
       Fmt.pr "%a@." Qcec.Distribution.pp
         (Qcec.Distribution.most_probable ~count:top r.Qsim.Extraction.distribution);
       Fmt.pr "(%d leaves, %d branch points, %d pruned, mass %.6f)@."
@@ -516,7 +499,7 @@ let extract_cmd =
        ~doc:"Extract the measurement-outcome distribution of a dynamic circuit")
     Term.(
       const run $ file $ cutoff $ tree $ top $ stats_json_arg $ cache_cap_arg
-      $ gc_threshold_arg $ no_kernels_arg $ backend_arg)
+      $ gc_threshold_arg $ backend_arg)
 
 (* -- transform ------------------------------------------------------------ *)
 
@@ -730,8 +713,7 @@ let analyze_cmd =
    restores the automatic Section 4 routing of [check]. *)
 let verify_cmd =
   let run file_a file_b strategy scheme perm transform quiet stats_json
-      cache_cap gc_threshold no_kernels cache_dir no_result_cache backend
-      width =
+      cache_cap gc_threshold cache_dir no_result_cache backend width =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
     let module B = (val resolve_backend backend : Dd.Backend.S) in
@@ -784,7 +766,7 @@ let verify_cmd =
           try
             Qcec.Verify.portfolio ~candidates ?perm
               ~on_dynamic:(if transform then `Transform else `Reject)
-              ?dd_config ~use_kernels:(not no_kernels) ?cache:store a b
+              ?dd_config ?cache:store a b
           with
           | Qcec.Strategy.Non_unitary op -> report_non_unitary op
           | Qcec.Verify.Rejected d ->
@@ -806,7 +788,7 @@ let verify_cmd =
           try
             V.functional ~strategy ?perm
               ~on_dynamic:(if transform then `Transform else `Reject)
-              ?dd_config ~use_kernels:(not no_kernels) ?cache:store a b
+              ?dd_config ?cache:store a b
           with
           | Qcec.Strategy.Non_unitary op -> report_non_unitary op
           | Qcec.Verify.Rejected d ->
@@ -897,8 +879,7 @@ let verify_cmd =
     Term.(
       const run $ file_a $ file_b $ strategy $ scheme_arg $ perm $ transform
       $ quiet $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg
-      $ no_kernels_arg $ cache_dir_arg $ no_result_cache_arg $ backend_arg
-      $ portfolio_width_arg)
+      $ cache_dir_arg $ no_result_cache_arg $ backend_arg $ portfolio_width_arg)
 
 (* -- batch ------------------------------------------------------------ *)
 
@@ -908,8 +889,8 @@ let verify_cmd =
    out.  Per-job failures are structured results, never batch aborts. *)
 let batch_cmd =
   let run inputs workers out summary strategy timeout retries seed node_limit
-      no_lint quiet cache_cap gc_threshold no_kernels cache_dir no_result_cache
-      backend portfolio =
+      no_lint quiet cache_cap gc_threshold cache_dir no_result_cache backend
+      portfolio =
     (* per-job metric deltas are part of the result schema, so collection
        is on for batch runs (flipped before any worker spawns) *)
     Obs.Metrics.set_enabled true;
@@ -949,7 +930,6 @@ let batch_cmd =
               (match seed with
                | Some s0 -> Some (s0 + s.Engine.Job.index)
                | None -> s.Engine.Job.seed)
-          ; kernels = s.Engine.Job.kernels && not no_kernels
           ; backend =
               (match backend with Some b -> b | None -> s.Engine.Job.backend)
           ; portfolio =
@@ -1145,8 +1125,8 @@ let batch_cmd =
     Term.(
       const run $ inputs $ workers $ out $ summary $ strategy $ timeout
       $ retries $ seed $ node_limit $ no_lint $ quiet $ cache_cap_arg
-      $ gc_threshold_arg $ no_kernels_arg $ cache_dir_arg $ no_result_cache_arg
-      $ backend $ portfolio)
+      $ gc_threshold_arg $ cache_dir_arg $ no_result_cache_arg $ backend
+      $ portfolio)
 
 (* -- stats ------------------------------------------------------------ *)
 

@@ -7,9 +7,9 @@
     tolerance.  All of it is folded into one hex digest so the store can
     index verdicts by a single string.
 
-    Kernel acceleration is deliberately {e not} part of the key: kernels
-    are bit-identical to the generic path (CI enforces this), so cached
-    verdicts are valid either way. *)
+    The DD backend is deliberately {e not} part of the key: backends
+    agree on every verdict (CI enforces this), so a cached verdict is
+    valid under any of them. *)
 
 type config =
   { strategy : string  (** canonical name, e.g. [proportional], [simulation(16)] *)

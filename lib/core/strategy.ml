@@ -103,13 +103,13 @@ module Make (B : Dd.Backend.S) = struct
   module Mat = B.Mat
   module Sim = Qsim.Dd_sim.Make (B)
 
-  let check_construction ~use_kernels p (g : Circ.t) (g' : Circ.t) =
+  let check_construction p (g : Circ.t) (g' : Circ.t) =
     (* keep [u] rooted while [u'] is built: construction may cross auto-GC
        safepoints inside [build_unitary] *)
     Pkg.with_root_m p
-      (Sim.build_unitary p ~use_kernels (Circ.strip_measurements g))
+      (Sim.build_unitary p (Circ.strip_measurements g))
       (fun ru ->
-        let u' = Sim.build_unitary p ~use_kernels (Circ.strip_measurements g') in
+        let u' = Sim.build_unitary p (Circ.strip_measurements g') in
         let u = Pkg.mroot_edge ru in
         { equivalent = Mat.equal p u u'
         ; equivalent_up_to_phase = Mat.equal_up_to_phase p u u'
@@ -142,21 +142,19 @@ module Make (B : Dd.Backend.S) = struct
     ; peak_nodes = max peak (Mat.node_count p m)
     }
 
-  let check_alternating ~take_left ~use_kernels p (g : Circ.t) (g' : Circ.t) =
+  let check_alternating ~take_left p (g : Circ.t) (g' : Circ.t) =
     let n = g.Circ.num_qubits in
     let left = unitary_ops g and right = unitary_ops g' in
     let nl = List.length left and nr = List.length right in
     Pkg.with_root_m p (Pkg.ident p n) (fun rm ->
         let peak = ref 0 in
         let apply_left op =
-          Pkg.set_mroot rm
-            (Sim.mul_op_left p ~use_kernels ~n op (Pkg.mroot_edge rm));
+          Pkg.set_mroot rm (Sim.mul_op_left p ~n op (Pkg.mroot_edge rm));
           peak := max !peak (Mat.node_count p (Pkg.mroot_edge rm));
           Pkg.checkpoint p
         in
         let apply_right op =
-          Pkg.set_mroot rm
-            (Sim.mul_op_right p ~use_kernels ~n op (Pkg.mroot_edge rm));
+          Pkg.set_mroot rm (Sim.mul_op_right p ~n op (Pkg.mroot_edge rm));
           peak := max !peak (Mat.node_count p (Pkg.mroot_edge rm));
           Pkg.checkpoint p
         in
@@ -202,7 +200,7 @@ module Make (B : Dd.Backend.S) = struct
      multiplications for that step — with the proportional order as the
      final tie-break.  A window bound keeps the schedule within
      [lookahead_window] ops of the proportional position either way. *)
-  let check_lookahead ~use_kernels p (g : Circ.t) (g' : Circ.t) =
+  let check_lookahead p (g : Circ.t) (g' : Circ.t) =
     let n = g.Circ.num_qubits in
     let left = unitary_ops g and right = unitary_ops g' in
     let nl = List.length left and nr = List.length right in
@@ -223,8 +221,8 @@ module Make (B : Dd.Backend.S) = struct
     let tie_eps =
       0.25 *. ((1.0 /. float_of_int (max nl 1)) +. (1.0 /. float_of_int (max nr 1)))
     in
-    let left_of op m = Sim.mul_op_left p ~use_kernels ~n op m in
-    let right_of op m = Sim.mul_op_right p ~use_kernels ~n op m in
+    let left_of op m = Sim.mul_op_left p ~n op m in
+    let right_of op m = Sim.mul_op_right p ~n op m in
     Pkg.with_root_m p (Pkg.ident p n) (fun rm ->
         let peak = ref 0 in
         let advance next =
@@ -280,7 +278,7 @@ module Make (B : Dd.Backend.S) = struct
 
   (* Materialize a stimulus description ([Qsim.Stimuli] draws it as pure
      data) as a DD state vector on this backend. *)
-  let materialize p ~use_kernels ~n (s : Qsim.Stimuli.t) =
+  let materialize p ~n (s : Qsim.Stimuli.t) =
     match s with
     | Qsim.Stimuli.Basis_state bits -> Pkg.basis_state p n (fun q -> bits.(q))
     | Qsim.Stimuli.Product_state amps -> Pkg.product_state p amps
@@ -288,16 +286,15 @@ module Make (B : Dd.Backend.S) = struct
       Pkg.with_root_v p (Pkg.basis_state p n (fun q -> bits.(q))) (fun r ->
           List.iter
             (fun op ->
-              Pkg.set_vroot r
-                (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+              Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
               Pkg.checkpoint p)
             prep;
           Pkg.vroot_edge r)
 
-  let random_stimulus p ~use_kernels ~kind ~n st =
-    materialize p ~use_kernels ~n (Qsim.Stimuli.draw st (stimuli_class kind) ~num_qubits:n)
+  let random_stimulus p ~kind ~n st =
+    materialize p ~n (Qsim.Stimuli.draw st (stimuli_class kind) ~num_qubits:n)
 
-  let check_simulation p ?seed ~use_kernels ~kind shots (g : Circ.t) (g' : Circ.t) =
+  let check_simulation p ?seed ~kind shots (g : Circ.t) (g' : Circ.t) =
     let n = g.Circ.num_qubits in
     let ops = unitary_ops g and ops' = unitary_ops g' in
     (* deterministic by construction: the default stream depends only on
@@ -309,8 +306,7 @@ module Make (B : Dd.Backend.S) = struct
       Pkg.with_root_v p state (fun r ->
           List.iter
             (fun op ->
-              Pkg.set_vroot r
-                (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+              Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
               Pkg.checkpoint p)
             ops;
           Pkg.vroot_edge r)
@@ -319,7 +315,7 @@ module Make (B : Dd.Backend.S) = struct
        first output while the second one is produced; roots are released
        per shot *)
     let one_shot () =
-      Pkg.with_root_v p (random_stimulus p ~use_kernels ~kind ~n st) (fun rin ->
+      Pkg.with_root_v p (random_stimulus p ~kind ~n st) (fun rin ->
           Pkg.with_root_v p (run ops (Pkg.vroot_edge rin)) (fun rout ->
               let out' = run ops' (Pkg.vroot_edge rin) in
               let out = Pkg.vroot_edge rout in
@@ -337,24 +333,24 @@ module Make (B : Dd.Backend.S) = struct
     let ok, peak = shoot shots true 0 in
     { equivalent = ok; equivalent_up_to_phase = ok; peak_nodes = peak }
 
-  let check ?seed ?(use_kernels = true) p strategy (g : Circ.t) (g' : Circ.t) =
+  let check ?seed p strategy (g : Circ.t) (g' : Circ.t) =
     if g.Circ.num_qubits <> g'.Circ.num_qubits then
       invalid_arg "Strategy.check: circuits act on different numbers of qubits";
     match strategy with
-    | Construction -> check_construction ~use_kernels p g g'
+    | Construction -> check_construction p g g'
     | Sequential ->
       check_alternating
         ~take_left:(fun ~i:_ ~j:_ ~nl:_ ~nr:_ -> true)
-        ~use_kernels p g g'
+        p g g'
     | Proportional ->
       (* advance whichever side is proportionally behind *)
       check_alternating
         ~take_left:(fun ~i ~j ~nl ~nr -> i * nr <= j * nl)
-        ~use_kernels p g g'
-    | Lookahead -> check_lookahead ~use_kernels p g g'
-    | Simulation shots -> check_simulation p ?seed ~use_kernels ~kind:Basis shots g g'
+        p g g'
+    | Lookahead -> check_lookahead p g g'
+    | Simulation shots -> check_simulation p ?seed ~kind:Basis shots g g'
     | Random_stimuli { kind; shots } ->
-      check_simulation p ?seed ~use_kernels ~kind shots g g'
+      check_simulation p ?seed ~kind shots g g'
 end
 
 include Make (Dd.Classic)

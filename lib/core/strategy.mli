@@ -86,15 +86,12 @@ module Make (B : Dd.Backend.S) : sig
       [seed] perturbs the (otherwise instance-shape-derived)
       random-stimuli state of the simulative strategies, so batch runs can
       derive a distinct, reproducible stream per job from one
-      manifest-level seed; it is ignored by the exact strategies.
-      [use_kernels] (default [true]) routes every gate application through
-      the direct kernels ([Mat.apply_gate] and friends); [false] is the
-      escape hatch onto the generic build-gate-DD-then-multiply path, for
-      A/B comparison.  Raises [Invalid_argument] on register mismatch and
+      manifest-level seed; it is ignored by the exact strategies.  Every
+      gate application goes through the direct kernels ([Mat.apply_gate]
+      and friends).  Raises [Invalid_argument] on register mismatch and
       {!Non_unitary} on non-unitary operations. *)
   val check :
        ?seed:int
-    -> ?use_kernels:bool
     -> B.pkg
     -> t
     -> Circuit.Circ.t
@@ -105,7 +102,6 @@ end
 (** {!Make}[.check] over the classic backend — the historical API. *)
 val check :
      ?seed:int
-  -> ?use_kernels:bool
   -> Dd.Pkg.t
   -> t
   -> Circuit.Circ.t

@@ -123,11 +123,10 @@ let preflight ~on_dynamic g g' =
    that can change the outcome: strategy (shot counts included via
    {!Strategy.name}), transform-vs-reject mode, any explicit permutation,
    the stimuli seed, and the weight-interning tolerance ([Pkg.create]'s
-   default — [functional] never overrides it).  [use_kernels], [dd_config]
-   and the DD backend are deliberately absent: they change performance,
-   never verdicts (CI enforces kernel/generic and cross-backend
-   agreement), so a verdict computed under one backend is served warm
-   under any other. *)
+   default — [functional] never overrides it).  [dd_config] and the DD
+   backend are deliberately absent: they change performance, never
+   verdicts (CI enforces cross-backend agreement), so a verdict computed
+   under one backend is served warm under any other. *)
 let cache_key ~strategy ~perm ~on_dynamic ~seed ~digest_a ~digest_b =
   Cache_store.Key.make ~digest_a ~digest_b
     { Cache_store.Key.strategy = Strategy.name strategy
@@ -162,7 +161,7 @@ module Make (B : Dd.Backend.S) = struct
   module Extr = Qsim.Extraction.Make (B)
 
   let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
-      ?(on_dynamic = `Transform) ?dd_config ?seed ?(use_kernels = true) ?cache g g' =
+      ?(on_dynamic = `Transform) ?dd_config ?seed ?cache g g' =
     preflight ~on_dynamic g g';
     (* consult the verdict store before any transformation or DD package
        construction — a warm run allocates no DD state at all *)
@@ -215,7 +214,7 @@ module Make (B : Dd.Backend.S) = struct
     let p = Pkg.create ?config:dd_config () in
     let outcome =
       Obs.Span.with_ "verify.functional.check" (fun () ->
-        St.check ?seed ~use_kernels p strategy g g')
+        St.check ?seed p strategy g g')
     in
     let t2 = now () in
     let r =
@@ -247,13 +246,13 @@ module Make (B : Dd.Backend.S) = struct
          });
     r
 
-  let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config
-      ?(use_kernels = true) dyn static =
+  let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config dyn
+      static =
     let m0 = Obs.Metrics.snapshot () in
     let t0 = now () in
     let extraction =
       Obs.Span.with_ "verify.distribution.extract" (fun () ->
-        Extr.run ~cutoff ~domains ~use_kernels ?dd_config dyn)
+        Extr.run ~cutoff ~domains ?dd_config dyn)
     in
     let t1 = now () in
     (* a dynamic reference is extracted as well; a static one is simulated
@@ -261,12 +260,12 @@ module Make (B : Dd.Backend.S) = struct
     let static_dist, t2 =
       Obs.Span.with_ "verify.distribution.simulate" (fun () ->
         if Circ.is_dynamic static then begin
-          let r = Extr.run ~cutoff ~domains ~use_kernels ?dd_config static in
+          let r = Extr.run ~cutoff ~domains ?dd_config static in
           (r.Qsim.Extraction.distribution, now ())
         end
         else begin
           let p = Pkg.create ?config:dd_config () in
-          let final = Sim.simulate p ~use_kernels static in
+          let final = Sim.simulate p static in
           let t2 = now () in
           ( Sim.measured_distribution p final ~n:static.Circ.num_qubits
               ~num_cbits:static.Circ.num_cbits ~measures:(Circ.measurements static)
@@ -286,7 +285,7 @@ module Make (B : Dd.Backend.S) = struct
     }
 
   let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) ?dd_config
-      ?(use_kernels = true) g g' =
+      g g' =
     let t0 = now () in
     let static_of c = if Circ.is_dynamic c then Transform.Dynamic.transform c else c in
     let g = static_of g in
@@ -306,11 +305,9 @@ module Make (B : Dd.Backend.S) = struct
       Obs.Span.with_ "verify.approximate.check" (fun () ->
         (* [u] stays rooted while [u'] is built (auto-GC safepoints) *)
         Pkg.with_root_m p
-          (Sim.build_unitary p ~use_kernels (Circ.strip_measurements g))
+          (Sim.build_unitary p (Circ.strip_measurements g))
           (fun ru ->
-            let u' =
-              Sim.build_unitary p ~use_kernels (Circ.strip_measurements g')
-            in
+            let u' = Sim.build_unitary p (Circ.strip_measurements g') in
             Mat.process_fidelity p (Pkg.mroot_edge ru) u' ~n:g.Circ.num_qubits))
     in
     let t2 = now () in
@@ -389,8 +386,8 @@ let candidate_seed ~seed ~candidate =
   let h = h lxor (h lsr 27) in
   h land max_int
 
-let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed
-    ?use_kernels ?cache ?safepoint g g' =
+let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
+    ?safepoint g g' =
   if candidates = [] then invalid_arg "Verify.portfolio: no candidates";
   let t0 = now () in
   (* -1 = undecided; the first candidate whose compare-and-set lands owns
@@ -425,7 +422,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed
             let r =
               match
                 V.functional ~strategy ?perm ?auto_align ?on_dynamic ?dd_config
-                  ?seed ?use_kernels ?cache g g'
+                  ?seed ?cache g g'
               with
               | r -> Ok r
               | exception e -> Error e

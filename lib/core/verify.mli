@@ -76,7 +76,6 @@ module Make (B : Dd.Backend.S) : sig
     -> ?on_dynamic:[ `Transform | `Reject ]
     -> ?dd_config:Dd.Backend.config
     -> ?seed:int
-    -> ?use_kernels:bool
     -> ?cache:Cache_store.Store.t
     -> Circuit.Circ.t
     -> Circuit.Circ.t
@@ -87,7 +86,6 @@ module Make (B : Dd.Backend.S) : sig
     -> ?cutoff:float
     -> ?domains:int
     -> ?dd_config:Dd.Backend.config
-    -> ?use_kernels:bool
     -> Circuit.Circ.t
     -> Circuit.Circ.t
     -> distribution_result
@@ -97,7 +95,6 @@ module Make (B : Dd.Backend.S) : sig
     -> ?perm:int array
     -> ?auto_align:bool
     -> ?dd_config:Dd.Backend.config
-    -> ?use_kernels:bool
     -> Circuit.Circ.t
     -> Circuit.Circ.t
     -> approximate_result
@@ -121,9 +118,6 @@ end
     automatic compaction (see {!Dd.Pkg.config}).
     [seed] perturbs the random-stimuli stream of the simulative
     strategies (see {!Strategy.check}); batch runs derive one per job.
-    [use_kernels] (default [true]) routes gate applications through the
-    direct kernels; [false] falls back to the generic
-    build-gate-DD-then-multiply path (see {!Strategy.check}).
     [cache], when given, short-circuits the whole check from the verdict
     store: the pair key covers both {!Circuit.Circ.digest}s plus strategy,
     transform mode, [perm], [seed] and tolerance (see [docs/CACHING.md]);
@@ -138,7 +132,6 @@ val functional :
   -> ?on_dynamic:[ `Transform | `Reject ]
   -> ?dd_config:Dd.Pkg.config
   -> ?seed:int
-  -> ?use_kernels:bool
   -> ?cache:Cache_store.Store.t
   -> Circuit.Circ.t
   -> Circuit.Circ.t
@@ -151,14 +144,12 @@ val measurement_alignment : Circuit.Circ.t -> Circuit.Circ.t -> int array option
 
 (** [approximate ?threshold ?perm g g'] transforms dynamic inputs like
     {!functional} and computes the process fidelity via DD construction.
-    [threshold] defaults to [1. -. 1e-9]; [use_kernels] as in
-    {!functional}. *)
+    [threshold] defaults to [1. -. 1e-9]. *)
 val approximate :
      ?threshold:float
   -> ?perm:int array
   -> ?auto_align:bool
   -> ?dd_config:Dd.Pkg.config
-  -> ?use_kernels:bool
   -> Circuit.Circ.t
   -> Circuit.Circ.t
   -> approximate_result
@@ -168,14 +159,12 @@ val approximate :
     compares it with the distribution obtained by classically simulating
     [static] (which must not be dynamic) and marginalizing its final state
     onto its measured classical bits.  Both circuits start from |0...0>
-    and must write the same classical bits.  [use_kernels] as in
-    {!functional}. *)
+    and must write the same classical bits. *)
 val distribution :
      ?eps:float
   -> ?cutoff:float
   -> ?domains:int
   -> ?dd_config:Dd.Pkg.config
-  -> ?use_kernels:bool
   -> Circuit.Circ.t
   -> Circuit.Circ.t
   -> distribution_result
@@ -277,7 +266,6 @@ val portfolio :
   -> ?on_dynamic:[ `Transform | `Reject ]
   -> ?dd_config:Dd.Pkg.config
   -> ?seed:int
-  -> ?use_kernels:bool
   -> ?cache:Cache_store.Store.t
   -> ?safepoint:(candidate:string -> live_nodes:int -> unit)
   -> Circuit.Circ.t

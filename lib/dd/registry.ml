@@ -1,16 +1,12 @@
 (* Runtime backend registry: lets the CLI, the batch engine and the bench
    driver pick a {!Backend.S} implementation by name without being
-   functorized themselves.  Both built-in backends register at module
-   initialization; [register] is exposed so an embedding application can
-   add its own. *)
+   functorized themselves.  The two built-in backends form a fixed list,
+   sorted by name. *)
 
-let tbl : (string, (module Backend.S)) Hashtbl.t = Hashtbl.create 8
+let backends : (module Backend.S) list = [ (module Classic); (module Packed) ]
 
-let register (module B : Backend.S) = Hashtbl.replace tbl B.name (module B : Backend.S)
-let find name = Hashtbl.find_opt tbl name
-let names () = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+let find name =
+  List.find_opt (fun (module B : Backend.S) -> B.name = name) backends
+
+let names () = List.map (fun (module B : Backend.S) -> B.name) backends
 let default = "classic"
-
-let () =
-  register (module Classic);
-  register (module Packed)

@@ -13,15 +13,13 @@
         V.functional ...
     ]}
 
-    {!Classic} and {!Packed} are registered at startup. *)
-
-(** [register (module B)] adds (or replaces) a backend under [B.name]. *)
-val register : (module Backend.S) -> unit
+    The registry is the fixed list of the built-in backends, {!Classic}
+    and {!Packed}. *)
 
 (** [find name] resolves a backend by registry name. *)
 val find : string -> (module Backend.S) option
 
-(** Registered names, sorted ([["classic"; "packed"]] by default). *)
+(** Registered names, sorted: [["classic"; "packed"]]. *)
 val names : unit -> string list
 
 (** The default backend name, ["classic"]. *)

@@ -24,14 +24,13 @@ type spec =
   ; timeout : float option
   ; retries : int
   ; seed : int option
-  ; kernels : bool
   ; cache : bool
   ; backend : string
   ; portfolio : int option
   }
 
 let files ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
-    ?timeout ?(retries = 0) ?seed ?(kernels = true) ?(cache = true)
+    ?timeout ?(retries = 0) ?seed ?(cache = true)
     ?(backend = Dd.Registry.default) ?portfolio ~index file_a file_b =
   let label =
     match label with
@@ -39,16 +38,16 @@ let files ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
     | None -> Filename.basename file_a ^ " vs " ^ Filename.basename file_b
   in
   { index; label; source = Files { file_a; file_b }; strategy; auto_scheme
-  ; perm; transform; timeout; retries; seed; kernels; cache; backend; portfolio }
+  ; perm; transform; timeout; retries; seed; cache; backend; portfolio }
 
 let circuits ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
-    ?timeout ?(retries = 0) ?seed ?(kernels = true) ?(cache = true)
+    ?timeout ?(retries = 0) ?seed ?(cache = true)
     ?(backend = Dd.Registry.default) ?portfolio ~index a b =
   let label =
     match label with Some l -> l | None -> a.Circ.name ^ " vs " ^ b.Circ.name
   in
   { index; label; source = Circuits { a; b }; strategy; auto_scheme; perm
-  ; transform; timeout; retries; seed; kernels; cache; backend; portfolio }
+  ; transform; timeout; retries; seed; cache; backend; portfolio }
 
 type verdict =
   { equivalent : bool

@@ -33,10 +33,6 @@ type spec =
   ; timeout : float option  (** per-job wall-clock budget, seconds *)
   ; retries : int  (** extra attempts granted to timed-out jobs *)
   ; seed : int option  (** per-job stimuli seed (manifest seed + index) *)
-  ; kernels : bool
-        (** route gate applications through the direct DD kernels
-            (default); [false] selects the generic
-            build-gate-DD-then-multiply path for A/B runs *)
   ; cache : bool
         (** consult/populate the pool's verdict store (default; a no-op
             when the pool has none configured); [false] opts this job out *)
@@ -63,7 +59,6 @@ val files :
   -> ?timeout:float
   -> ?retries:int
   -> ?seed:int
-  -> ?kernels:bool
   -> ?cache:bool
   -> ?backend:string
   -> ?portfolio:int
@@ -81,7 +76,6 @@ val circuits :
   -> ?timeout:float
   -> ?retries:int
   -> ?seed:int
-  -> ?kernels:bool
   -> ?cache:bool
   -> ?backend:string
   -> ?portfolio:int

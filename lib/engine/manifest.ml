@@ -6,7 +6,6 @@ type defaults =
   ; timeout : float option
   ; retries : int
   ; transform : bool
-  ; kernels : bool
   ; cache : bool
   ; backend : string
   ; portfolio : int option
@@ -14,7 +13,7 @@ type defaults =
 
 let no_defaults =
   { strategy = None; auto_scheme = false; timeout = None; retries = 0
-  ; transform = true; kernels = true; cache = true
+  ; transform = true; cache = true
   ; backend = Dd.Registry.default; portfolio = None }
 
 type t =
@@ -141,7 +140,6 @@ let defaults_of_json j =
     let* timeout = num_field "timeout" d in
     let* retries = int_field "retries" d in
     let* transform = bool_field "transform" d in
-    let* kernels = bool_field "kernels" d in
     let* cache = bool_field "cache" d in
     let* backend = backend_field "backend" d in
     let* portfolio = portfolio_field "portfolio" d in
@@ -157,7 +155,6 @@ let defaults_of_json j =
       ; timeout
       ; retries = Option.value retries ~default:0
       ; transform = Option.value transform ~default:true
-      ; kernels = Option.value kernels ~default:true
       ; cache = Option.value cache ~default:true
       ; backend = Option.value backend ~default:Dd.Registry.default
       ; portfolio = (match portfolio with Some 0 -> None | p -> p)
@@ -192,7 +189,6 @@ let job_of_json ~dir ~defaults ~manifest_seed ~index j =
     let* timeout = num_field "timeout" j in
     let* retries = int_field "retries" j in
     let* transform = bool_field "transform" j in
-    let* kernels = bool_field "kernels" j in
     let* cache = bool_field "cache" j in
     let* backend = backend_field "backend" j in
     let* portfolio = portfolio_field "portfolio" j in
@@ -222,7 +218,6 @@ let job_of_json ~dir ~defaults ~manifest_seed ~index j =
          ; timeout = (match timeout with Some _ as t -> t | None -> defaults.timeout)
          ; retries = Option.value retries ~default:defaults.retries
          ; seed = job_seed ~manifest_seed ~index
-         ; kernels = Option.value kernels ~default:defaults.kernels
          ; cache = Option.value cache ~default:defaults.cache
          ; backend = Option.value backend ~default:defaults.backend
          ; portfolio =
@@ -281,7 +276,7 @@ let of_pairs ?seed ?(defaults = no_defaults) pairs =
         Job.files ?strategy:defaults.strategy ~auto_scheme:defaults.auto_scheme
           ?timeout:defaults.timeout
           ~retries:defaults.retries ~transform:defaults.transform
-          ~kernels:defaults.kernels ~cache:defaults.cache
+          ~cache:defaults.cache
           ~backend:defaults.backend ?portfolio:defaults.portfolio
           ?seed:(job_seed ~manifest_seed:seed ~index) ~index a b)
       pairs

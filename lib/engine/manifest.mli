@@ -4,8 +4,7 @@
     { "schema": "qcec-manifest/v1",
       "seed": 42,
       "defaults": { "strategy": "proportional", "timeout": 30,
-                    "retries": 1, "transform": true, "kernels": true,
-                    "backend": "classic" },
+                    "retries": 1, "transform": true, "backend": "classic" },
       "jobs": [
         { "a": "bv6_dynamic.qasm", "b": "bv6_static.qasm",
           "label": "bv6", "strategy": "simulation:16",
@@ -14,9 +13,10 @@
     v}
 
     Only ["schema"] and ["jobs"] (with per-job ["a"]/["b"]) are required;
-    every other field is optional.  Per-job fields override the
-    ["defaults"] block.  File paths are resolved relative to the manifest's
-    directory.  The manifest-level ["seed"] derives one deterministic
+    every other field is optional, and unknown fields are ignored.
+    Per-job fields override the ["defaults"] block.  File paths are
+    resolved relative to the manifest's directory.  The manifest-level
+    ["seed"] derives one deterministic
     stimuli seed per job ([seed + job index]), so simulative strategies are
     reproducible — and identical — regardless of worker count or
     scheduling order.
@@ -41,9 +41,6 @@ type defaults =
   ; timeout : float option
   ; retries : int
   ; transform : bool
-  ; kernels : bool
-        (** default [true]; ["kernels": false] (per job or in defaults)
-            selects the generic gate-DD path for A/B comparison *)
   ; cache : bool
         (** default [true]; ["cache": false] (per job or in defaults)
             opts jobs out of the verdict store even when one is open *)

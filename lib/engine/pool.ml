@@ -226,7 +226,7 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
       let cache = if spec.cache then cfg.cache else None in
       let r =
         Qcec.Verify.portfolio ~candidates ?perm:spec.perm ~on_dynamic ?dd_config
-          ?seed:spec.seed ~use_kernels:spec.kernels ?cache ~safepoint a b
+          ?seed:spec.seed ?cache ~safepoint a b
       in
       let w = r.Qcec.Verify.winner in
       { Job.equivalent = w.Qcec.Verify.equivalent
@@ -315,7 +315,7 @@ let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
     in
     let r =
       V.functional ?strategy ?perm:spec.perm ~on_dynamic
-        ?dd_config ?seed:spec.seed ~use_kernels:spec.kernels ?cache a b
+        ?dd_config ?seed:spec.seed ?cache a b
     in
     { Job.equivalent = r.Qcec.Verify.equivalent
     ; exactly_equal = r.Qcec.Verify.exactly_equal

@@ -10,49 +10,34 @@ module Make (B : Dd.Backend.S) = struct
   module Vec = B.Vec
   module Mat = B.Mat
 
-  let op_unitary p ~n op =
+  let apply_op p ~n state op =
     match (op : Op.t) with
     | Apply { gate; controls; target } ->
-      Pkg.gate p ~n ~controls:(controls_of controls) ~target (Gates.matrix gate)
-    | Swap (a, b) ->
-      let x = Gates.matrix Gates.X in
-      let cx c t = Pkg.gate p ~n ~controls:[ (c, true) ] ~target:t x in
-      let ab = cx a b and ba = cx b a in
-      Mat.mul p ab (Mat.mul p ba ab)
-    | Measure _ | Reset _ | Cond _ | Barrier _ ->
-      invalid_arg "Dd_sim.op_unitary: non-unitary operation"
-
-  let apply_op p ?(use_kernels = true) ~n state op =
-    match (op : Op.t) with
-    | Apply { gate; controls; target } when use_kernels ->
       Mat.apply_gate p ~n ~controls:(controls_of controls) ~target
         (Gates.matrix gate) state
-    | Swap (a, b) when use_kernels -> Mat.apply_swap p ~n a b state
-    | Apply _ | Swap _ -> Mat.apply p (op_unitary p ~n op) state
+    | Swap (a, b) -> Mat.apply_swap p ~n a b state
     | Measure _ | Reset _ | Cond _ | Barrier _ ->
       invalid_arg "Dd_sim.apply_op: non-unitary operation"
 
-  let mul_op_left p ~use_kernels ~n op m =
+  let mul_op_left p ~n op m =
     match (op : Op.t) with
-    | Apply { gate; controls; target } when use_kernels ->
+    | Apply { gate; controls; target } ->
       Mat.mul_gate_left p ~n ~controls:(controls_of controls) ~target
         (Gates.matrix gate) m
-    | Swap (a, b) when use_kernels -> Mat.mul_swap_left p ~n a b m
-    | Apply _ | Swap _ -> Mat.mul p (op_unitary p ~n op) m
+    | Swap (a, b) -> Mat.mul_swap_left p ~n a b m
     | Measure _ | Reset _ | Cond _ | Barrier _ ->
       invalid_arg "Dd_sim.mul_op_left: non-unitary operation"
 
-  let mul_op_right p ~use_kernels ~n op m =
+  let mul_op_right p ~n op m =
     match (op : Op.t) with
-    | Apply { gate; controls; target } when use_kernels ->
+    | Apply { gate; controls; target } ->
       Mat.mul_gate_right p ~n ~controls:(controls_of controls) ~target
         (Gates.matrix gate) m
-    | Swap (a, b) when use_kernels -> Mat.mul_swap_right p ~n a b m
-    | Apply _ | Swap _ -> Mat.mul p m (Mat.adjoint p (op_unitary p ~n op))
+    | Swap (a, b) -> Mat.mul_swap_right p ~n a b m
     | Measure _ | Reset _ | Cond _ | Barrier _ ->
       invalid_arg "Dd_sim.mul_op_right: non-unitary operation"
 
-  let simulate p ?(use_kernels = true) (c : Circ.t) =
+  let simulate p (c : Circ.t) =
     if Circ.is_dynamic c then
       invalid_arg "Dd_sim.simulate: dynamic circuit (use Extraction.run)";
     let n = c.Circ.num_qubits in
@@ -61,22 +46,21 @@ module Make (B : Dd.Backend.S) = struct
           match (op : Op.t) with
           | Measure _ | Barrier _ -> ()
           | Apply _ | Swap _ ->
-            Pkg.set_vroot r (apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+            Pkg.set_vroot r (apply_op p ~n (Pkg.vroot_edge r) op);
             Pkg.checkpoint p
           | Reset _ | Cond _ -> assert false (* excluded by is_dynamic *)
         in
         List.iter step c.Circ.ops;
         Pkg.vroot_edge r)
 
-  let build_unitary p ?(use_kernels = true) (c : Circ.t) =
+  let build_unitary p (c : Circ.t) =
     let n = c.Circ.num_qubits in
     Pkg.with_root_m p (Pkg.ident p n) (fun r ->
         let step op =
           match (op : Op.t) with
           | Barrier _ -> ()
           | Apply _ | Swap _ ->
-            Pkg.set_mroot r
-              (mul_op_left p ~use_kernels ~n op (Pkg.mroot_edge r));
+            Pkg.set_mroot r (mul_op_left p ~n op (Pkg.mroot_edge r));
             Pkg.checkpoint p
           | Measure _ | Reset _ | Cond _ ->
             invalid_arg "Dd_sim.build_unitary: non-unitary operation in circuit"

@@ -9,39 +9,28 @@
     {!Dd.Classic} instance, preserving the historical API. *)
 
 module Make (B : Dd.Backend.S) : sig
-  (** [op_unitary p ~n op] is the matrix DD of a unitary operation ([Apply]
-      or [Swap]; swaps are built from three CNOTs).  Raises
-      [Invalid_argument] on non-unitary operations.  This is the generic
-      path kept for tests and A/B comparison; the kernel paths below never
-      materialize it. *)
-  val op_unitary : B.pkg -> n:int -> Circuit.Op.t -> B.medge
+  (** [apply_op p ~n state op] applies a unitary operation to a state
+      through the direct gate-application kernels ([Mat.apply_gate],
+      [Mat.apply_swap]); no gate DD is materialized. *)
+  val apply_op : B.pkg -> n:int -> B.vedge -> Circuit.Op.t -> B.vedge
 
-  (** [apply_op p ~n state op] applies a unitary operation to a state.
-      [use_kernels] (default [true]) routes through the direct
-      gate-application kernels ([Mat.apply_gate]); [false] falls back to
-      building the full gate DD. *)
-  val apply_op :
-    B.pkg -> ?use_kernels:bool -> n:int -> B.vedge -> Circuit.Op.t -> B.vedge
+  (** [mul_op_left p ~n op m] is [U_op * m], applied in place without
+      materializing the gate's DD. *)
+  val mul_op_left : B.pkg -> n:int -> Circuit.Op.t -> B.medge -> B.medge
 
-  (** [mul_op_left p ~use_kernels ~n op m] is [U_op * m]; the kernel path
-      applies the gate in place without materializing its DD. *)
-  val mul_op_left :
-    B.pkg -> use_kernels:bool -> n:int -> Circuit.Op.t -> B.medge -> B.medge
-
-  (** [mul_op_right p ~use_kernels ~n op m] is [m * U_op^dagger]; the kernel
-      path conjugates the 2x2 entry-wise, with no adjoint pass. *)
-  val mul_op_right :
-    B.pkg -> use_kernels:bool -> n:int -> Circuit.Op.t -> B.medge -> B.medge
+  (** [mul_op_right p ~n op m] is [m * U_op^dagger]; the kernel conjugates
+      the 2x2 entry-wise, with no adjoint pass. *)
+  val mul_op_right : B.pkg -> n:int -> Circuit.Op.t -> B.medge -> B.medge
 
   (** [simulate p c] runs a unitary circuit from |0...0> (final measurements
       and barriers are skipped).  Raises [Invalid_argument] on dynamic
       circuits. *)
-  val simulate : B.pkg -> ?use_kernels:bool -> Circuit.Circ.t -> B.vedge
+  val simulate : B.pkg -> Circuit.Circ.t -> B.vedge
 
-  (** [build_unitary p c] multiplies all gate DDs into the circuit's system
+  (** [build_unitary p c] multiplies all gates into the circuit's system
       matrix.  Raises [Invalid_argument] if [c] contains non-unitary
       operations (strip measurements first). *)
-  val build_unitary : B.pkg -> ?use_kernels:bool -> Circuit.Circ.t -> B.medge
+  val build_unitary : B.pkg -> Circuit.Circ.t -> B.medge
 
   (** [measured_distribution p state ~n ~measures] marginalizes the final
       state onto the classical bits written by [measures] ([(qubit, cbit)]
@@ -61,36 +50,18 @@ module Make (B : Dd.Backend.S) : sig
     -> (string * float) list
 end
 
-val op_unitary : Dd.Pkg.t -> n:int -> Circuit.Op.t -> Dd.Types.medge
-
 val apply_op :
-     Dd.Pkg.t
-  -> ?use_kernels:bool
-  -> n:int
-  -> Dd.Types.vedge
-  -> Circuit.Op.t
-  -> Dd.Types.vedge
+  Dd.Pkg.t -> n:int -> Dd.Types.vedge -> Circuit.Op.t -> Dd.Types.vedge
 
 val mul_op_left :
-     Dd.Pkg.t
-  -> use_kernels:bool
-  -> n:int
-  -> Circuit.Op.t
-  -> Dd.Types.medge
-  -> Dd.Types.medge
+  Dd.Pkg.t -> n:int -> Circuit.Op.t -> Dd.Types.medge -> Dd.Types.medge
 
 val mul_op_right :
-     Dd.Pkg.t
-  -> use_kernels:bool
-  -> n:int
-  -> Circuit.Op.t
-  -> Dd.Types.medge
-  -> Dd.Types.medge
+  Dd.Pkg.t -> n:int -> Circuit.Op.t -> Dd.Types.medge -> Dd.Types.medge
 
-val simulate : Dd.Pkg.t -> ?use_kernels:bool -> Circuit.Circ.t -> Dd.Types.vedge
+val simulate : Dd.Pkg.t -> Circuit.Circ.t -> Dd.Types.vedge
 
-val build_unitary :
-  Dd.Pkg.t -> ?use_kernels:bool -> Circuit.Circ.t -> Dd.Types.medge
+val build_unitary : Dd.Pkg.t -> Circuit.Circ.t -> Dd.Types.medge
 
 val measured_distribution :
      Dd.Pkg.t

@@ -91,12 +91,11 @@ module Make (B : Dd.Backend.S) = struct
      pre-projection state stays rooted across the recursion into the first
      outcome, so automatic compaction at any checkpoint safepoint cannot
      sweep a state that a pending sibling branch still needs. *)
-  let walk ~pkg:p ~use_kernels ~n ~cutoff ~counters ~record ?(forced = [||])
+  let walk ~pkg:p ~n ~cutoff ~counters ~record ?(forced = [||])
       circuit_ops cvals_init =
     let x_gate = Gates.matrix Gates.X in
     let apply_x state qubit =
-      if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-      else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
+      Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
     in
     let rec go r ops cvals prob depth =
       match ops with
@@ -108,15 +107,13 @@ module Make (B : Dd.Backend.S) = struct
          | Barrier _ -> go r rest cvals prob depth
          | Apply _ | Swap _ ->
            counters.c_gates <- counters.c_gates + 1;
-           Pkg.set_vroot r
-             (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+           Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
            Pkg.checkpoint p;
            go r rest cvals prob depth
          | Cond { cond; op } ->
            if Classical.cond_holds cond cvals then begin
              counters.c_gates <- counters.c_gates + 1;
-             Pkg.set_vroot r
-               (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+             Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
              Pkg.checkpoint p
            end;
            go r rest cvals prob depth
@@ -167,13 +164,13 @@ module Make (B : Dd.Backend.S) = struct
     Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
         go r circuit_ops cvals_init 1.0 0)
 
-  let run_sequential ~cutoff ~use_kernels ?dd_config (c : Circ.t) =
+  let run_sequential ~cutoff ?dd_config (c : Circ.t) =
     let p = Pkg.create ?config:dd_config () in
     let counters = new_counters () in
     let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
     let record = Classical.add_weighted dist in
     Obs.Span.with_ "extract.walk" (fun () ->
-      walk ~pkg:p ~use_kernels ~n:c.Circ.num_qubits ~cutoff ~counters ~record
+      walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters ~record
         c.Circ.ops
         (Bytes.make c.Circ.num_cbits '0'));
     publish_counters counters;
@@ -190,11 +187,11 @@ module Make (B : Dd.Backend.S) = struct
      so the 2^depth tasks partition the branching tree; each re-simulates
      its prefix in a private package (DD nodes cannot be shared across
      domains). *)
-  let run_parallel ~cutoff ~use_kernels ~domains ?dd_config (c : Circ.t) =
+  let run_parallel ~cutoff ~domains ?dd_config (c : Circ.t) =
     let branchy =
       List.exists (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops
     in
-    if not branchy then run_sequential ~cutoff ~use_kernels ?dd_config c
+    if not branchy then run_sequential ~cutoff ?dd_config c
     else begin
       let rec depth_for d = if 1 lsl d >= domains then d else depth_for (d + 1) in
       let n_branches =
@@ -209,7 +206,7 @@ module Make (B : Dd.Backend.S) = struct
         let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
         let record = Classical.add_weighted dist in
         let forced = Array.init depth (fun k -> (idx lsr k) land 1) in
-        walk ~pkg:p ~use_kernels ~n:c.Circ.num_qubits ~cutoff ~counters ~record
+        walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters ~record
           ~forced c.Circ.ops
           (Bytes.make c.Circ.num_cbits '0');
         (dist, counters)
@@ -249,18 +246,17 @@ module Make (B : Dd.Backend.S) = struct
       }
     end
 
-  let run ?(cutoff = 1e-12) ?(domains = 1) ?(use_kernels = true) ?dd_config c =
+  let run ?(cutoff = 1e-12) ?(domains = 1) ?dd_config c =
     M.incr m_runs;
-    if domains <= 1 then run_sequential ~cutoff ~use_kernels ?dd_config c
-    else run_parallel ~cutoff ~use_kernels ~domains ?dd_config c
+    if domains <= 1 then run_sequential ~cutoff ?dd_config c
+    else run_parallel ~cutoff ~domains ?dd_config c
 
-  let tree ?(cutoff = 1e-12) ?(use_kernels = true) ?dd_config (c : Circ.t) =
+  let tree ?(cutoff = 1e-12) ?dd_config (c : Circ.t) =
     let p = Pkg.create ?config:dd_config () in
     let n = c.Circ.num_qubits in
     let x_gate = Gates.matrix Gates.X in
     let apply_x state qubit =
-      if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-      else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
+      Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
     in
     let rec go r ops cvals prob =
       match ops with
@@ -269,14 +265,12 @@ module Make (B : Dd.Backend.S) = struct
         (match (op : Op.t) with
          | Barrier _ -> go r rest cvals prob
          | Apply _ | Swap _ ->
-           Pkg.set_vroot r
-             (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+           Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
            Pkg.checkpoint p;
            go r rest cvals prob
          | Cond { cond; op } ->
            if Classical.cond_holds cond cvals then begin
-             Pkg.set_vroot r
-               (Sim.apply_op p ~use_kernels ~n (Pkg.vroot_edge r) op);
+             Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
              Pkg.checkpoint p
            end;
            go r rest cvals prob

@@ -58,15 +58,12 @@ module Make (B : Dd.Backend.S) : sig
       over that many OCaml domains, each re-simulating its forced prefix
       with a private DD package (the paper notes the branches are
       embarrassingly parallel; its own evaluation is sequential, and so is
-      the default here).  [use_kernels] (default [true]) routes gate
-      applications through the direct kernels.  [dd_config] bounds the DD
-      packages' operation caches and enables automatic compaction; the walk
-      roots the state of every pending branch, so mid-walk sweeps are
-      safe. *)
+      the default here).  [dd_config] bounds the DD packages' operation
+      caches and enables automatic compaction; the walk roots the state of
+      every pending branch, so mid-walk sweeps are safe. *)
   val run :
        ?cutoff:float
     -> ?domains:int
-    -> ?use_kernels:bool
     -> ?dd_config:Dd.Backend.config
     -> Circuit.Circ.t
     -> result
@@ -75,7 +72,6 @@ module Make (B : Dd.Backend.S) : sig
       for small numbers of measurements. *)
   val tree :
        ?cutoff:float
-    -> ?use_kernels:bool
     -> ?dd_config:Dd.Backend.config
     -> Circuit.Circ.t
     -> tree
@@ -84,14 +80,12 @@ end
 val run :
      ?cutoff:float
   -> ?domains:int
-  -> ?use_kernels:bool
   -> ?dd_config:Dd.Pkg.config
   -> Circuit.Circ.t
   -> result
 
 val tree :
      ?cutoff:float
-  -> ?use_kernels:bool
   -> ?dd_config:Dd.Pkg.config
   -> Circuit.Circ.t
   -> tree

@@ -17,11 +17,10 @@ module Make (B : Dd.Backend.S) = struct
   module Mat = B.Mat
   module Sim = Dd_sim.Make (B)
 
-  let one_shot ~rng ~use_kernels p ~n (c : Circ.t) =
+  let one_shot ~rng p ~n (c : Circ.t) =
     let x_gate = Gates.matrix Gates.X in
     let apply_x state qubit =
-      if use_kernels then Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-      else Mat.apply p (Pkg.gate p ~n ~controls:[] ~target:qubit x_gate) state
+      Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
     in
     let cvals = Bytes.make c.Circ.num_cbits '0' in
     let sample state qubit =
@@ -34,10 +33,10 @@ module Make (B : Dd.Backend.S) = struct
       (match (op : Op.t) with
        | Barrier _ -> ()
        | Apply _ | Swap _ ->
-         Pkg.set_vroot r (Sim.apply_op p ~use_kernels ~n state op)
+         Pkg.set_vroot r (Sim.apply_op p ~n state op)
        | Cond { cond; op } ->
          if Classical.cond_holds cond cvals then
-           Pkg.set_vroot r (Sim.apply_op p ~use_kernels ~n state op)
+           Pkg.set_vroot r (Sim.apply_op p ~n state op)
        | Measure { qubit; cbit } ->
          let outcome, state = sample state qubit in
          Bytes.set cvals cbit (if outcome = 1 then '1' else '0');
@@ -51,7 +50,7 @@ module Make (B : Dd.Backend.S) = struct
         List.iter (step r) c.Circ.ops);
     Bytes.to_string cvals
 
-  let run ~seed ~shots ?(use_kernels = true) ?dd_config (c : Circ.t) =
+  let run ~seed ~shots ?dd_config (c : Circ.t) =
     let rng = Random.State.make [| seed; shots; 0x5a0d |] in
     let n = c.Circ.num_qubits in
     let counts = Hashtbl.create 64 in
@@ -59,7 +58,7 @@ module Make (B : Dd.Backend.S) = struct
        which is exactly what makes repeated runs affordable *)
     let p = Pkg.create ?config:dd_config () in
     for _ = 1 to shots do
-      let key = one_shot ~rng ~use_kernels p ~n c in
+      let key = one_shot ~rng p ~n c in
       let prev = Option.value ~default:0 (Hashtbl.find_opt counts key) in
       Hashtbl.replace counts key (prev + 1)
     done;

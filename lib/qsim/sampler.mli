@@ -24,13 +24,11 @@ val empirical : result -> (string * float) list
 module Make (B : Dd.Backend.S) : sig
   (** [run ~seed ~shots c] performs [shots] independent end-to-end
       simulations, sampling every measurement and reset outcome.
-      [use_kernels] (default [true]) uses the direct gate-application
-      kernels; [dd_config] bounds the shared DD package's caches and
-      enables automatic compaction between operations. *)
+      [dd_config] bounds the shared DD package's caches and enables
+      automatic compaction between operations. *)
   val run :
        seed:int
     -> shots:int
-    -> ?use_kernels:bool
     -> ?dd_config:Dd.Backend.config
     -> Circuit.Circ.t
     -> result
@@ -39,7 +37,6 @@ end
 val run :
      seed:int
   -> shots:int
-  -> ?use_kernels:bool
   -> ?dd_config:Dd.Pkg.config
   -> Circuit.Circ.t
   -> result

@@ -192,7 +192,6 @@ let inline_spec ~index body =
     ?timeout:(opt_float body "timeout")
     ?retries:(opt_int body "retries")
     ?seed:(opt_int body "seed")
-    ?kernels:(opt_bool body "kernels")
     ?cache:(opt_bool body "cache")
     ?backend:(parse_backend body)
     ?portfolio:(parse_portfolio body) ~index a b

@@ -255,6 +255,46 @@ let test_manifest_errors () =
        Alcotest.(check int) "consecutive pairing" 2 (List.length pairs)
      | Error e -> Alcotest.fail e)
 
+(* The retired ["kernels"] flag may linger in old manifests: it must still
+   compile, change nothing, and every gate must still go through the
+   direct kernels. *)
+let test_manifest_legacy_kernels_key () =
+  let compile ~legacy =
+    let key = if legacy then {|, "kernels": false|} else "" in
+    let doc =
+      Obs.Json.of_string
+        (Printf.sprintf
+           {|{ "schema": "qcec-manifest/v1",
+               "defaults": { "timeout": 60%s },
+               "jobs": [
+                 { "a": "dynamic_teleport.qasm", "b": "dynamic_teleport.qasm"%s },
+                 { "a": "clean_ghz.qasm", "b": "clean_ghz.qasm" } ] }|}
+           key key)
+    in
+    match Manifest.of_json ~dir:"fixtures" doc with
+    | Error e -> Alcotest.fail e
+    | Ok m -> m.Manifest.jobs
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ();
+      Obs.Span.reset ())
+    (fun () ->
+      let legacy = run ~workers:1 (compile ~legacy:true) in
+      let plain = run ~workers:1 (compile ~legacy:false) in
+      List.iter2
+        (fun (a : Job.result) (b : Job.result) ->
+          check_class "legacy-key job verifies" "equivalent"
+            (Job.exit_class a.Job.outcome);
+          Alcotest.(check bool) "verdict equals the manifest without the key"
+            true
+            (Job.same_outcome a.Job.outcome b.Job.outcome))
+        legacy.Pool.results plain.Pool.results;
+      Alcotest.(check bool) "gates still go through the kernels" true
+        (Obs.Metrics.find legacy.Pool.metrics "dd.kernel.calls" > 0))
+
 (* -- qcec-result/v1 round trip ------------------------------------------ *)
 
 let gen_result =
@@ -365,6 +405,8 @@ let suite =
   ; Alcotest.test_case "manifest compilation" `Quick test_manifest_compile
   ; Alcotest.test_case "manifest rejects malformed input" `Quick
       test_manifest_errors
+  ; Alcotest.test_case "legacy kernels key is ignored" `Quick
+      test_manifest_legacy_kernels_key
   ; QCheck_alcotest.to_alcotest prop_result_roundtrip
   ; Alcotest.test_case "DD package owner-domain guard" `Quick test_pkg_owner_guard
   ]
