@@ -5,14 +5,17 @@
      fig4      the extraction branching tree of the running example
      ablation  design-choice studies: QPE generator alignment, extraction
                pruning thresholds, parallel extraction, checking strategies
-     backends  DD backend A/B: every registered backend over Table 1
+     scaling   the batch engine's worker pool, 1 worker vs --jobs
      micro     Bechamel micro-benchmarks (one per table/figure)
 
    Run everything:       dune exec bench/main.exe
    One section:          dune exec bench/main.exe -- table1
    Paper-scale sizes:    dune exec bench/main.exe -- table1 --full
    CI smoke sizes:       dune exec bench/main.exe -- table1 --quick
-   Machine-readable:     dune exec bench/main.exe -- table1 --json bench.json *)
+   Machine-readable:     dune exec bench/main.exe -- table1 --json bench.json
+
+   The benchmark of record (end-to-end and per-layer metrics, compared
+   across commits) is the ledger: see ledger/README.md. *)
 
 module Circ = Circuit.Circ
 module Pair = Algorithms.Pair
@@ -33,8 +36,7 @@ let report_failure fmt =
 let dd_config : Dd.Pkg.config option ref = ref None
 
 (* --backend NAME runs every section under that DD backend (a
-   [Dd.Registry] name); the dedicated "backends" section always A/Bs every
-   registered backend regardless of this flag. *)
+   [Dd.Registry] name). *)
 let backend_name = ref Dd.Registry.default
 
 let backend_module () =
@@ -152,18 +154,6 @@ let json_rows : (string * row) list ref = ref []
 (* filled by the scaling section, emitted as the "scaling" field *)
 let scaling_json : Obs.Json.t option ref = ref None
 
-(* filled by the cache section, emitted as the "cache" field *)
-let cache_json : Obs.Json.t option ref = ref None
-
-(* filled by the backends section, emitted as the "backends" field *)
-let backends_json : Obs.Json.t option ref = ref None
-
-(* filled by the lookahead section, emitted as the "lookahead" field *)
-let lookahead_json : Obs.Json.t option ref = ref None
-
-(* filled by the portfolio section, emitted as the "portfolio" field *)
-let portfolio_json : Obs.Json.t option ref = ref None
-
 let collect family row =
   if !json_path <> None then json_rows := (family, row) :: !json_rows
 
@@ -205,18 +195,6 @@ let write_json ~mode path =
   let scaling =
     match !scaling_json with None -> [] | Some j -> [ ("scaling", j) ]
   in
-  let cache =
-    match !cache_json with None -> [] | Some j -> [ ("cache", j) ]
-  in
-  let backends =
-    match !backends_json with None -> [] | Some j -> [ ("backends", j) ]
-  in
-  let lookahead =
-    match !lookahead_json with None -> [] | Some j -> [ ("lookahead", j) ]
-  in
-  let portfolio =
-    match !portfolio_json with None -> [] | Some j -> [ ("portfolio", j) ]
-  in
   let doc =
     Obs.Json.Obj
       ([ ("schema", Obs.Json.String "qcec-bench/v1")
@@ -225,10 +203,6 @@ let write_json ~mode path =
        ; ("table1", Obs.Json.List table1)
        ]
       @ scaling
-      @ cache
-      @ backends
-      @ lookahead
-      @ portfolio
       @ [ ("failures", Obs.Json.Int !failures)
         ; ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
         ; ("spans", Obs.Span.to_json ())
@@ -611,515 +585,6 @@ let scaling ~full ~quick () =
          ])
 
 (* ------------------------------------------------------------------ *)
-(* Cache: cold vs warm verification through the verdict store          *)
-(* ------------------------------------------------------------------ *)
-
-(* Cold/warm A/B over a Table-1-style workload: the cold leg verifies
-   every pair through an empty persistent store, then the store is closed
-   and reopened so the warm leg replays the verdicts from disk — proving
-   the records round-trip through the JSONL segments, not just the
-   in-memory index.  Every warm result must carry [cached = true] and
-   match its cold verdict; the wall-clock ratio is what the cache buys. *)
-let cache_section ~full ~quick () =
-  pr "@.== Cache: cold vs warm verification through the verdict store ==@.@.";
-  let pairs =
-    let bv n = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n) in
-    let qft n = Algorithms.Qft.make n in
-    let qpe m =
-      Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m
-    in
-    if quick then List.map bv [ 16; 24 ] @ List.map qft [ 8; 9 ] @ List.map qpe [ 8; 9 ]
-    else if full then
-      List.map bv [ 64; 96; 128 ] @ List.map qft [ 11; 12; 13 ] @ List.map qpe [ 12; 13; 14 ]
-    else
-      List.map bv [ 32; 48 ] @ List.map qft [ 9; 10 ] @ List.map qpe [ 10; 11 ]
-  in
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qcec-bench-cache-%d" (Unix.getpid ()))
-  in
-  let open_store () =
-    match Cache_store.Store.open_dir store_dir with
-    | Ok s -> s
-    | Error msg ->
-      Fmt.epr "cache: cannot open store at %s: %s@." store_dir msg;
-      exit 2
-  in
-  let run_leg store =
-    let m0 = Obs.Metrics.snapshot () in
-    let t0 = Qcec.Verify.now () in
-    let results =
-      List.map
-        (fun (pair : Pair.t) ->
-          let r =
-            Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static
-              ?dd_config:!dd_config ~cache:store pair.Pair.static_circuit
-              pair.Pair.dynamic_circuit
-          in
-          if not r.Qcec.Verify.equivalent then
-            report_failure "cache: %s NOT equivalent!@."
-              pair.Pair.static_circuit.Circ.name;
-          r)
-        pairs
-    in
-    let dt = Qcec.Verify.now () -. t0 in
-    (results, dt, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
-  in
-  let cold_store = open_store () in
-  let r_cold, t_cold, m_cold = run_leg cold_store in
-  Cache_store.Store.close cold_store;
-  let warm_store = open_store () in
-  let r_warm, t_warm, m_warm = run_leg warm_store in
-  Cache_store.Store.close warm_store;
-  let verdict (r : Qcec.Verify.functional_result) =
-    (r.Qcec.Verify.equivalent, r.Qcec.Verify.exactly_equal)
-  in
-  let verdicts_equal = List.map verdict r_cold = List.map verdict r_warm in
-  if not verdicts_equal then
-    report_failure "cache: verdicts differ between cold and warm legs!@.";
-  let served = List.length (List.filter (fun r -> r.Qcec.Verify.cached) r_warm) in
-  if served <> List.length pairs then
-    report_failure "cache: only %d/%d warm verdicts served from the store!@."
-      served (List.length pairs);
-  let speedup = if t_warm > 0.0 then t_cold /. t_warm else 1.0 in
-  pr "%8s %12s %8s@." "leg" "wall [s]" "cached";
-  pr "%8s %12.4f %8d@." "cold" t_cold
-    (List.length (List.filter (fun r -> r.Qcec.Verify.cached) r_cold));
-  pr "%8s %12.4f %8d@." "warm" t_warm served;
-  pr "@.%d pairs; warm served %d from store; cold/warm speedup: %.2fx@."
-    (List.length pairs) served speedup;
-  cache_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("verdicts_equal", Obs.Json.Bool verdicts_equal)
-         ; ("warm_cached", Obs.Json.Int served)
-         ; ("wall_seconds_cold", Obs.Json.Float t_cold)
-         ; ("wall_seconds_warm", Obs.Json.Float t_warm)
-         ; ("speedup", Obs.Json.Float speedup)
-         ; ("pkg_created_warm", Obs.Json.Int (Obs.Metrics.find m_warm "dd.pkg.created"))
-         ; ("metrics_cold", Obs.Metrics.to_json m_cold)
-         ; ("metrics_warm", Obs.Metrics.to_json m_warm)
-         ]);
-  (* best-effort temp-store cleanup: the dir only ever holds our segments *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat store_dir f))
-       (Sys.readdir store_dir);
-     Sys.rmdir store_dir
-   with Sys_error _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Backends: every registered DD backend over the Table 1 workload     *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B leg across the {!Dd.Registry}: every registered backend verifies
-   the same Table-1-style pairs through its own [Qcec.Verify.Make]
-   instance.  Verdicts must be identical across backends, and each
-   backend must actually exercise its direct kernels on its leg
-   ([dd.kernel.calls] > 0) — a backend that bypasses them is a failure,
-   not a slowdown.  The wall-clock columns are the honest cost comparison
-   between the hash-consed classic package and the packed-array layout.
-   The gate-signature tier is process-wide and the heap only grows, so a
-   single pass would hand whichever leg runs second a warm process: one
-   untimed warm-up pass over every backend comes first, then
-   [backend_rounds] timed rounds alternate the leg order, and each leg
-   reports its median. *)
-let backend_rounds = 3
-
-let backends_section ~full ~quick () =
-  pr "@.== Backends: DD backend A/B over the Table 1 workload ==@.@.";
-  let pairs =
-    let bv n = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n) in
-    let qft n = Algorithms.Qft.make n in
-    let qpe m =
-      Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m
-    in
-    if quick then List.map bv [ 16; 24 ] @ List.map qft [ 8; 9 ] @ List.map qpe [ 8; 9 ]
-    else if full then
-      List.map bv [ 64; 96; 128 ] @ List.map qft [ 11; 12; 13 ] @ List.map qpe [ 12; 13; 14 ]
-    else
-      List.map bv [ 32; 48 ] @ List.map qft [ 9; 10 ] @ List.map qpe [ 10; 11 ]
-  in
-  (* the kernel-usage gate below needs live counters even without --json *)
-  let was_enabled = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  let run_leg name =
-    let module B =
-      (val (match Dd.Registry.find name with
-            | Some b -> b
-            | None -> assert false (* names come from the registry itself *))
-        : Dd.Backend.S)
-    in
-    let module V = Qcec.Verify.Make (B) in
-    let m0 = Obs.Metrics.snapshot () in
-    let t0 = Qcec.Verify.now () in
-    let check = ref 0.0 in
-    let verdicts =
-      List.map
-        (fun (pair : Pair.t) ->
-          let r =
-            V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
-              pair.Pair.static_circuit pair.Pair.dynamic_circuit
-          in
-          check := !check +. r.Qcec.Verify.t_check;
-          if not r.Qcec.Verify.equivalent then
-            report_failure "backends: %s NOT equivalent under %s!@."
-              pair.Pair.static_circuit.Circ.name name;
-          (r.Qcec.Verify.equivalent, r.Qcec.Verify.exactly_equal))
-        pairs
-    in
-    let dt = Qcec.Verify.now () -. t0 in
-    (verdicts, dt, !check, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
-  in
-  let names = Dd.Registry.names () in
-  List.iter (fun name -> ignore (run_leg name)) names;
-  let runs =
-    List.concat
-      (List.init backend_rounds (fun round ->
-           let order = if round mod 2 = 0 then names else List.rev names in
-           List.map (fun name -> (name, run_leg name)) order))
-  in
-  Obs.Metrics.set_enabled was_enabled;
-  let median xs =
-    let a = Array.of_list (List.sort Float.compare xs) in
-    a.(Array.length a / 2)
-  in
-  (* per leg: median wall and check times, counters summed over the
-     timed rounds *)
-  let legs =
-    List.map
-      (fun name ->
-        let mine = List.filter_map (fun (n, r) -> if n = name then Some r else None) runs in
-        ( name
-        , ( median (List.map (fun (_, dt, _, _) -> dt) mine)
-          , median (List.map (fun (_, _, check, _) -> check) mine)
-          , Obs.Metrics.merge (List.map (fun (_, _, _, m) -> m) mine) ) ))
-      names
-  in
-  let verdicts_equal =
-    match runs with
-    | [] -> true
-    | (_, (reference, _, _, _)) :: rest ->
-      List.for_all (fun (_, (v, _, _, _)) -> v = reference) rest
-  in
-  if not verdicts_equal then
-    report_failure "backends: verdicts differ across DD backends!@.";
-  pr "%10s %12s %12s %14s@." "backend" "wall [s]" "check [s]" "kernel calls";
-  List.iter
-    (fun (name, (dt, check, m)) ->
-      let kernel_calls = Obs.Metrics.find m "dd.kernel.calls" in
-      if kernel_calls = 0 then
-        report_failure "backends: %s recorded no kernel calls!@." name;
-      pr "%10s %12.4f %12.4f %14d@." name dt check kernel_calls)
-    legs;
-  pr "@.%d functional checks per backend; medians over %d alternating rounds \
-      after a warm-up; verdicts identical: %b@."
-    (List.length pairs) backend_rounds verdicts_equal;
-  backends_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("rounds", Obs.Json.Int backend_rounds)
-         ; ("verdicts_equal", Obs.Json.Bool verdicts_equal)
-         ; ( "legs"
-           , Obs.Json.List
-               (List.map
-                  (fun (name, (dt, check, m)) ->
-                    Obs.Json.Obj
-                      [ ("backend", Obs.Json.String name)
-                      ; ("wall_seconds", Obs.Json.Float dt)
-                      ; ("check_seconds", Obs.Json.Float check)
-                      ; ("kernel_calls", Obs.Json.Int (Obs.Metrics.find m "dd.kernel.calls"))
-                      ; ("metrics", Obs.Metrics.to_json m)
-                      ])
-                  legs) )
-         ])
-
-(* ------------------------------------------------------------------ *)
-(* Lookahead: analysis-driven scheduling vs proportional alternation   *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B over the Table 1 pairs: every pair is verified once under plain
-   proportional alternation and once under the cost-aware lookahead
-   scheme.  Verdicts must be bit-identical — scheduling only reorders the
-   alternating multiplications, it must never change the answer.  The
-   peak-intermediate-node columns are the quantity the lookahead scheme
-   exists to reduce; on the QPE textbook pair (where the dynamic
-   realization front-loads its non-Clifford cost mass) lookahead must not
-   exceed proportional. *)
-let lookahead_section ~full ~quick () =
-  pr "@.== Lookahead: cost-aware scheduling vs proportional alternation ==@.@.";
-  let pairs =
-    let bv n = ("bv", Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n)) in
-    let qft n = ("qft", Algorithms.Qft.make n) in
-    let qpe m =
-      ( "qpe"
-      , Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m)
-          ~bits:m )
-    in
-    let qpe_tb m =
-      ( "qpe_textbook"
-      , Algorithms.Qpe.make_textbook
-          ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m )
-    in
-    if quick then [ bv 12; qft 6; qpe 5; qpe_tb 5 ]
-    else if full then [ bv 64; qft 11; qpe 11; qpe_tb 10 ]
-    else [ bv 32; qft 9; qpe 9; qpe_tb 8 ]
-  in
-  let rows =
-    List.map
-      (fun (family, (pair : Pair.t)) ->
-        let leg strategy =
-          Qcec.Verify.functional ~strategy ~perm:pair.Pair.dyn_to_static
-            ?dd_config:!dd_config pair.Pair.static_circuit pair.Pair.dynamic_circuit
-        in
-        let p = leg Qcec.Strategy.Proportional in
-        let l = leg Qcec.Strategy.Lookahead in
-        let verdicts_equal =
-          p.Qcec.Verify.equivalent = l.Qcec.Verify.equivalent
-          && p.Qcec.Verify.exactly_equal = l.Qcec.Verify.exactly_equal
-        in
-        if not verdicts_equal then
-          report_failure "lookahead: %s verdict differs from proportional!@."
-            pair.Pair.static_circuit.Circ.name;
-        if not p.Qcec.Verify.equivalent then
-          report_failure "lookahead: %s NOT equivalent!@."
-            pair.Pair.static_circuit.Circ.name;
-        (family, pair, p, l, verdicts_equal))
-      pairs
-  in
-  pr "%-14s %6s %10s %12s %12s %12s %12s@." "pair" "n" "verdict" "peak_prop"
-    "peak_look" "t_prop [s]" "t_look [s]";
-  List.iter
-    (fun (_family, (pair : Pair.t), p, l, verdicts_equal) ->
-      pr "%-14s %6d %10s %12d %12d %12.4f %12.4f@."
-        pair.Pair.static_circuit.Circ.name
-        pair.Pair.static_circuit.Circ.num_qubits
-        (if verdicts_equal then "same" else "DIFFER")
-        p.Qcec.Verify.peak_nodes l.Qcec.Verify.peak_nodes p.Qcec.Verify.t_check
-        l.Qcec.Verify.t_check)
-    rows;
-  (* the acceptance gate: on the QPE textbook pair, where the cost curves
-     actually diverge, the scheme must pay for itself in peak nodes *)
-  (match
-     List.find_opt (fun (family, _, _, _, _) -> family = "qpe_textbook") rows
-   with
-   | Some (_, (pair : Pair.t), p, l, _) ->
-     if l.Qcec.Verify.peak_nodes > p.Qcec.Verify.peak_nodes then
-       report_failure
-         "lookahead: peak nodes regressed on %s (%d > %d)!@."
-         pair.Pair.static_circuit.Circ.name l.Qcec.Verify.peak_nodes
-         p.Qcec.Verify.peak_nodes
-   | None -> ());
-  let all_equal = List.for_all (fun (_, _, _, _, eq) -> eq) rows in
-  pr "@.%d pairs; verdicts identical: %b@." (List.length rows) all_equal;
-  lookahead_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length rows))
-         ; ("verdicts_equal", Obs.Json.Bool all_equal)
-         ; ( "pairs"
-           , Obs.Json.List
-               (List.map
-                  (fun (family, (pair : Pair.t), p, l, eq) ->
-                    Obs.Json.Obj
-                      [ ("family", Obs.Json.String family)
-                      ; ( "name"
-                        , Obs.Json.String pair.Pair.static_circuit.Circ.name )
-                      ; ( "qubits"
-                        , Obs.Json.Int pair.Pair.static_circuit.Circ.num_qubits )
-                      ; ("verdicts_equal", Obs.Json.Bool eq)
-                      ; ("equivalent", Obs.Json.Bool p.Qcec.Verify.equivalent)
-                      ; ( "peak_nodes_proportional"
-                        , Obs.Json.Int p.Qcec.Verify.peak_nodes )
-                      ; ( "peak_nodes_lookahead"
-                        , Obs.Json.Int l.Qcec.Verify.peak_nodes )
-                      ; ( "t_check_proportional"
-                        , Obs.Json.Float p.Qcec.Verify.t_check )
-                      ; ("t_check_lookahead", Obs.Json.Float l.Qcec.Verify.t_check)
-                      ])
-                  rows) )
-         ])
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio: first-verdict-wins racing over the composed field        *)
-(* ------------------------------------------------------------------ *)
-
-(* Race over the Table 1 pairs: every pair is verified solo under each
-   candidate of the analysis-composed field, then once as a
-   first-verdict-wins race over the same candidates.  Two gates: the race
-   verdict must agree with every solo verdict (racing only changes who
-   answers, never the answer), and the race wall-clock must stay at or
-   below the slowest solo candidate (the whole point of racing: portfolio
-   latency is bounded by the winner, not the field).  The JSON also
-   records on which pairs the cost model's solo recommendation — always
-   candidate 0 of the composed field — lost its race. *)
-let portfolio_section ~full ~quick () =
-  pr "@.== Portfolio: first-verdict-wins racing over candidate deciders ==@.@.";
-  let pairs =
-    let bv n = ("bv", Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n)) in
-    let qft n = ("qft", Algorithms.Qft.make n) in
-    let qpe m =
-      ( "qpe"
-      , Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m)
-          ~bits:m )
-    in
-    let qpe_tb m =
-      ( "qpe_textbook"
-      , Algorithms.Qpe.make_textbook
-          ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m )
-    in
-    (* Sizes stay modest even in the default row: each pair is verified
-       once per candidate (solo baselines) plus once as a race, and the
-       simulative solos dominate the bill. *)
-    if quick then [ bv 12; qft 6; qpe 5; qpe_tb 5 ]
-    else if full then [ bv 32; qft 9; qpe 9; qpe_tb 8 ]
-    else [ bv 16; qft 7; qpe 7; qpe_tb 6 ]
-  in
-  let width = 5 in
-  let seed = 11 in
-  let shots = 64 in
-  let rows =
-    List.map
-      (fun (family, (pair : Pair.t)) ->
-        let a = pair.Pair.static_circuit and b = pair.Pair.dynamic_circuit in
-        let kind =
-          let k c = (Analysis.classify c).Analysis.Classify.kind in
-          let rank = function
-            | Analysis.Classify.Unitary -> 0
-            | Analysis.Classify.Measure_terminal -> 1
-            | Analysis.Classify.Dynamic -> 2
-          in
-          if rank (k a) >= rank (k b) then k a else k b
-        in
-        let candidates =
-          Analysis.Classify.compose_portfolio ~width ~shots kind
-            (Analysis.Cost.profile a) (Analysis.Cost.profile b)
-          |> List.map Qcec.Strategy.of_candidate
-        in
-        let solo =
-          List.map
-            (fun strategy ->
-              let t0 = Qcec.Verify.now () in
-              let r =
-                Qcec.Verify.functional ~strategy ~seed ~perm:pair.Pair.dyn_to_static
-                  ?dd_config:!dd_config a b
-              in
-              (strategy, r, Qcec.Verify.now () -. t0))
-            candidates
-        in
-        let race =
-          Qcec.Verify.portfolio
-            ~candidates:(List.map (fun s -> (s, !backend_name)) candidates)
-            ~seed ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config a b
-        in
-        let verdicts_equal =
-          List.for_all
-            (fun (_, (r : Qcec.Verify.functional_result), _) ->
-              r.Qcec.Verify.equivalent
-              = race.Qcec.Verify.winner.Qcec.Verify.equivalent)
-            solo
-        in
-        if not verdicts_equal then
-          report_failure "portfolio: %s race verdict differs from a solo run!@."
-            a.Circ.name;
-        if not race.Qcec.Verify.winner.Qcec.Verify.equivalent then
-          report_failure "portfolio: %s NOT equivalent!@." a.Circ.name;
-        (* every composed field contains an exact candidate, so a Table 1
-           race must settle on a definitive verdict, never the simulative
-           all-shots-pass fallback *)
-        if not race.Qcec.Verify.winner_definitive then
-          report_failure "portfolio: %s race verdict is not definitive!@."
-            a.Circ.name;
-        let worst_solo =
-          List.fold_left (fun acc (_, _, t) -> Float.max acc t) 0.0 solo
-        in
-        if race.Qcec.Verify.t_wall > worst_solo then
-          report_failure
-            "portfolio: %s race (%.4fs) slower than the worst solo candidate \
-             (%.4fs)!@."
-            a.Circ.name race.Qcec.Verify.t_wall worst_solo;
-        (family, pair, candidates, solo, race, verdicts_equal, worst_solo))
-      pairs
-  in
-  pr "%-14s %6s %10s %-26s %12s %12s@." "pair" "n" "verdict" "winner" "t_race [s]"
-    "t_worst [s]";
-  List.iter
-    (fun (_, (pair : Pair.t), _, _, (race : Qcec.Verify.portfolio_result),
-          verdicts_equal, worst_solo) ->
-      pr "%-14s %6d %10s %-26s %12.4f %12.4f@." pair.Pair.static_circuit.Circ.name
-        pair.Pair.static_circuit.Circ.num_qubits
-        (if verdicts_equal then "same" else "DIFFER")
-        (Qcec.Strategy.name race.Qcec.Verify.winner_strategy)
-        race.Qcec.Verify.t_wall worst_solo)
-    rows;
-  let all_equal = List.for_all (fun (_, _, _, _, _, eq, _) -> eq) rows in
-  let recommended_lost =
-    List.length
-      (List.filter
-         (fun (_, _, _, _, (r : Qcec.Verify.portfolio_result), _, _) ->
-           r.Qcec.Verify.winner_index <> 0)
-         rows)
-  in
-  pr "@.%d pairs; verdicts identical: %b; cost-model pick lost %d race(s)@."
-    (List.length rows) all_equal recommended_lost;
-  portfolio_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length rows))
-         ; ("width", Obs.Json.Int width)
-         ; ("seed", Obs.Json.Int seed)
-         ; ("verdicts_equal", Obs.Json.Bool all_equal)
-         ; ("recommended_lost", Obs.Json.Int recommended_lost)
-         ; ( "pairs"
-           , Obs.Json.List
-               (List.map
-                  (fun (family, (pair : Pair.t), candidates, solo,
-                        (race : Qcec.Verify.portfolio_result), eq, worst_solo) ->
-                    Obs.Json.Obj
-                      [ ("family", Obs.Json.String family)
-                      ; ( "name"
-                        , Obs.Json.String pair.Pair.static_circuit.Circ.name )
-                      ; ( "qubits"
-                        , Obs.Json.Int pair.Pair.static_circuit.Circ.num_qubits )
-                      ; ( "candidates"
-                        , Obs.Json.List
-                            (List.map
-                               (fun s -> Obs.Json.String (Qcec.Strategy.name s))
-                               candidates) )
-                      ; ("verdicts_equal", Obs.Json.Bool eq)
-                      ; ( "equivalent"
-                        , Obs.Json.Bool
-                            race.Qcec.Verify.winner.Qcec.Verify.equivalent )
-                      ; ( "winner"
-                        , Obs.Json.String
-                            (Qcec.Strategy.name race.Qcec.Verify.winner_strategy) )
-                      ; ("winner_index", Obs.Json.Int race.Qcec.Verify.winner_index)
-                      ; ( "winner_definitive"
-                        , Obs.Json.Bool race.Qcec.Verify.winner_definitive )
-                      ; ( "recommended_lost"
-                        , Obs.Json.Bool (race.Qcec.Verify.winner_index <> 0) )
-                      ; ("cancelled", Obs.Json.Int race.Qcec.Verify.races_cancelled)
-                      ; ("t_race", Obs.Json.Float race.Qcec.Verify.t_wall)
-                      ; ("t_worst_solo", Obs.Json.Float worst_solo)
-                      ; ( "solo"
-                        , Obs.Json.List
-                            (List.map
-                               (fun (s, (r : Qcec.Verify.functional_result), t) ->
-                                 Obs.Json.Obj
-                                   [ ( "strategy"
-                                     , Obs.Json.String (Qcec.Strategy.name s) )
-                                   ; ( "equivalent"
-                                     , Obs.Json.Bool r.Qcec.Verify.equivalent )
-                                   ; ("t_wall", Obs.Json.Float t)
-                                   ])
-                               solo) )
-                      ])
-                  rows) )
-         ])
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1211,26 +676,15 @@ let () =
     | "fig4" -> fig4 ()
     | "ablation" -> ablation ~full ()
     | "scaling" -> scaling ~full ~quick ()
-    | "cache" -> cache_section ~full ~quick ()
-    | "backends" -> backends_section ~full ~quick ()
-    | "lookahead" -> lookahead_section ~full ~quick ()
-    | "portfolio" -> portfolio_section ~full ~quick ()
     | "micro" -> micro ()
     | "all" ->
       table1 ~full ~quick ();
       fig4 ();
       ablation ~full ();
       scaling ~full ~quick ();
-      cache_section ~full ~quick ();
-      backends_section ~full ~quick ();
-      lookahead_section ~full ~quick ();
-      portfolio_section ~full ~quick ();
       micro ()
     | other ->
-      Fmt.epr
-        "unknown section %S (expected \
-         table1|fig4|ablation|scaling|cache|backends|lookahead|portfolio|\
-         micro|all)@."
+      Fmt.epr "unknown section %S (expected table1|fig4|ablation|scaling|micro|all)@."
         other;
       exit 2
   in

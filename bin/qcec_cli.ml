@@ -104,15 +104,7 @@ let portfolio_width_arg =
    gates the candidate set (simulative candidates cannot decide dynamic
    circuits), the cost profiles order it. *)
 let portfolio_candidates ~width ~backend a b =
-  let kind =
-    let k c = (Analysis.classify c).Analysis.Classify.kind in
-    let rank = function
-      | Analysis.Classify.Unitary -> 0
-      | Analysis.Classify.Measure_terminal -> 1
-      | Analysis.Classify.Dynamic -> 2
-    in
-    if rank (k a) >= rank (k b) then k a else k b
-  in
+  let kind = Analysis.Classify.pair_kind a b in
   Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
     Analysis.Classify.compose_portfolio ~width kind (Analysis.Cost.profile a)
       (Analysis.Cost.profile b))

@@ -153,6 +153,11 @@ let route_application = Cost.recommend
 let compose_portfolio ?width ?shots kind a b =
   Cost.compose_portfolio ?width ?shots ~dynamic:(kind = Dynamic) a b
 
+let pair_kind a b =
+  let rank = function Unitary -> 0 | Measure_terminal -> 1 | Dynamic -> 2 in
+  let ka = (classify a).kind and kb = (classify b).kind in
+  if rank ka >= rank kb then ka else kb
+
 let pp_profile ppf p =
   Fmt.pf ppf
     "%s (%d qubits, %d cbits; %d gates, %d measurements, %d resets, %d \

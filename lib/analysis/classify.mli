@@ -77,6 +77,11 @@ val route_application : Cost.t -> Cost.t -> Cost.scheme
 val compose_portfolio :
   ?width:int -> ?shots:int -> kind -> Cost.t -> Cost.t -> Cost.candidate list
 
+(** [pair_kind a b] is the most dynamic classification of the pair
+    ([Unitary] < [Measure_terminal] < [Dynamic]), the [kind] argument
+    {!compose_portfolio} expects; symmetric in [a] and [b]. *)
+val pair_kind : Circuit.Circ.t -> Circuit.Circ.t -> kind
+
 val pp_profile : Format.formatter -> profile -> unit
 
 val to_json : profile -> Obs.Json.t

@@ -66,16 +66,29 @@ let control ?(progress_interval = 0.25) ?on_start ?on_progress () =
 let cancel c = Atomic.set c.cancel true
 let cancel_requested c = Atomic.get c.cancel
 
+(* The budget check every safepoint hook runs: the control's cancel flag,
+   the attempt's wall-clock deadline, then the pool's live-node budget.
+   Raising here unwinds the verification; the worker's own package is
+   dropped with it. *)
+let check_budget ~control ~deadline ~node_limit ~live_nodes =
+  (match control with
+   | Some c when Atomic.get c.cancel -> raise (Cancelled `Kill)
+   | _ -> ());
+  (match deadline with
+   | Some d when now () > d -> raise (Cancelled `Timeout)
+   | _ -> ());
+  match node_limit with
+  | Some l when live_nodes > l -> raise (Cancelled (`Node_limit l))
+  | _ -> ()
+
 (* The cooperative cancellation point: [Pkg.checkpoint] (called by every
    strategy / simulator / extraction loop after each gate) fires this hook,
-   which compares the monotonic clock against the attempt's deadline, the
-   package's live-node count against the pool budget, and the control's
-   cancel flag.  Raising here unwinds the verification; the worker's own
-   package is dropped with it.  The hook is per backend (each keeps its own
-   domain-local slot), so it is installed on whichever backend the job
-   resolved to.  The same hook drives the daemon's heartbeat: at most one
-   [on_progress] call per [progress_interval] seconds, carrying the live
-   node count and elapsed wall clock. *)
+   which runs [check_budget] against the package's live-node count.  The
+   hook is per backend (each keeps its own domain-local slot), so it is
+   installed on whichever backend the job resolved to.  The same hook
+   drives the daemon's heartbeat: at most one [on_progress] call per
+   [progress_interval] seconds, carrying the live node count and elapsed
+   wall clock. *)
 let with_guard (module B : Dd.Backend.S) ~deadline ~node_limit ~control f =
   (match (deadline, node_limit, control) with
    | None, None, None -> ()
@@ -85,25 +98,14 @@ let with_guard (module B : Dd.Backend.S) ~deadline ~node_limit ~control f =
      B.Pkg.set_safepoint_hook
        (Some
           (fun p ->
-            (match control with
-             | Some c when Atomic.get c.cancel -> raise (Cancelled `Kill)
-             | _ -> ());
-            (match deadline with
-             | Some d when now () > d -> raise (Cancelled `Timeout)
-             | _ -> ());
-            (match node_limit with
-             | Some l when B.Pkg.live_nodes p > l -> raise (Cancelled (`Node_limit l))
-             | _ -> ());
+            let live_nodes = B.Pkg.live_nodes p in
+            check_budget ~control ~deadline ~node_limit ~live_nodes;
             match control with
             | Some { on_progress = Some beat; progress_interval; _ } ->
               let t = now () in
               if t -. !last_beat >= progress_interval then begin
                 last_beat := t;
-                beat
-                  { phase = "check"
-                  ; live_nodes = B.Pkg.live_nodes p
-                  ; elapsed = t -. t0
-                  }
+                beat { phase = "check"; live_nodes; elapsed = t -. t0 }
               end
             | _ -> ())));
   Fun.protect ~finally:(fun () -> B.Pkg.set_safepoint_hook None) f
@@ -159,27 +161,19 @@ let rec take_at_most k = function
 
 (* The racing attempt: compose a candidate field for the pair (the pinned
    strategy, if any, leads it) and hand the race to [Qcec.Verify.portfolio].
-   The safepoint closure replicates [with_guard]'s checks — it runs on the
-   candidate domains, where the DD safepoints actually fire — and reports
-   progress under a ["race:<candidate>"] phase so SSE consumers see who is
-   currently leading the pack. *)
+   The safepoint closure runs [check_budget] on the candidate domains,
+   where the DD safepoints actually fire, and reports progress under a
+   ["race:<candidate>"] phase so SSE consumers see who is currently leading
+   the pack. *)
 let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec) a b =
   let granted = match bank with None -> width - 1 | Some bk -> bank_try_borrow bk (width - 1) in
   Fun.protect
     ~finally:(fun () -> Option.iter (fun bk -> bank_release bk granted) bank)
     (fun () ->
       let width = 1 + granted in
-      let kind =
-        (* the most dynamic classification of the pair gates the candidate
-           set: simulative candidates cannot decide dynamic circuits *)
-        let k c = (Analysis.classify c).Analysis.Classify.kind in
-        let rank = function
-          | Analysis.Classify.Unitary -> 0
-          | Analysis.Classify.Measure_terminal -> 1
-          | Analysis.Classify.Dynamic -> 2
-        in
-        if rank (k a) >= rank (k b) then k a else k b
-      in
+      (* the most dynamic classification of the pair gates the candidate
+         set: simulative candidates cannot decide dynamic circuits *)
+      let kind = Analysis.Classify.pair_kind a b in
       let composed =
         Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
           Analysis.Classify.compose_portfolio ~width kind
@@ -197,15 +191,7 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
       let beat_lock = Mutex.create () in
       let last_beat = ref t0 in
       let safepoint ~candidate ~live_nodes =
-        (match control with
-         | Some c when Atomic.get c.cancel -> raise (Cancelled `Kill)
-         | _ -> ());
-        (match deadline with
-         | Some d when now () > d -> raise (Cancelled `Timeout)
-         | _ -> ());
-        (match cfg.node_limit with
-         | Some l when live_nodes > l -> raise (Cancelled (`Node_limit l))
-         | _ -> ());
+        check_budget ~control ~deadline ~node_limit:cfg.node_limit ~live_nodes;
         match control with
         | Some { on_progress = Some beat; progress_interval; _ } ->
           let t = now () in

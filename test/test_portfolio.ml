@@ -448,6 +448,17 @@ let test_compose_portfolio () =
    | _ -> Alcotest.fail "dynamic field too narrow");
   Alcotest.(check int) "dynamic field still fills the width" 5 (List.length dyn)
 
+(* the kind that gates the field is the pair's most dynamic one, whichever
+   side carries it *)
+let test_pair_kind () =
+  let pair = bv_pair 0 in
+  let unitary = Circuit.Circ.strip_measurements pair.Pair.static_circuit in
+  let dynamic = pair.Pair.dynamic_circuit in
+  let kind a b = Analysis.Classify.kind_name (Analysis.Classify.pair_kind a b) in
+  Alcotest.(check string) "unitary with dynamic" "dynamic" (kind unitary dynamic);
+  Alcotest.(check string) "dynamic with unitary" "dynamic" (kind dynamic unitary);
+  Alcotest.(check string) "unitary with unitary" "unitary" (kind unitary unitary)
+
 let suite =
   [ Alcotest.test_case "stimuli streams are seeded and deterministic" `Quick
       test_stimuli_deterministic
@@ -474,4 +485,5 @@ let suite =
   ; Alcotest.test_case "manifest portfolio knob" `Quick test_manifest_portfolio
   ; Alcotest.test_case "analysis composes the candidate field" `Quick
       test_compose_portfolio
+  ; Alcotest.test_case "pair kind is the most dynamic side" `Quick test_pair_kind
   ]
