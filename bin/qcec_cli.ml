@@ -291,105 +291,6 @@ let open_store ~cache_dir ~no_result_cache =
        exit 2)
   | _ -> None
 
-(* -- check ------------------------------------------------------------ *)
-
-let check_cmd =
-  let run file_a file_b strategy scheme perm quiet stats_json cache_cap
-      gc_threshold backend width =
-    enable_stats stats_json;
-    let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
-    let a = load file_a and b = load file_b in
-    let r, portfolio =
-      match strategy, scheme with
-      | Strat_portfolio, None ->
-        let candidates = portfolio_candidates ~width ~backend a b in
-        let pr =
-          try
-            Qcec.Verify.portfolio ~candidates ?perm ?dd_config a b
-          with Qcec.Strategy.Non_unitary op -> report_non_unitary op
-        in
-        if not quiet then Fmt.pr "%a@." pp_portfolio_report pr;
-        (pr.Qcec.Verify.winner, Some pr)
-      | Strat_portfolio, Some _ ->
-        (* silently coercing the race to a solo run would drop an explicit
-           request; the combination is a contradiction, so refuse it *)
-        Fmt.epr
-          "qcec check: --strategy portfolio cannot be combined with --scheme \
-           (the race composes its own candidate field)@.";
-        exit 2
-      | Strat strategy, _ ->
-        let strategy = resolve_scheme ~strategy ~scheme a b in
-        let r =
-          try
-            V.functional ~strategy ?perm ?dd_config a b
-          with Qcec.Strategy.Non_unitary op -> report_non_unitary op
-        in
-        (r, None)
-    in
-    if not quiet then Fmt.pr "%a@." Qcec.Verify.pp_functional r;
-    let strategy_name =
-      match portfolio with
-      | Some pr ->
-        Fmt.str "portfolio(%s)"
-          (Qcec.Strategy.name pr.Qcec.Verify.winner_strategy)
-      | None -> Qcec.Strategy.name r.Qcec.Verify.strategy
-    in
-    maybe_write_stats stats_json ~command:"check" ~files:[ file_a; file_b ]
-      ~result:
-        ([ ("equivalent", Obs.Json.Bool r.Qcec.Verify.equivalent)
-         ; ("exactly_equal", Obs.Json.Bool r.Qcec.Verify.exactly_equal)
-         ; ("strategy", Obs.Json.String strategy_name)
-         ; ("t_transform", Obs.Json.Float r.Qcec.Verify.t_transform)
-         ; ("t_check", Obs.Json.Float r.Qcec.Verify.t_check)
-         ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
-         ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
-         ; ("backend", Obs.Json.String backend)
-         ; ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics)
-         ]
-        @
-        match portfolio with
-        | Some pr -> [ ("portfolio", portfolio_json pr) ]
-        | None -> []);
-    if r.Qcec.Verify.equivalent then begin
-      Fmt.pr "equivalent@.";
-      exit 0
-    end
-    else begin
-      Fmt.pr "not equivalent@.";
-      exit 1
-    end
-  in
-  let file_a = Arg.(required & pos 0 (some file) None & info [] ~docv:"A.qasm") in
-  let file_b = Arg.(required & pos 1 (some file) None & info [] ~docv:"B.qasm") in
-  let strategy =
-    Arg.(
-      value
-      & opt strat_opt_conv (Strat Qcec.Strategy.Proportional)
-      & info [ "s"; "strategy" ] ~docv:"STRATEGY"
-          ~doc:
-            "construction, proportional, simulation:<shots>, or portfolio \
-             (race candidate deciders, first verdict wins)")
-  in
-  let perm =
-    Arg.(
-      value
-      & opt (some perm_conv) None
-      & info [ "p"; "perm" ] ~docv:"PERM"
-          ~doc:"wire alignment applied to the second circuit, e.g. 0,3,1,2")
-  in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"only print the verdict") in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Check full functional equivalence of two circuits (dynamic inputs are \
-          transformed with the Section 4 scheme first)")
-    Term.(
-      const run $ file_a $ file_b $ strategy $ scheme_arg $ perm $ quiet
-      $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ backend_arg
-      $ portfolio_width_arg)
-
 (* -- distribution ------------------------------------------------------ *)
 
 let distribution_cmd =
@@ -697,141 +598,142 @@ let analyze_cmd =
           recommend for equivalence checking.  Exits 2 on parse failure")
     Term.(const run $ files $ output)
 
-(* -- verify ------------------------------------------------------------ *)
+(* -- check and verify ------------------------------------------------- *)
 
-(* [check] with a static pre-flight: lint both inputs, classify them, and
-   reject circuits the selected unitary-only strategy cannot handle with a
-   located QA008 — before any DD package is constructed.  [--transform]
-   restores the automatic Section 4 routing of [check]. *)
-let verify_cmd =
-  let run file_a file_b strategy scheme perm transform quiet stats_json
-      cache_cap gc_threshold cache_dir no_result_cache backend width =
-    enable_stats stats_json;
-    let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
-    let store = open_store ~cache_dir ~no_result_cache in
-    let load_located path =
-      try Circuit.Qasm3_parser.parse_any_file_located path with
-      | Circuit.Qasm_parser.Parse_error (msg, line) ->
-        Fmt.epr "%a@."
-          Analysis.Diagnostic.pp
-          (Analysis.Lint.of_parse_error ~file:path ~line msg);
-        exit 2
-      | Sys_error msg ->
-        Fmt.epr "%s@." msg;
-        exit 2
-    in
-    let (a, lines_a) = load_located file_a in
-    let (b, lines_b) = load_located file_b in
-    (* pre-flight 1: lint; error-severity findings block the check *)
-    let diags =
-      Obs.Span.with_ "analysis.lint" (fun () ->
-        Analysis.lint ~file:file_a ~lines:lines_a a
-        @ Analysis.lint ~file:file_b ~lines:lines_b b)
-    in
-    List.iter (fun d -> Fmt.epr "%a@." Analysis.Diagnostic.pp d) diags;
-    if Analysis.Diagnostic.has_errors diags then exit 2;
-    (* pre-flight 2: scheme applicability *)
-    let profiles =
-      List.map
-        (fun (file, lines, c) -> (file, lines, Analysis.classify c))
-        [ (file_a, lines_a, a); (file_b, lines_b, b) ]
-    in
-    if not transform then
-      List.iter
-        (fun (file, lines, p) ->
-          match
-            Analysis.Classify.scheme_rejection ~file ~lines
-              ~scheme:Analysis.Classify.Unitary_scheme p
-          with
-          | Some d ->
-            Fmt.epr "%a@." Analysis.Diagnostic.pp d;
-            exit 2
-          | None -> ())
-        profiles;
-    let r, portfolio =
-      match strategy, scheme with
-      | Strat_portfolio, None ->
-        let candidates = portfolio_candidates ~width ~backend a b in
-        let pr =
-          try
-            Qcec.Verify.portfolio ~candidates ?perm
-              ~on_dynamic:(if transform then `Transform else `Reject)
-              ?dd_config ?cache:store a b
-          with
-          | Qcec.Strategy.Non_unitary op -> report_non_unitary op
-          | Qcec.Verify.Rejected d ->
-            Fmt.epr "%a@." Analysis.Diagnostic.pp d;
-            exit 2
-        in
-        if not quiet then Fmt.pr "%a@." pp_portfolio_report pr;
-        (pr.Qcec.Verify.winner, Some pr)
-      | Strat_portfolio, Some _ ->
-        (* silently coercing the race to a solo run would drop an explicit
-           request; the combination is a contradiction, so refuse it *)
-        Fmt.epr
-          "qcec verify: --strategy portfolio cannot be combined with --scheme \
-           (the race composes its own candidate field)@.";
-        exit 2
-      | Strat strategy, _ ->
-        let strategy = resolve_scheme ~strategy ~scheme a b in
-        let r =
-          try
-            V.functional ~strategy ?perm
-              ~on_dynamic:(if transform then `Transform else `Reject)
-              ?dd_config ?cache:store a b
-          with
-          | Qcec.Strategy.Non_unitary op -> report_non_unitary op
-          | Qcec.Verify.Rejected d ->
-            Fmt.epr "%a@." Analysis.Diagnostic.pp d;
-            exit 2
-        in
-        (r, None)
-    in
-    Option.iter Cache_store.Store.close store;
-    if not quiet then begin
-      Fmt.pr "%a@." Qcec.Verify.pp_functional r;
-      if r.Qcec.Verify.cached then Fmt.pr "verdict served from cache@."
-    end;
-    let strategy_name =
-      match portfolio with
-      | Some pr ->
-        Fmt.str "portfolio(%s)"
-          (Qcec.Strategy.name pr.Qcec.Verify.winner_strategy)
-      | None -> Qcec.Strategy.name r.Qcec.Verify.strategy
-    in
-    maybe_write_stats stats_json ~command:"verify" ~files:[ file_a; file_b ]
-      ~result:
-        ([ ("equivalent", Obs.Json.Bool r.Qcec.Verify.equivalent)
-         ; ("exactly_equal", Obs.Json.Bool r.Qcec.Verify.exactly_equal)
-         ; ("strategy", Obs.Json.String strategy_name)
-         ; ("t_transform", Obs.Json.Float r.Qcec.Verify.t_transform)
-         ; ("t_check", Obs.Json.Float r.Qcec.Verify.t_check)
-         ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
-         ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
-         ; ("cached", Obs.Json.Bool r.Qcec.Verify.cached)
-         ; ("backend", Obs.Json.String backend)
-         ; ( "profiles"
-           , Obs.Json.List
-               (List.map
-                  (fun (_, _, p) -> Analysis.Classify.to_json p)
-                  profiles) )
-         ; ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics)
-         ]
-        @
-        match portfolio with
-        | Some pr -> [ ("portfolio", portfolio_json pr) ]
-        | None -> []);
-    if r.Qcec.Verify.equivalent then begin
-      Fmt.pr "equivalent@.";
-      exit 0
-    end
+(* The one run body of [check] and [verify].  [verify] adds a static
+   pre-flight ([~preflight]): lint both inputs, classify them, and — unless
+   [transform] — reject circuits the selected unitary-only strategy cannot
+   handle with a located QA008, before any DD package is constructed.
+   [check] skips the pre-flight, always transforms dynamic inputs with the
+   Section 4 scheme, and opens no verdict store. *)
+let functional_run ~command ~preflight file_a file_b strategy scheme perm
+    transform quiet stats_json cache_cap gc_threshold cache_dir
+    no_result_cache backend width =
+  enable_stats stats_json;
+  let dd_config = dd_config_of cache_cap gc_threshold in
+  let module B = (val resolve_backend backend : Dd.Backend.S) in
+  let module V = Qcec.Verify.Make (B) in
+  let store = open_store ~cache_dir ~no_result_cache in
+  let a, b, profiles =
+    if not preflight then (load file_a, load file_b, None)
     else begin
-      Fmt.pr "not equivalent@.";
-      exit 1
+      let load_located path =
+        try Circuit.Qasm3_parser.parse_any_file_located path with
+        | Circuit.Qasm_parser.Parse_error (msg, line) ->
+          Fmt.epr "%a@." Analysis.Diagnostic.pp
+            (Analysis.Lint.of_parse_error ~file:path ~line msg);
+          exit 2
+        | Sys_error msg ->
+          Fmt.epr "%s@." msg;
+          exit 2
+      in
+      let a, lines_a = load_located file_a in
+      let b, lines_b = load_located file_b in
+      (* pre-flight 1: lint; error-severity findings block the check *)
+      let diags =
+        Obs.Span.with_ "analysis.lint" (fun () ->
+          Analysis.lint ~file:file_a ~lines:lines_a a
+          @ Analysis.lint ~file:file_b ~lines:lines_b b)
+      in
+      List.iter (fun d -> Fmt.epr "%a@." Analysis.Diagnostic.pp d) diags;
+      if Analysis.Diagnostic.has_errors diags then exit 2;
+      (* pre-flight 2: scheme applicability *)
+      let profiles =
+        List.map
+          (fun (file, lines, c) -> (file, lines, Analysis.classify c))
+          [ (file_a, lines_a, a); (file_b, lines_b, b) ]
+      in
+      if not transform then
+        List.iter
+          (fun (file, lines, p) ->
+            match
+              Analysis.Classify.scheme_rejection ~file ~lines
+                ~scheme:Analysis.Classify.Unitary_scheme p
+            with
+            | Some d ->
+              Fmt.epr "%a@." Analysis.Diagnostic.pp d;
+              exit 2
+            | None -> ())
+          profiles;
+      (a, b, Some (List.map (fun (_, _, p) -> p) profiles))
     end
   in
+  let on_dynamic = if transform then `Transform else `Reject in
+  let guarded f =
+    try f () with
+    | Qcec.Strategy.Non_unitary op -> report_non_unitary op
+    | Qcec.Verify.Rejected d ->
+      Fmt.epr "%a@." Analysis.Diagnostic.pp d;
+      exit 2
+  in
+  let r, portfolio =
+    match strategy, scheme with
+    | Strat_portfolio, None ->
+      let candidates = portfolio_candidates ~width ~backend a b in
+      let pr =
+        guarded (fun () ->
+          Qcec.Verify.portfolio ~candidates ?perm ~on_dynamic ?dd_config
+            ?cache:store a b)
+      in
+      if not quiet then Fmt.pr "%a@." pp_portfolio_report pr;
+      (pr.Qcec.Verify.winner, Some pr)
+    | Strat_portfolio, Some _ ->
+      (* silently coercing the race to a solo run would drop an explicit
+         request; the combination is a contradiction, so refuse it *)
+      Fmt.epr
+        "qcec %s: --strategy portfolio cannot be combined with --scheme \
+         (the race composes its own candidate field)@."
+        command;
+      exit 2
+    | Strat strategy, _ ->
+      let strategy = resolve_scheme ~strategy ~scheme a b in
+      ( guarded (fun () ->
+          V.functional ~strategy ?perm ~on_dynamic ?dd_config ?cache:store a b)
+      , None )
+  in
+  Option.iter Cache_store.Store.close store;
+  if not quiet then begin
+    Fmt.pr "%a@." Qcec.Verify.pp_functional r;
+    if r.Qcec.Verify.cached then Fmt.pr "verdict served from cache@."
+  end;
+  let strategy_name =
+    match portfolio with
+    | Some pr ->
+      Fmt.str "portfolio(%s)" (Qcec.Strategy.name pr.Qcec.Verify.winner_strategy)
+    | None -> Qcec.Strategy.name r.Qcec.Verify.strategy
+  in
+  maybe_write_stats stats_json ~command ~files:[ file_a; file_b ]
+    ~result:
+      ([ ("equivalent", Obs.Json.Bool r.Qcec.Verify.equivalent)
+       ; ("exactly_equal", Obs.Json.Bool r.Qcec.Verify.exactly_equal)
+       ; ("strategy", Obs.Json.String strategy_name)
+       ; ("t_transform", Obs.Json.Float r.Qcec.Verify.t_transform)
+       ; ("t_check", Obs.Json.Float r.Qcec.Verify.t_check)
+       ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
+       ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
+       ; ("cached", Obs.Json.Bool r.Qcec.Verify.cached)
+       ; ("backend", Obs.Json.String backend)
+       ]
+      @ (match profiles with
+         | Some ps -> [ ("profiles", Obs.Json.List (List.map Analysis.Classify.to_json ps)) ]
+         | None -> [])
+      @ [ ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics) ]
+      @
+      match portfolio with
+      | Some pr -> [ ("portfolio", portfolio_json pr) ]
+      | None -> []);
+  if r.Qcec.Verify.equivalent then begin
+    Fmt.pr "equivalent@.";
+    exit 0
+  end
+  else begin
+    Fmt.pr "not equivalent@.";
+    exit 1
+  end
+
+(* [check] and [verify] share every argument but [verify]'s [--transform]
+   and verdict-store options, which [check] fixes to on and off. *)
+let functional_cmd ~preflight name ~doc ~transform ~cache_dir ~no_result_cache =
   let file_a = Arg.(required & pos 0 (some file) None & info [] ~docv:"A.qasm") in
   let file_b = Arg.(required & pos 1 (some file) None & info [] ~docv:"B.qasm") in
   let strategy =
@@ -850,28 +752,40 @@ let verify_cmd =
       & info [ "p"; "perm" ] ~docv:"PERM"
           ~doc:"wire alignment applied to the second circuit, e.g. 0,3,1,2")
   in
-  let transform =
-    Arg.(
-      value
-      & flag
-      & info [ "transform" ]
-          ~doc:
-            "Transform dynamic inputs with the Section 4 scheme instead of \
-             rejecting them (the automatic routing $(b,check) performs)")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"only print the verdict") in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Check functional equivalence with a static pre-flight: lint both \
-          circuits and reject ones the selected (unitary-only) strategy \
-          cannot handle, with located diagnostics, before any \
-          decision-diagram work.  Exit 2 on rejection; $(b,--transform) \
-          restores the automatic transformation of $(b,check)")
+  let run = functional_run ~command:name ~preflight in
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ file_a $ file_b $ strategy $ scheme_arg $ perm $ transform
-      $ quiet $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg
-      $ cache_dir_arg $ no_result_cache_arg $ backend_arg $ portfolio_width_arg)
+      const run
+      $ file_a $ file_b $ strategy $ scheme_arg $ perm $ transform $ quiet
+      $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ cache_dir
+      $ no_result_cache $ backend_arg $ portfolio_width_arg)
+
+let check_cmd =
+  functional_cmd ~preflight:false "check"
+    ~doc:
+      "Check full functional equivalence of two circuits (dynamic inputs are \
+       transformed with the Section 4 scheme first)"
+    ~transform:(Term.const true) ~cache_dir:(Term.const None)
+    ~no_result_cache:(Term.const false)
+
+let verify_cmd =
+  functional_cmd ~preflight:true "verify"
+    ~doc:
+      "Check functional equivalence with a static pre-flight: lint both \
+       circuits and reject ones the selected (unitary-only) strategy cannot \
+       handle, with located diagnostics, before any decision-diagram work.  \
+       Exit 2 on rejection; $(b,--transform) restores the automatic \
+       transformation of $(b,check)"
+    ~transform:
+      Arg.(
+        value
+        & flag
+        & info [ "transform" ]
+            ~doc:
+              "Transform dynamic inputs with the Section 4 scheme instead of \
+               rejecting them (the automatic routing $(b,check) performs)")
+    ~cache_dir:cache_dir_arg ~no_result_cache:no_result_cache_arg
 
 (* -- batch ------------------------------------------------------------ *)
 
@@ -957,7 +871,6 @@ let batch_cmd =
       ; dd_config
       ; node_limit
       ; lint = not no_lint
-      ; gc_retry_scale = 4
       ; on_result =
           Some
             (fun r ->

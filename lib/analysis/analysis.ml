@@ -7,7 +7,6 @@ module Diagnostic = Diagnostic
 module Rules = Rules
 module Dataflow = Dataflow
 module Lint = Lint
-module Interp = Interp
 module Clifford = Clifford
 module Interact = Interact
 module Cancel = Cancel

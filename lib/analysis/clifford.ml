@@ -61,11 +61,6 @@ type result =
   ; all_clifford : bool
   }
 
-let pass =
-  Interp.make ~name:"clifford"
-    ~init:(fun _ -> true)
-    ~transfer:(fun in_fragment _ op -> in_fragment && is_clifford_op op)
-
 let scan (c : Circuit.Circ.t) =
   let per_op =
     Array.of_list (List.map is_clifford_op c.Circuit.Circ.ops)

@@ -28,10 +28,6 @@ type result =
   ; all_clifford : bool
   }
 
-(** The domain as an {!Interp} pass: state is "still inside the Clifford
-    fragment"; [Interp.trace] gives the per-prefix membership. *)
-val pass : bool Interp.pass
-
 val scan : Circuit.Circ.t -> result
 
 val to_json : result -> Obs.Json.t

@@ -29,25 +29,26 @@ type spec =
   ; portfolio : int option
   }
 
+let default_label = function
+  | Files { file_a; file_b } ->
+    Filename.basename file_a ^ " vs " ^ Filename.basename file_b
+  | Circuits { a; b } -> a.Circ.name ^ " vs " ^ b.Circ.name
+
 let files ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
     ?timeout ?(retries = 0) ?seed ?(cache = true)
     ?(backend = Dd.Registry.default) ?portfolio ~index file_a file_b =
-  let label =
-    match label with
-    | Some l -> l
-    | None -> Filename.basename file_a ^ " vs " ^ Filename.basename file_b
-  in
-  { index; label; source = Files { file_a; file_b }; strategy; auto_scheme
-  ; perm; transform; timeout; retries; seed; cache; backend; portfolio }
+  let source = Files { file_a; file_b } in
+  let label = Option.value label ~default:(default_label source) in
+  { index; label; source; strategy; auto_scheme; perm; transform; timeout
+  ; retries; seed; cache; backend; portfolio }
 
 let circuits ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
     ?timeout ?(retries = 0) ?seed ?(cache = true)
     ?(backend = Dd.Registry.default) ?portfolio ~index a b =
-  let label =
-    match label with Some l -> l | None -> a.Circ.name ^ " vs " ^ b.Circ.name
-  in
-  { index; label; source = Circuits { a; b }; strategy; auto_scheme; perm
-  ; transform; timeout; retries; seed; cache; backend; portfolio }
+  let source = Circuits { a; b } in
+  let label = Option.value label ~default:(default_label source) in
+  { index; label; source; strategy; auto_scheme; perm; transform; timeout
+  ; retries; seed; cache; backend; portfolio }
 
 type verdict =
   { equivalent : bool

@@ -50,6 +50,10 @@ type spec =
             [Analysis] portfolio composition picks the field *)
   }
 
+(** ["<basename a> vs <basename b>"] for files, ["<name a> vs <name b>"]
+    for circuits: the label of a spec that sets none. *)
+val default_label : source -> string
+
 val files :
      ?label:string
   -> ?strategy:Qcec.Strategy.t

@@ -131,39 +131,74 @@ let perm_field j =
     Ok (Some (Array.of_list ints))
   | Some _ -> Error "manifest: \"perm\" must be a list of integers"
 
+(* The fields a job may override, each falling back to [defaults]: a
+   job object and the ["defaults"] block (over [no_defaults]) both read
+   them here. *)
+let settings_of_json ~defaults j =
+  let* strategy = strategy_field "strategy" j in
+  let* scheme = scheme_field "scheme" j in
+  let* timeout = num_field "timeout" j in
+  let* retries = int_field "retries" j in
+  let* transform = bool_field "transform" j in
+  let* cache = bool_field "cache" j in
+  let* backend = backend_field "backend" j in
+  let* portfolio = portfolio_field "portfolio" j in
+  let strategy, auto_scheme =
+    match scheme with
+    | Some `Auto -> (None, true)
+    | Some (`Fixed st) -> (Some st, false)
+    | None ->
+      (match strategy with
+       | Some _ as s -> (s, false)
+       | None -> (defaults.strategy, defaults.auto_scheme))
+  in
+  Ok
+    { strategy
+    ; auto_scheme
+    ; timeout = (match timeout with Some _ as t -> t | None -> defaults.timeout)
+    ; retries = Option.value retries ~default:defaults.retries
+    ; transform = Option.value transform ~default:defaults.transform
+    ; cache = Option.value cache ~default:defaults.cache
+    ; backend = Option.value backend ~default:defaults.backend
+    ; portfolio =
+        (match portfolio with
+         | Some 0 -> None
+         | Some _ as p -> p
+         | None -> defaults.portfolio)
+    }
+
 let defaults_of_json j =
   match Json.member "defaults" j with
   | None -> Ok no_defaults
-  | Some d ->
-    let* strategy = strategy_field "strategy" d in
-    let* scheme = scheme_field "scheme" d in
-    let* timeout = num_field "timeout" d in
-    let* retries = int_field "retries" d in
-    let* transform = bool_field "transform" d in
-    let* cache = bool_field "cache" d in
-    let* backend = backend_field "backend" d in
-    let* portfolio = portfolio_field "portfolio" d in
-    let strategy, auto_scheme =
-      match scheme with
-      | Some `Auto -> (None, true)
-      | Some (`Fixed st) -> (Some st, false)
-      | None -> (strategy, false)
-    in
-    Ok
-      { strategy
-      ; auto_scheme
-      ; timeout
-      ; retries = Option.value retries ~default:0
-      ; transform = Option.value transform ~default:true
-      ; cache = Option.value cache ~default:true
-      ; backend = Option.value backend ~default:Dd.Registry.default
-      ; portfolio = (match portfolio with Some 0 -> None | p -> p)
-      }
+  | Some d -> settings_of_json ~defaults:no_defaults d
 
 (* Paths in a manifest are relative to the manifest file, so a manifest can
    sit next to its circuits and be invoked from anywhere. *)
 let resolve ~dir path =
   if Filename.is_relative path then Filename.concat dir path else path
+
+(* The fields of one job object, compiled onto a source and a seed: the
+   manifest's jobs and the daemon's inline submissions both go through
+   here. *)
+let compile_job ?(defaults = no_defaults) ~index ~seed source j =
+  let* label = str_field "label" j in
+  let* perm = perm_field j in
+  let* s = settings_of_json ~defaults j in
+  Ok
+    { Job.index
+    ; label = Option.value label ~default:(Job.default_label source)
+    ; source
+    ; strategy = s.strategy
+    ; auto_scheme = s.auto_scheme
+    ; perm
+    ; transform = s.transform
+    ; timeout = s.timeout
+    ; retries = s.retries
+    ; seed
+    ; cache = s.cache
+    ; backend = s.backend
+    ; portfolio = s.portfolio
+    }
 
 (* A job with ["skip": true] compiles to [None]: it is dropped from the
    batch while the remaining jobs keep their manifest indices (and hence
@@ -172,60 +207,18 @@ let job_of_json ~dir ~defaults ~manifest_seed ~index j =
   let* skip = bool_field "skip" j in
   if Option.value skip ~default:false then Ok None
   else
-    let* a =
-      match Json.member "a" j with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error (Fmt.str "manifest: job %d: missing string field \"a\"" index)
+    let path name =
+      match Json.member name j with
+      | Some (Json.String s) -> Ok (resolve ~dir s)
+      | _ -> Error (Fmt.str "manifest: job %d: missing string field %S" index name)
     in
-    let* b =
-      match Json.member "b" j with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error (Fmt.str "manifest: job %d: missing string field \"b\"" index)
+    let* file_a = path "a" in
+    let* file_b = path "b" in
+    let* spec =
+      compile_job ~defaults ~index ~seed:(job_seed ~manifest_seed ~index)
+        (Job.Files { file_a; file_b }) j
     in
-    let* label = str_field "label" j in
-    let* strategy = strategy_field "strategy" j in
-    let* scheme = scheme_field "scheme" j in
-    let* perm = perm_field j in
-    let* timeout = num_field "timeout" j in
-    let* retries = int_field "retries" j in
-    let* transform = bool_field "transform" j in
-    let* cache = bool_field "cache" j in
-    let* backend = backend_field "backend" j in
-    let* portfolio = portfolio_field "portfolio" j in
-    let label =
-      match label with
-      | Some l -> l
-      | None -> Filename.basename a ^ " vs " ^ Filename.basename b
-    in
-    let strategy, auto_scheme =
-      match scheme with
-      | Some `Auto -> (None, true)
-      | Some (`Fixed st) -> (Some st, false)
-      | None ->
-        (match strategy with
-         | Some _ as s -> (s, false)
-         | None -> (defaults.strategy, defaults.auto_scheme))
-    in
-    Ok
-      (Some
-         { Job.index
-         ; label
-         ; source = Job.Files { file_a = resolve ~dir a; file_b = resolve ~dir b }
-         ; strategy
-         ; auto_scheme
-         ; perm
-         ; transform = Option.value transform ~default:defaults.transform
-         ; timeout = (match timeout with Some _ as t -> t | None -> defaults.timeout)
-         ; retries = Option.value retries ~default:defaults.retries
-         ; seed = job_seed ~manifest_seed ~index
-         ; cache = Option.value cache ~default:defaults.cache
-         ; backend = Option.value backend ~default:defaults.backend
-         ; portfolio =
-             (match portfolio with
-              | Some 0 -> None
-              | Some _ as p -> p
-              | None -> defaults.portfolio)
-         })
+    Ok (Some spec)
 
 let of_json ?(dir = Filename.current_dir_name) j =
   let* s =

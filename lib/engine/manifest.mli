@@ -76,6 +76,21 @@ val load : string -> (t, string) result
     (default ".") anchors relative circuit paths. *)
 val of_json : ?dir:string -> Obs.Json.t -> (t, string) result
 
+(** [compile_job ?defaults ~index ~seed source j] compiles the fields of
+    one job object [j] — ["label"], ["strategy"]/["scheme"], ["perm"],
+    ["timeout"], ["retries"], ["transform"], ["cache"], ["backend"],
+    ["portfolio"] — onto [source] and [seed].  Fields [j] omits come from
+    [defaults] (default {!no_defaults}); the label defaults to
+    {!Job.default_label}.  Manifest jobs compile through it with a [Files]
+    source, the daemon's inline submissions with parsed [Circuits]. *)
+val compile_job :
+     ?defaults:defaults
+  -> index:int
+  -> seed:int option
+  -> Job.source
+  -> Obs.Json.t
+  -> (Job.spec, string) result
+
 (** [pair_files paths] pairs a flat file list consecutively:
     [[a; b; c; d]] becomes [[(a, b); (c, d)]].  An odd count is an
     error. *)

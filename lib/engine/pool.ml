@@ -20,7 +20,6 @@ type config =
   ; dd_config : Dd.Pkg.config option
   ; node_limit : int option
   ; lint : bool
-  ; gc_retry_scale : int
   ; on_result : (Job.result -> unit) option
   ; cache : Cache_store.Store.t option
   }
@@ -30,7 +29,6 @@ let default_config =
   ; dd_config = None
   ; node_limit = None
   ; lint = true
-  ; gc_retry_scale = 4
   ; on_result = None
   ; cache = None
   }
@@ -327,18 +325,39 @@ let classify = function
   | Qcec.Verify.Rejected d -> (Job.Rejected, Analysis.Diagnostic.to_string d)
   | e -> (Job.Crash, Printexc.to_string e)
 
-(* Timed-out attempts may retry with a proportionally relaxed auto-GC
-   threshold: a job that spent its budget collecting garbage gets to trade
-   memory for time on the next try. *)
-let relax cfg dd_config =
-  match dd_config with
-  | Some c ->
-    Some
-      { c with
-        Dd.Pkg.gc_threshold =
-          Option.map (fun t -> t * cfg.gc_retry_scale) c.Dd.Pkg.gc_threshold
-      }
-  | None -> None
+(* Timed-out attempts may retry with the auto-GC threshold relaxed 4x: a
+   job that spent its budget collecting garbage gets to trade memory for
+   time on the next try. *)
+let relax dd_config =
+  Option.map
+    (fun c ->
+      { c with Dd.Pkg.gc_threshold = Option.map (fun t -> t * 4) c.Dd.Pkg.gc_threshold })
+    dd_config
+
+(* Every [Job.result] is built here: by [run_job] for a job that ran, and
+   by [unstarted] for one that never did. *)
+let job_result (spec : Job.spec) ~worker ~attempts ~duration ~metrics outcome =
+  { Job.index = spec.index
+  ; label = spec.label
+  ; files_checked =
+      (match spec.source with
+       | Job.Files { file_a; file_b } -> Some (file_a, file_b)
+       | Job.Circuits _ -> None)
+  ; outcome
+  ; duration
+  ; attempts
+  ; worker
+  ; seed = spec.seed
+  ; backend = spec.backend
+  ; metrics
+  }
+
+(* A job that never ran: cancelled while queued, or abandoned by a
+   non-draining shutdown. *)
+let unstarted ~worker ~message spec =
+  M.incr m_cancelled;
+  job_result spec ~worker ~attempts:0 ~duration:0.0 ~metrics:[]
+    (Job.Failed { reason = Job.Cancelled; message })
 
 let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
   let m0 = M.snapshot () in
@@ -357,7 +376,7 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
     match outcome with
     | Job.Failed { reason = Job.Timeout; _ } when attempts <= spec.retries ->
       M.incr m_retried;
-      go ~attempts:(attempts + 1) (relax cfg dd_config)
+      go ~attempts:(attempts + 1) (relax dd_config)
     | outcome -> (outcome, attempts)
   in
   let outcome, attempts = go ~attempts:1 cfg.dd_config in
@@ -367,122 +386,20 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
      M.incr m_failed;
      if reason = Job.Timeout then M.incr m_timeout;
      if reason = Job.Cancelled then M.incr m_cancelled);
-  { Job.index = spec.index
-  ; label = spec.label
-  ; files_checked =
-      (match spec.source with
-       | Job.Files { file_a; file_b } -> Some (file_a, file_b)
-       | Job.Circuits _ -> None)
-  ; outcome
-  ; duration = now () -. t0
-  ; attempts
-  ; worker
-  ; seed = spec.seed
-  ; backend = spec.backend
-  ; metrics = M.diff ~before:m0 ~after:(M.snapshot ())
-  }
+  job_result spec ~worker ~attempts ~duration:(now () -. t0)
+    ~metrics:(M.diff ~before:m0 ~after:(M.snapshot ()))
+    outcome
 
-let run (cfg : config) specs =
-  let specs = Array.of_list specs in
-  let n = Array.length specs in
-  (* scheduling counters land on the calling domain; remember the delta so
-     the batch aggregate (merged from worker registries) includes them *)
-  let m_before = M.snapshot () in
-  M.add m_scheduled n;
-  let workers = max 1 (min cfg.workers (max 1 n)) in
-  M.observe m_workers workers;
-  let scheduling_delta = M.diff ~before:m_before ~after:(M.snapshot ()) in
-  let t0 = now () in
-  let lock = Mutex.create () in
-  let next = ref 0 in
-  let results = Array.make n None in
-  (* every running job holds one bank slot; idle workers leave theirs free
-     so portfolio races can borrow them (never exceeding [workers] domains) *)
-  let bk = bank workers in
-  let take () =
-    bank_acquire bk;
-    let i =
-      Mutex.protect lock (fun () ->
-        if !next >= n then None
-        else begin
-          let i = !next in
-          incr next;
-          Some i
-        end)
-    in
-    if i = None then bank_release bk 1;
-    i
-  in
-  let publish i r =
-    Mutex.protect lock (fun () ->
-      results.(i) <- Some r;
-      match cfg.on_result with None -> () | Some f -> f r)
-  in
-  (* Workers are plain domains; each job builds its own [Dd.Pkg.t] inside
-     [Verify.functional], so packages never cross domains (and the package
-     owner guard would catch it if one did). *)
-  let worker_fn wid () =
-    let rec loop () =
-      match take () with
-      | None -> ()
-      | Some i ->
-        Fun.protect
-          ~finally:(fun () -> bank_release bk 1)
-          (fun () -> publish i (run_job ~bank:bk cfg ~worker:wid specs.(i)));
-        loop ()
-    in
-    loop ();
-    (M.snapshot (), Obs.Span.report ())
-  in
-  let harvests =
-    let domains = List.init workers (fun wid -> Domain.spawn (worker_fn wid)) in
-    List.map Domain.join domains
-  in
-  let wall_seconds = now () -. t0 in
-  (* Fold worker registries into the calling domain so process-level
-     reports ([qcec_cli stats], bench output) see the batch's work, and
-     keep the merged reading for the batch aggregate. *)
-  List.iter
-    (fun (m, s) ->
-      M.absorb m;
-      Obs.Span.absorb s)
-    harvests;
-  let metrics = M.merge (scheduling_delta :: List.map fst harvests) in
-  let spans =
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun (_, entries) ->
-        List.iter
-          (fun (e : Obs.Span.entry) ->
-            match Hashtbl.find_opt tbl e.path with
-            | None -> Hashtbl.replace tbl e.path e
-            | Some prev ->
-              Hashtbl.replace tbl e.path
-                { e with
-                  count = prev.Obs.Span.count + e.count
-                ; seconds = prev.Obs.Span.seconds +. e.seconds
-                })
-          entries)
-      harvests;
-    Hashtbl.fold (fun _ e acc -> e :: acc) tbl []
-    |> List.sort (fun (a : Obs.Span.entry) b -> compare a.path b.path)
-  in
-  let results =
-    Array.to_list results
-    |> List.map (function
-         | Some r -> r
-         | None -> assert false (* every index was taken and published *))
-  in
-  { results; wall_seconds; workers; metrics; spans }
+(* -- the pool ---------------------------------------------------------- *)
 
-(* -- persistent pool (the daemon's execution substrate) ---------------- *)
-
-(* Unlike [run], which spawns domains for one batch and joins them, a
-   persistent pool keeps its worker domains alive across submissions: jobs
-   arrive one at a time (the daemon's admission queue feeds them in) and
-   each completion is delivered through its own callback, on the worker
-   domain that ran it.  Queueing here is deliberately unbounded — admission
-   control (bounded queue, 429s) is the caller's policy, not the pool's. *)
+(* Worker domains stay alive across submissions: jobs arrive one at a time
+   (the daemon's admission queue feeds them in, [run] submits a whole
+   batch) and each completion is delivered through its own callback, on
+   the worker domain that ran it.  Queueing here is deliberately
+   unbounded — admission control (bounded queue, 429s) is the caller's
+   policy, not the pool's.  Each job builds its own [Dd.Pkg.t] inside
+   [Verify.functional], so packages never cross domains (and the package
+   owner guard would catch it if one did). *)
 
 type task =
   { spec : Job.spec
@@ -501,25 +418,7 @@ type pool =
   ; mutable domains : (M.snapshot * Obs.Span.entry list) Domain.t list
   }
 
-(* A structured result for a job that never ran (cancelled while queued,
-   or abandoned by a non-draining shutdown). *)
-let unstarted_result ~reason ~message (spec : Job.spec) =
-  { Job.index = spec.index
-  ; label = spec.label
-  ; files_checked =
-      (match spec.source with
-       | Job.Files { file_a; file_b } -> Some (file_a, file_b)
-       | Job.Circuits _ -> None)
-  ; outcome = Job.Failed { reason; message }
-  ; duration = 0.0
-  ; attempts = 0
-  ; worker = -1
-  ; seed = spec.seed
-  ; backend = spec.backend
-  ; metrics = []
-  }
-
-let persistent_worker pool wid () =
+let worker pool wid () =
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.queue && not pool.stopping do
@@ -534,6 +433,9 @@ let persistent_worker pool wid () =
       let task = Queue.pop pool.queue in
       pool.active <- pool.active + 1;
       Mutex.unlock pool.lock;
+      (* every running job holds one bank slot; idle workers leave theirs
+         free so portfolio races can borrow them (never exceeding
+         [workers] domains) *)
       bank_acquire pool.pbank;
       let r =
         Fun.protect
@@ -541,10 +443,7 @@ let persistent_worker pool wid () =
           (fun () ->
             match task.control with
             | Some c when Atomic.get c.cancel ->
-              M.incr m_cancelled;
-              { (unstarted_result ~reason:Job.Cancelled
-                   ~message:"cancelled while queued" task.spec)
-                with Job.worker = wid }
+              unstarted ~worker:wid ~message:"cancelled while queued" task.spec
             | control ->
               run_job ?control ~bank:pool.pbank pool.pcfg ~worker:wid task.spec)
       in
@@ -572,8 +471,7 @@ let create (cfg : config) =
     ; domains = []
     }
   in
-  pool.domains <-
-    List.init workers (fun wid -> Domain.spawn (persistent_worker pool wid));
+  pool.domains <- List.init workers (fun wid -> Domain.spawn (worker pool wid));
   pool
 
 let submit pool ?control ~on_done spec =
@@ -589,36 +487,99 @@ let submit pool ?control ~on_done spec =
 let pending pool = Mutex.protect pool.lock (fun () -> Queue.length pool.queue)
 let active pool = Mutex.protect pool.lock (fun () -> pool.active)
 
-let shutdown ?(drain = true) pool =
+(* Stop admitting; without [drain], hand every queued job back cancelled.
+   Joins nothing, so a worker's completion callback may call it. *)
+let stop ~drain pool =
   let abandoned =
     Mutex.protect pool.lock (fun () ->
       pool.stopping <- true;
-      let abandoned =
-        if drain then []
-        else begin
-          let l = List.of_seq (Queue.to_seq pool.queue) in
-          Queue.clear pool.queue;
-          l
-        end
-      in
+      let abandoned = if drain then [] else List.of_seq (Queue.to_seq pool.queue) in
+      if not drain then Queue.clear pool.queue;
       Condition.broadcast pool.nonempty;
       abandoned)
   in
   List.iter
     (fun t ->
-      M.incr m_cancelled;
-      try
-        t.on_done
-          (unstarted_result ~reason:Job.Cancelled ~message:"pool shut down"
-             t.spec)
+      try t.on_done (unstarted ~worker:(-1) ~message:"pool shut down" t.spec)
       with _ -> ())
-    abandoned;
+    abandoned
+
+(* Join the workers and fold their registries into the calling domain, so
+   process-level reports ([qcec_cli stats], the daemon's metrics, bench
+   output) see the pool's work; the per-worker readings are returned for
+   [run]'s batch aggregate. *)
+let shutdown_harvest ~drain pool =
+  stop ~drain pool;
   let harvests = List.map Domain.join pool.domains in
   pool.domains <- [];
-  (* fold worker registries into the calling domain, as [run] does, so the
-     daemon's process-level metrics include everything the pool executed *)
   List.iter
     (fun (m, s) ->
       M.absorb m;
       Obs.Span.absorb s)
-    harvests
+    harvests;
+  harvests
+
+let shutdown ?(drain = true) pool = ignore (shutdown_harvest ~drain pool)
+
+(* A batch is the pool run to completion: one submission per spec, then a
+   draining shutdown.  [on_result] runs under [lock], in completion order.
+   If it raises (say EPIPE on a closed stdout), queued jobs are dropped
+   and [run] re-raises once the workers are joined. *)
+let run (cfg : config) specs =
+  let n = List.length specs in
+  (* scheduling counters land on the calling domain; remember the delta so
+     the batch aggregate (merged from worker registries) includes them *)
+  let m_before = M.snapshot () in
+  let t0 = now () in
+  let pool = create { cfg with workers = min cfg.workers (max 1 n) } in
+  let lock = Mutex.create () in
+  let results = Array.make n None in
+  let failure = ref None in
+  let on_done i r =
+    let failed =
+      Mutex.protect lock (fun () ->
+        results.(i) <- Some r;
+        match cfg.on_result with
+        | Some f when !failure = None ->
+          (try
+             f r;
+             false
+           with e ->
+             failure := Some (e, Printexc.get_raw_backtrace ());
+             true)
+        | _ -> false)
+    in
+    if failed then stop ~drain:false pool
+  in
+  (* a submission refused because a callback already failed is moot: the
+     failure is re-raised below *)
+  List.iteri (fun i spec -> ignore (submit pool ~on_done:(on_done i) spec)) specs;
+  let scheduling_delta = M.diff ~before:m_before ~after:(M.snapshot ()) in
+  let harvests = shutdown_harvest ~drain:true pool in
+  let wall_seconds = now () -. t0 in
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
+  let spans =
+    let tbl = Hashtbl.create 32 in
+    List.iter
+      (fun (_, entries) ->
+        List.iter
+          (fun (e : Obs.Span.entry) ->
+            match Hashtbl.find_opt tbl e.path with
+            | None -> Hashtbl.replace tbl e.path e
+            | Some prev ->
+              Hashtbl.replace tbl e.path
+                { e with
+                  count = prev.Obs.Span.count + e.count
+                ; seconds = prev.Obs.Span.seconds +. e.seconds
+                })
+          entries)
+      harvests;
+    Hashtbl.fold (fun _ e acc -> e :: acc) tbl []
+    |> List.sort (fun (a : Obs.Span.entry) b -> compare a.path b.path)
+  in
+  { results = Array.to_list results |> List.map Option.get
+  ; wall_seconds
+  ; workers = pool.pcfg.workers
+  ; metrics = M.merge (scheduling_delta :: List.map fst harvests)
+  ; spans
+  }

@@ -22,8 +22,8 @@
     {!Cancelled} when the attempt's deadline or the pool's node limit is
     exceeded — a tiny job may finish before its first safepoint even with
     a zero budget.  Timed-out jobs retry (up to [spec.retries] extra
-    attempts) with the auto-GC threshold scaled by [gc_retry_scale],
-    trading memory for time. *)
+    attempts) with the auto-GC threshold scaled by 4, trading memory for
+    time. *)
 
 (** Raised inside a worker at a DD safepoint to unwind a cancelled
     attempt; classified into [Job.Timeout] / [Job.Node_limit] /
@@ -76,9 +76,8 @@ type config =
   ; dd_config : Dd.Pkg.config option  (** per-job DD package bounds *)
   ; node_limit : int option  (** live-node budget, checked at safepoints *)
   ; lint : bool  (** run the lint pre-flight before each verification *)
-  ; gc_retry_scale : int  (** GC-threshold multiplier for timeout retries *)
   ; on_result : (Job.result -> unit) option
-        (** streaming callback, invoked under the pool lock as each job
+        (** {!run}'s streaming callback, invoked under one lock as each job
             finishes (from a worker domain, in completion order) *)
   ; cache : Cache_store.Store.t option
         (** verdict store shared by every worker (lookups are lock-free,
@@ -87,7 +86,7 @@ type config =
   }
 
 (** [workers = Domain.recommended_domain_count ()], no DD bounds, no node
-    limit, lint on, [gc_retry_scale = 4], no callback, no verdict store. *)
+    limit, lint on, no callback, no verdict store. *)
 val default_config : config
 
 type batch =
@@ -100,8 +99,12 @@ type batch =
   }
 
 (** [run config specs] executes the batch and blocks until every job has a
-    result.  Worker domains are always spawned (also for [workers = 1]),
-    so single- and multi-worker runs execute identically.
+    result: it is {!create} (workers clamped to the job count), one
+    {!submit} per spec, and [shutdown ~drain:true].  Worker domains are
+    always spawned (also for [workers = 1]), so single- and multi-worker
+    runs execute identically.  If [config.on_result] raises, the jobs
+    still queued are dropped and [run] re-raises that exception once the
+    workers have exited.
 
     Jobs with [spec.portfolio = Some w] ([w >= 2]) race candidate deciders
     via [Qcec.Verify.portfolio].  Candidate domains are borrowed from the
@@ -112,12 +115,11 @@ val run : config -> Job.spec list -> batch
 
 (** {1 Persistent pool}
 
-    The daemon's execution substrate: [config.workers] domains stay alive
-    across submissions instead of being spawned per batch.  Jobs are
-    queued (unboundedly — admission control is the {e caller's} policy)
-    and every completion is delivered through its own callback, invoked on
-    the worker domain that ran the job.  [config.on_result] is ignored in
-    this mode. *)
+    The daemon's execution substrate, and {!run}'s: [config.workers]
+    domains stay alive across submissions.  Jobs are queued (unboundedly —
+    admission control is the {e caller's} policy) and every completion is
+    delivered through its own callback, invoked on the worker domain that
+    ran the job.  [config.on_result] is ignored in this mode. *)
 
 type pool
 

@@ -98,31 +98,6 @@ let respond_error fd ?headers ~status code message =
 
 let bad_field name kind = reject 400 "invalid_request" (Printf.sprintf "%s: expected %s" name kind)
 
-let opt_string body name =
-  match Json.member name body with
-  | Some (Json.String s) -> Some s
-  | Some _ -> bad_field name "a string"
-  | None -> None
-
-let opt_bool body name =
-  match Json.member name body with
-  | Some (Json.Bool b) -> Some b
-  | Some _ -> bad_field name "a boolean"
-  | None -> None
-
-let opt_int body name =
-  match Json.member name body with
-  | Some (Json.Int i) -> Some i
-  | Some _ -> bad_field name "an integer"
-  | None -> None
-
-let opt_float body name =
-  match Json.member name body with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some _ -> bad_field name "a number"
-  | None -> None
-
 let parse_circuit body name =
   match Json.member name body with
   | Some (Json.String src) -> (
@@ -132,69 +107,20 @@ let parse_circuit body name =
   | Some _ -> bad_field name "a string of QASM source"
   | None -> reject 400 "invalid_request" (Printf.sprintf "%s: required (inline QASM source)" name)
 
-let parse_strategy body =
-  let of_name field s =
-    match Qcec.Strategy.of_string s with
-    | Ok st -> Some st
-    | Error e -> reject 400 "invalid_request" (Printf.sprintf "%s: %s" field e)
-  in
-  match opt_string body "scheme" with
-  | Some "auto" -> (true, None)
-  | Some s -> (false, of_name "scheme" s)
-  | None -> (
-    match opt_string body "strategy" with
-    | Some s -> (false, of_name "strategy" s)
-    | None -> (false, None))
-
-let parse_perm body =
-  match Json.member "perm" body with
-  | Some (Json.List l) ->
-    Some
-      (Array.of_list
-         (List.map
-            (function
-              | Json.Int i -> i
-              | _ -> bad_field "perm" "a list of integers")
-            l))
-  | Some _ -> bad_field "perm" "a list of integers"
-  | None -> None
-
-let parse_backend body =
-  match opt_string body "backend" with
-  | None -> None
-  | Some name -> (
-    match Dd.Registry.find name with
-    | Some _ -> Some name
-    | None ->
-      reject 400 "unknown_backend"
-        (Printf.sprintf "backend %S not registered (have: %s)" name
-           (String.concat ", " (Dd.Registry.names ()))))
-
-(* ["portfolio": w] races w candidate deciders for the job, first verdict
-   wins; the same validation as the manifest (>= 2, or 0 for "no race"). *)
-let parse_portfolio body =
-  match opt_int body "portfolio" with
-  | None -> None
-  | Some 0 -> None
-  | Some w when w >= 2 -> Some w
-  | Some w ->
-    reject 400 "bad_portfolio"
-      (Printf.sprintf "portfolio must be a width >= 2 (or 0 to disable), got %d" w)
-
-(* one job spec from an inline {"a": <qasm>, "b": <qasm>, ...} document *)
+(* one job spec from an inline {"a": <qasm>, "b": <qasm>, ...} document:
+   the other fields compile exactly as a manifest job's would *)
 let inline_spec ~index body =
   let a = parse_circuit body "a" in
   let b = parse_circuit body "b" in
-  let auto_scheme, strategy = parse_strategy body in
-  Job.circuits ?label:(opt_string body "label") ?strategy ~auto_scheme
-    ?perm:(parse_perm body)
-    ?transform:(opt_bool body "transform")
-    ?timeout:(opt_float body "timeout")
-    ?retries:(opt_int body "retries")
-    ?seed:(opt_int body "seed")
-    ?cache:(opt_bool body "cache")
-    ?backend:(parse_backend body)
-    ?portfolio:(parse_portfolio body) ~index a b
+  let seed =
+    match Json.member "seed" body with
+    | Some (Json.Int s) -> Some s
+    | Some _ -> bad_field "seed" "an integer"
+    | None -> None
+  in
+  match Engine.Manifest.compile_job ~index ~seed (Job.Circuits { a; b }) body with
+  | Ok spec -> spec
+  | Error e -> reject 400 "invalid_request" e
 
 (* ------------------------------------------------------------------ *)
 (* Job JSON                                                            *)
@@ -567,8 +493,7 @@ let start cfg =
   in
   let pool =
     Pool.create
-      { Pool.default_config with
-        Pool.workers = cfg.workers
+      { Pool.workers = cfg.workers
       ; dd_config = cfg.dd_config
       ; node_limit = cfg.node_limit
       ; lint = cfg.lint

@@ -40,18 +40,13 @@ let test_manifest_rejects_unknown_backend () =
             ] )
       ]
   in
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   (match Engine.Manifest.of_json (manifest "bogus") with
    | Ok _ -> Alcotest.fail "unknown backend compiled"
    | Error msg ->
      Alcotest.(check bool)
        (Fmt.str "error names the backend: %s" msg)
        true
-       (contains ~sub:"unknown backend" msg));
+       (Util.contains ~sub:"unknown backend" msg));
   match Engine.Manifest.of_json (manifest "packed") with
   | Ok m ->
     List.iter

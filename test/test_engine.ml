@@ -55,6 +55,23 @@ let test_streaming_callback () =
     (List.sort compare !seen);
   Alcotest.(check int) "results agree" n (List.length batch.Pool.results)
 
+(* [qcec batch | head] exits on EPIPE because the failing [on_result]
+   ends [Pool.run] with its exception; no later result reaches it. *)
+exception Reader_gone
+
+let test_on_result_exception () =
+  let calls = ref 0 in
+  match
+    run ~workers:2
+      ~on_result:(fun _ ->
+        incr calls;
+        raise Reader_gone)
+      (specs_of_pairs (List.init 6 bv_pair))
+  with
+  | _ -> Alcotest.fail "Pool.run returned although on_result raised"
+  | exception Reader_gone ->
+    Alcotest.(check int) "on_result is not called after it raised" 1 !calls
+
 (* -- verdicts are scheduling-independent ------------------------------- *)
 
 let test_worker_count_equivalence () =
@@ -255,6 +272,46 @@ let test_manifest_errors () =
        Alcotest.(check int) "consecutive pairing" 2 (List.length pairs)
      | Error e -> Alcotest.fail e)
 
+(* A manifest job and the daemon's inline body compile the same fields
+   through [Manifest.compile_job]; only the source and the seed differ. *)
+let test_inline_compiles_like_manifest () =
+  let fields =
+    {|"label": "same", "scheme": "lookahead", "perm": [1, 0], "timeout": 5,
+      "retries": 2, "transform": false, "cache": false, "backend": "packed",
+      "portfolio": 3|}
+  in
+  let from_manifest =
+    match
+      Manifest.of_json
+        (Obs.Json.of_string
+           (Printf.sprintf
+              {|{ "schema": "qcec-manifest/v1", "seed": 4,
+                  "jobs": [ { "a": "a.qasm", "b": "b.qasm", %s } ] }|}
+              fields))
+    with
+    | Ok { Manifest.jobs = [ j ]; _ } -> j
+    | Ok _ -> Alcotest.fail "expected one job"
+    | Error e -> Alcotest.fail e
+  in
+  let p = bv_pair 1 in
+  let inline =
+    match
+      Manifest.compile_job ~index:0 ~seed:None
+        (Job.Circuits { a = p.Pair.static_circuit; b = p.Pair.dynamic_circuit })
+        (Obs.Json.of_string
+           (Printf.sprintf {|{ "a": "OPENQASM 2.0;", "b": "OPENQASM 2.0;", %s }|} fields))
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let fields_of (s : Job.spec) = { s with Job.source = inline.Job.source; seed = None } in
+  Alcotest.(check bool) "same spec fields" true (fields_of from_manifest = fields_of inline);
+  Alcotest.(check bool) "fields were compiled, not defaulted" true
+    (inline.Job.strategy = Some Qcec.Strategy.Lookahead
+    && inline.Job.backend = "packed"
+    && inline.Job.portfolio = Some 3
+    && inline.Job.perm = Some [| 1; 0 |])
+
 (* The retired ["kernels"] flag may linger in old manifests: it must still
    compile, change nothing, and every gate must still go through the
    direct kernels. *)
@@ -390,6 +447,8 @@ let test_pkg_owner_guard () =
 let suite =
   [ Alcotest.test_case "queue drains, results ordered" `Quick test_queue_drains
   ; Alcotest.test_case "streaming callback" `Quick test_streaming_callback
+  ; Alcotest.test_case "on_result exception ends the batch" `Quick
+      test_on_result_exception
   ; Alcotest.test_case "verdicts independent of worker count" `Quick
       test_worker_count_equivalence
   ; Alcotest.test_case "seeded stimuli deterministic" `Quick
@@ -407,6 +466,8 @@ let suite =
       test_manifest_errors
   ; Alcotest.test_case "legacy kernels key is ignored" `Quick
       test_manifest_legacy_kernels_key
+  ; Alcotest.test_case "inline body compiles like a manifest job" `Quick
+      test_inline_compiles_like_manifest
   ; QCheck_alcotest.to_alcotest prop_result_roundtrip
   ; Alcotest.test_case "DD package owner-domain guard" `Quick test_pkg_owner_guard
   ]

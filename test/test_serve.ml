@@ -286,10 +286,26 @@ let test_e2e_submit_poll_verdict () =
         (error_code (post ~port "/v1/jobs" "{\"a\": 42, \"b\": \"x\"}"));
       Alcotest.(check string) "unparsable circuit" "parse_error"
         (error_code (post ~port "/v1/jobs" "{\"a\": \"not qasm\", \"b\": \"also not\"}"));
-      Alcotest.(check string) "unknown backend" "unknown_backend"
-        (error_code
-           (post ~port "/v1/jobs"
-              (inline_job 3 ~extra:[ ("backend", Json.String "no-such-backend") ])));
+      (* inline fields compile through the manifest's job compiler: a bad
+         field is invalid_request with the manifest's message, naming it *)
+      List.iter
+        (fun (field, value) ->
+          let reply = post ~port "/v1/jobs" (inline_job 3 ~extra:[ (field, value) ]) in
+          Alcotest.(check int) (field ^ " error is 400") 400 reply.status;
+          Alcotest.(check string) (field ^ " error code") "invalid_request" (error_code reply);
+          let message =
+            match Json.member "error" (json_of reply) with
+            | Some err -> str_member "message" err
+            | None -> ""
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "message %S names %s" message field)
+            true
+            (Util.contains ~sub:field message))
+        [ ("backend", Json.String "no-such-backend")
+        ; ("portfolio", Json.Int 1)
+        ; ("retries", Json.String "x")
+        ];
       Alcotest.(check string) "missing job is 404" "not_found"
         (error_code (get ~port "/v1/jobs/job-999999"));
       (* submit, poll to verdict *)

@@ -67,3 +67,9 @@ let check_circuit_unitary ?(tol = 1e-8) msg (c : Circuit.Circ.t) =
     Alcotest.failf "%s: DD unitary differs from dense oracle" msg
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* [contains ~sub s]: [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
