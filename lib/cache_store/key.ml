@@ -8,7 +8,7 @@ type config =
 
 let make ~digest_a ~digest_b cfg =
   let b = Buffer.create 160 in
-  Buffer.add_string b "qcec-key/v1|";
+  Buffer.add_string b "qcec-key/v2|";
   Buffer.add_string b digest_a;
   Buffer.add_char b '|';
   Buffer.add_string b digest_b;

@@ -15,13 +15,31 @@ let to_cx v = Cx.make v.re v.im
    decision diagram range over many orders of magnitude (a 128-qubit
    Hadamard layer contributes (1/sqrt 2)^128 ~ 5e-20 to the root weight), so
    an absolute grid would collapse everything small to zero.  Values are
-   bucketed by binary exponent of their dominant component plus a
-   [tol]-grid over the exponent-normalized components; lookup probes the
-   neighbouring grid cells and both neighbouring exponents, so any two
-   relatively-close values share a representative. *)
+   bucketed by binary exponent e of their dominant component plus a
+   [tol]-wide grid over the exponent-normalized components.
+
+   A lookup walks the cells that can hold a match in a fixed order:
+   exponent e, then e+1, then e-1; per axis the offsets 0, +1, -1; within a
+   cell the newest entry first.  It stops at the first match.  A match lies
+   within the radius tol*m/(1-tol) of the argument (m its magnitude), so a
+   neighbour cell is probed only when that radius, plus a rounding margin,
+   reaches past the home cell's edge, and e+1 (e-1) only when m lies within
+   4*tol of that power of two.  A skipped cell cannot hold a match, so the
+   representative is the one the full 27-cell walk would find. *)
+type chain =
+  | Nil
+  | Entry of
+      { v : value
+      ; e : int
+      ; kr : int
+      ; ki : int
+      ; next : chain
+      }
+
 type t =
   { tol : float
-  ; buckets : (int * int * int, value list ref) Hashtbl.t
+  ; slack : float (* rounding margin on the match radius, in cells *)
+  ; mutable cells : chain array (* power-of-two length; chains every cell hashed to a slot *)
   ; mutable next_id : int
   ; mutable count : int (* live interned values, including 0 and 1 *)
   }
@@ -31,20 +49,24 @@ type t =
    amplitude of a 400-qubit state. *)
 let hard_zero = 1e-250
 
+let initial_slots = 4096
+
 let magnitude (z : Cx.t) = Float.max (Float.abs z.Cx.re) (Float.abs z.Cx.im)
 
 let exponent_of m =
   let _, e = Float.frexp m in
   e
 
-let key_at t (z : Cx.t) e =
-  let s = Float.ldexp 1.0 e in
-  ( e
-  , int_of_float (Float.round (z.Cx.re /. s /. t.tol))
-  , int_of_float (Float.round (z.Cx.im /. s /. t.tol)) )
-
+(* Grid positions are at most 2/tol in size, so rounding moves each of the
+   two compared ones by under epsilon/tol cells; the 1e-4 dominates at the
+   default tolerance. *)
 let create ?(tol = 1e-10) () =
-  { tol; buckets = Hashtbl.create 4096; next_id = 2; count = 2 }
+  { tol
+  ; slack = 1e-4 +. (4.0 *. epsilon_float /. tol)
+  ; cells = Array.make initial_slots Nil
+  ; next_id = 2
+  ; count = 2
+  }
 
 let tol t = t.tol
 
@@ -54,16 +76,68 @@ let matches t (z : Cx.t) (v : value) =
   Float.abs (v.re -. z.Cx.re) <= t.tol *. scale
   && Float.abs (v.im -. z.Cx.im) <= t.tol *. scale
 
-let find_in_bucket t key z =
-  match Hashtbl.find_opt t.buckets key with
-  | None -> None
-  | Some cell -> List.find_opt (matches t z) !cell
+let slot cells e kr ki =
+  let h = ((((e * 0x2545f491) + kr) * 0x5851f42d) + ki) * 0x4f6cdd1d in
+  (h lxor (h lsr 29)) land (Array.length cells - 1)
 
-let insert t key v =
+(* [absent] marks a miss without allocating an option. *)
+let absent = { re = nan; im = nan; id = -1 }
+
+let rec scan t z e kr ki = function
+  | Nil -> absent
+  | Entry c ->
+    if c.kr = kr && c.ki = ki && c.e = e && matches t z c.v then c.v
+    else scan t z e kr ki c.next
+
+let find_in_cell t z e kr ki = scan t z e kr ki t.cells.(slot t.cells e kr ki)
+
+(* offsets 0, +1, -1 on the imaginary axis of row [kr] *)
+let probe_row t z e kr ki ~up ~down =
+  let v = find_in_cell t z e kr ki in
+  if v != absent then v
+  else begin
+    let v = if up then find_in_cell t z e kr (ki + 1) else absent in
+    if v != absent || not down then v else find_in_cell t z e kr (ki - 1)
+  end
+
+let probe_exponent t (z : Cx.t) e =
+  let s = Float.ldexp 1.0 e in
+  let xr = z.Cx.re /. s /. t.tol and xi = z.Cx.im /. s /. t.tol in
+  let kr = int_of_float (Float.round xr) and ki = int_of_float (Float.round xi) in
+  let reach = (magnitude z /. s /. (1.0 -. t.tol)) +. t.slack in
+  let fr = xr -. float_of_int kr and fi = xi -. float_of_int ki in
+  let up = fi +. reach >= 0.5 and down = fi -. reach <= -0.5 in
+  let v = probe_row t z e kr ki ~up ~down in
+  if v != absent then v
+  else begin
+    let v = if fr +. reach >= 0.5 then probe_row t z e (kr + 1) ki ~up ~down else absent in
+    if v != absent || fr -. reach > -0.5 then v
+    else probe_row t z e (kr - 1) ki ~up ~down
+  end
+
+(* Re-slot every entry into [cells], oldest first, so each cell keeps its
+   newest-first order. *)
+let rec move cells = function
+  | Nil -> ()
+  | Entry c ->
+    move cells c.next;
+    let i = slot cells c.e c.kr c.ki in
+    cells.(i) <- Entry { c with next = cells.(i) }
+
+(* [v] goes into its home cell: exponent [e] of its magnitude. *)
+let insert t v =
+  let e = exponent_of (Float.max (Float.abs v.re) (Float.abs v.im)) in
+  let s = Float.ldexp 1.0 e in
+  let kr = int_of_float (Float.round (v.re /. s /. t.tol))
+  and ki = int_of_float (Float.round (v.im /. s /. t.tol)) in
+  let i = slot t.cells e kr ki in
+  t.cells.(i) <- Entry { v; e; kr; ki; next = t.cells.(i) };
   t.count <- t.count + 1;
-  match Hashtbl.find_opt t.buckets key with
-  | Some cell -> cell := v :: !cell
-  | None -> Hashtbl.add t.buckets key (ref [ v ])
+  if t.count > 2 * Array.length t.cells then begin
+    let cells = Array.make (2 * Array.length t.cells) Nil in
+    Array.iter (move cells) t.cells;
+    t.cells <- cells
+  end
 
 let lookup t (z : Cx.t) =
   let m = magnitude z in
@@ -77,58 +151,52 @@ let lookup t (z : Cx.t) =
   end
   else begin
     let e = exponent_of m in
-    let probes =
-      List.concat_map
-        (fun de ->
-          let e' = e + de in
-          let ke, kre, kim = key_at t z e' in
-          List.concat_map
-            (fun dre ->
-              List.map (fun dim -> (ke, kre + dre, kim + dim)) [ 0; 1; -1 ])
-            [ 0; 1; -1 ])
-        [ 0; 1; -1 ]
+    let hi = Float.ldexp 1.0 e (* m < hi <= 2m *) in
+    let v = probe_exponent t z e in
+    let v =
+      if v == absent && hi -. m <= 4.0 *. t.tol *. hi then probe_exponent t z (e + 1)
+      else v
     in
-    let rec probe = function
-      | [] ->
-        if matches t z one then begin
-          Obs.Metrics.incr m_hits;
-          one
-        end
-        else begin
-          let v = { re = z.Cx.re; im = z.Cx.im; id = t.next_id } in
-          t.next_id <- t.next_id + 1;
-          insert t (key_at t z e) v;
-          Obs.Metrics.incr m_inserts;
-          v
-        end
-      | key :: rest ->
-        (match find_in_bucket t key z with
-         | Some v ->
-           Obs.Metrics.incr m_hits;
-           v
-         | None -> probe rest)
+    let v =
+      if v == absent && m -. (0.5 *. hi) <= 2.0 *. t.tol *. hi then
+        probe_exponent t z (e - 1)
+      else v
     in
-    probe probes
+    if v != absent then begin
+      Obs.Metrics.incr m_hits;
+      v
+    end
+    else if matches t z one then begin
+      Obs.Metrics.incr m_hits;
+      one
+    end
+    else begin
+      let v = { re = z.Cx.re; im = z.Cx.im; id = t.next_id } in
+      t.next_id <- t.next_id + 1;
+      insert t v;
+      Obs.Metrics.incr m_inserts;
+      v
+    end
   end
 
 let size t = t.count
 
-(* Garbage collection: re-seed the table with exactly the given survivors.
-   Ids are *not* recycled — [next_id] keeps rising monotonically — so a
-   stale value held by a caller can never collide with a freshly interned
-   one; it merely loses sharing with the new representative of the same
-   complex number.  Survivors with ids 0/1 (the pre-interned constants,
-   which live outside the buckets) are skipped; the caller is expected to
-   pass each survivor once. *)
+(* Garbage collection: re-seed the table with exactly the given survivors,
+   in ascending id order, so every cell lists them newest first as if they
+   had just been interned.  Ids are *not* recycled — [next_id] keeps rising
+   monotonically — so a stale value held by a caller can never collide with
+   a freshly interned one; it merely loses sharing with the new
+   representative of the same complex number.  Survivors with ids 0/1 (the
+   pre-interned constants, which live outside the cells) are skipped; the
+   caller is expected to pass each survivor once. *)
 let rebuild t survivors =
-  Hashtbl.reset t.buckets;
+  let survivors =
+    List.sort (fun a b -> Int.compare a.id b.id) (List.filter (fun v -> v.id > 1) survivors)
+  in
+  let n = List.length survivors in
+  let rec slots k = if 2 * k >= n then k else slots (2 * k) in
+  t.cells <- Array.make (slots initial_slots) Nil;
   t.count <- 2;
-  List.iter
-    (fun (v : value) ->
-      if v.id > 1 then begin
-        let z = to_cx v in
-        insert t (key_at t z (exponent_of (magnitude z))) v
-      end)
-    survivors
+  List.iter (insert t) survivors
 
 let pp ppf v = Cx.pp ppf (to_cx v)

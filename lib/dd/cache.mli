@@ -1,12 +1,12 @@
 (** Bounded compute caches for the DD package.
 
-    Every operation cache ({!Vec.add}, {!Mat.apply}, ...) used to be a raw,
-    unbounded [Hashtbl]; this module replaces them with a capacity-bounded
-    map using second-chance (clock) eviction: each entry carries a
-    reference bit set on hit, and the eviction scan gives referenced
-    entries one more round before dropping them.  Hits, misses, evictions
-    and the peak size are reported through {!Obs.Metrics} under
-    [dd.cache.<name>.{hits,misses,evictions,peak}].
+    Every operation cache ({!Vec.add}, {!Mat.apply}, ...) is one of these.
+    An unbounded cache (the default) is a plain table that keeps no
+    eviction state.  A bounded one uses second-chance (clock) eviction:
+    each entry carries a reference bit set on hit, and the eviction scan
+    gives referenced entries one more round before dropping them.  Hits,
+    misses, evictions and the peak size are reported through
+    {!Obs.Metrics} under [dd.cache.<name>.{hits,misses,evictions,peak}].
 
     Insertions use replace semantics: re-computing a key overwrites the old
     binding rather than shadowing it, so the cache never holds duplicate

@@ -782,7 +782,7 @@ let is_identity p (a : medge) ~n ~up_to_phase =
 let process_fidelity p (a : medge) (b : medge) ~n =
   let prod = mul p (adjoint p a) b in
   let tr = trace p prod ~n in
-  Cx.abs tr /. float_of_int (1 lsl n)
+  Cx.abs tr /. Float.ldexp 1.0 n
 
 let node_count (a : medge) =
   let seen = Hashtbl.create 64 in

@@ -3,8 +3,9 @@
    Same quasi-reduced QMDD semantics as {!Classic}, different memory
    layout: nodes live in int-indexed growable arrays (stride 3 for
    vector nodes — var, e0, e1 — and stride 5 for matrix nodes), complex
-   weights live in two unboxed float arrays, and an edge is one packed
-   int: [(weight_id lsl 31) lor (node_idx + 1)], node index [-1] being
+   weights are interned by the same {!Cxnum.Cx_table} as the classic
+   package and looked up by id, and an edge is one packed int:
+   [(weight_id lsl 31) lor (node_idx + 1)], node index [-1] being
    the terminal.  The canonical zero edge is the literal [0].  No
    per-node or per-edge boxing means the kernel descent paths touch
    flat arrays instead of chasing pointers.
@@ -22,6 +23,7 @@
    de-duplicates, so counters sum across backends). *)
 
 module Cx = Cxnum.Cx
+module Ct = Cxnum.Cx_table
 module M = Obs.Metrics
 
 let name = "packed"
@@ -38,8 +40,6 @@ let m_gc_swept_weights = M.counter "dd.gc.swept.weights"
 let g_vnodes_peak = M.gauge "dd.unique.vec.peak"
 let g_mnodes_peak = M.gauge "dd.unique.mat.peak"
 let m_pkg_created = M.counter "dd.pkg.created"
-let m_w_hits = M.counter "cx.table.hits"
-let m_w_inserts = M.counter "cx.table.inserts"
 let m_kernel_calls = M.counter "dd.kernel.calls"
 
 (* -- edges -------------------------------------------------------------- *)
@@ -86,13 +86,8 @@ type mroot =
 
 type t =
   { tol : float
-    (* weight interning: floats indexed by id (0 = zero, 1 = one), with
-       the same relative-tolerance bucket scheme as [Cx_table] *)
-  ; mutable wre : float array
-  ; mutable wim : float array
-  ; mutable wnext : int
-  ; wbuckets : (int * int * int, int list ref) Hashtbl.t
-  ; mutable wcount : int (* live interned values, including 0 and 1 *)
+  ; ctab : Ct.t
+  ; mutable wvals : Ct.value array (* interned weights by id; 0 = zero, 1 = one *)
     (* nodes: flat arrays, unique tables keyed on (var, successor edges) *)
   ; vtab : (int * int * int, int) Hashtbl.t
   ; mtab : (int * int * int * int * int, int) Hashtbl.t
@@ -135,14 +130,11 @@ let guard p =
 let create ?(tol = 1e-10) ?(config = Backend.default_config) () =
   M.incr m_pkg_created;
   let caps = config.Backend.caps in
-  let wre = Array.make 1024 0.0 and wim = Array.make 1024 0.0 in
-  wre.(1) <- 1.0;
+  let wvals = Array.make 1024 Ct.zero in
+  wvals.(1) <- Ct.one;
   { tol
-  ; wre
-  ; wim
-  ; wnext = 2
-  ; wbuckets = Hashtbl.create 4096
-  ; wcount = 2
+  ; ctab = Ct.create ~tol ()
+  ; wvals
   ; vtab = Hashtbl.create 4096
   ; mtab = Hashtbl.create 4096
   ; varr = Array.make 3072 0
@@ -171,96 +163,25 @@ let create ?(tol = 1e-10) ?(config = Backend.default_config) () =
 
 let tol p = p.tol
 
-(* -- weight interning (port of Cx_table over flat float arrays) --------- *)
+(* -- weight interning ----------------------------------------------------- *)
 
-let hard_zero = 1e-250
-let magnitude re im = Float.max (Float.abs re) (Float.abs im)
-
-let exponent_of m =
-  let _, e = Float.frexp m in
-  e
-
-let wkey_at p re im e =
-  let s = Float.ldexp 1.0 e in
-  ( e
-  , int_of_float (Float.round (re /. s /. p.tol))
-  , int_of_float (Float.round (im /. s /. p.tol)) )
-
-let wmatches p re im id =
-  let vre = p.wre.(id) and vim = p.wim.(id) in
-  let scale = Float.max (magnitude re im) (magnitude vre vim) in
-  Float.abs (vre -. re) <= p.tol *. scale && Float.abs (vim -. im) <= p.tol *. scale
-
-let wfind_in_bucket p key re im =
-  match Hashtbl.find_opt p.wbuckets key with
-  | None -> None
-  | Some cell -> List.find_opt (wmatches p re im) !cell
-
-let winsert p key id =
-  p.wcount <- p.wcount + 1;
-  match Hashtbl.find_opt p.wbuckets key with
-  | Some cell -> cell := id :: !cell
-  | None -> Hashtbl.add p.wbuckets key (ref [ id ])
-
+(* An edge carries its weight's id; [wvals] maps it back to the value. *)
 let weight p (z : Cx.t) =
   guard p;
-  let re = z.Cx.re and im = z.Cx.im in
-  let m = magnitude re im in
-  if m < hard_zero then begin
-    M.incr m_w_hits;
-    0
-  end
-  else if re = 1.0 && im = 0.0 then begin
-    M.incr m_w_hits;
-    1
-  end
-  else begin
-    let e = exponent_of m in
-    let probes =
-      List.concat_map
-        (fun de ->
-          let ke, kre, kim = wkey_at p re im (e + de) in
-          List.concat_map
-            (fun dre ->
-              List.map (fun dim -> (ke, kre + dre, kim + dim)) [ 0; 1; -1 ])
-            [ 0; 1; -1 ])
-        [ 0; 1; -1 ]
-    in
-    let rec probe = function
-      | [] ->
-        if wmatches p re im 1 then begin
-          M.incr m_w_hits;
-          1
-        end
-        else begin
-          let id = p.wnext in
-          if id >= 0xffffffff then failwith "Dd.Packed: weight table overflow";
-          if id >= Array.length p.wre then begin
-            let cap = 2 * Array.length p.wre in
-            let re' = Array.make cap 0.0 and im' = Array.make cap 0.0 in
-            Array.blit p.wre 0 re' 0 id;
-            Array.blit p.wim 0 im' 0 id;
-            p.wre <- re';
-            p.wim <- im'
-          end;
-          p.wre.(id) <- re;
-          p.wim.(id) <- im;
-          p.wnext <- id + 1;
-          winsert p (wkey_at p re im e) id;
-          M.incr m_w_inserts;
-          id
-        end
-      | key :: rest ->
-        (match wfind_in_bucket p key re im with
-         | Some id ->
-           M.incr m_w_hits;
-           id
-         | None -> probe rest)
-    in
-    probe probes
-  end
+  let v = Ct.lookup p.ctab z in
+  let id = v.Ct.id in
+  if id >= Array.length p.wvals || p.wvals.(id) != v then begin
+    if id >= 0xffffffff then failwith "Dd.Packed: weight table overflow";
+    if id >= Array.length p.wvals then begin
+      let a = Array.make (2 * Array.length p.wvals) Ct.zero in
+      Array.blit p.wvals 0 a 0 (Array.length p.wvals);
+      p.wvals <- a
+    end;
+    p.wvals.(id) <- v
+  end;
+  id
 
-let wf p id = Cx.make p.wre.(id) p.wim.(id)
+let wf p id = Ct.to_cx p.wvals.(id)
 
 (* -- node storage ------------------------------------------------------- *)
 
@@ -615,7 +536,7 @@ let clear_caches p =
 let compact p =
   guard p;
   M.incr m_gc_runs;
-  let nodes_before = live_nodes p and weights_before = p.wcount in
+  let nodes_before = live_nodes p and weights_before = Ct.size p.ctab in
   clear_caches p;
   Hashtbl.reset p.vtab;
   Hashtbl.reset p.mtab;
@@ -662,16 +583,10 @@ let compact p =
     root_medge p.idents.(i)
   done;
   Hashtbl.reset p.sigs;
-  Hashtbl.reset p.wbuckets;
-  p.wcount <- 2;
-  Hashtbl.iter
-    (fun id () ->
-      let re = p.wre.(id) and im = p.wim.(id) in
-      winsert p (wkey_at p re im (exponent_of (magnitude re im))) id)
-    weights;
+  Ct.rebuild p.ctab (Hashtbl.fold (fun id () acc -> p.wvals.(id) :: acc) weights []);
   p.gc_baseline <- live_nodes p;
   M.add m_gc_swept_nodes (nodes_before - live_nodes p);
-  M.add m_gc_swept_weights (max 0 (weights_before - p.wcount))
+  M.add m_gc_swept_weights (max 0 (weights_before - Ct.size p.ctab))
 
 let safepoint_hook : (t -> unit) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -689,7 +604,7 @@ let checkpoint p =
 let stats p =
   { Backend.vector_nodes = Hashtbl.length p.vtab
   ; matrix_nodes = Hashtbl.length p.mtab
-  ; weights = p.wcount
+  ; weights = Ct.size p.ctab
   }
 
 (* -- vector operations (ports of Vec) ----------------------------------- *)
@@ -1082,7 +997,7 @@ let mat_node_count p a =
 let mat_process_fidelity p a b ~n =
   let prod = mat_mul p (mat_adjoint p a) b in
   let tr = mat_trace p prod ~n in
-  Cx.abs tr /. float_of_int (1 lsl n)
+  Cx.abs tr /. Float.ldexp 1.0 n
 
 (* -- direct gate-application kernels ------------------------------------
 

@@ -135,6 +135,64 @@ let test_distribution_helpers () =
    | [ (_, p) ] -> Util.check_float "top-1" 0.5 p
    | _ -> Alcotest.fail "most_probable size")
 
+let exact_strategies =
+  [ Qcec.Strategy.Construction
+  ; Qcec.Strategy.Sequential
+  ; Qcec.Strategy.Proportional
+  ; Qcec.Strategy.Lookahead
+  ]
+
+(* the measurement-free static BV circuit on 64 qubits *)
+let bv_64 () =
+  let g = Circ.strip_measurements (Algorithms.Bv.static (Algorithms.Bv.hidden_string ~seed:5 63)) in
+  Alcotest.(check int) "64 qubits" 64 g.Circ.num_qubits;
+  g
+
+let with_ops (g : Circ.t) name ops =
+  Circ.make ~name ~qubits:g.Circ.num_qubits ~cbits:g.Circ.num_cbits (ops @ g.Circ.ops)
+
+(* Wide trace checks: a 2^n that wraps in a 63-bit int (n >= 62) must not
+   turn a fidelity of 1/sqrt 2 into one above the threshold. *)
+let test_fidelity_64_qubits () =
+  let g = bv_64 () in
+  let r = Qcec.Verify.approximate ~threshold:0.99 g (with_ops g "bv+s" [ Op.apply Gates.S 0 ]) in
+  Util.check_float "fidelity 1/sqrt 2" Cxnum.Cx.sqrt2_inv r.Qcec.Verify.process_fidelity;
+  Alcotest.(check bool) "not within 0.99" false r.Qcec.Verify.within
+
+(* A Z with 24 controls flips the sign of 2^39 of the 2^64 diagonal
+   entries, so Tr M = 2^64 - 2^40 passes any relative trace test with a
+   tolerance above 6e-8.  Every exact strategy must refute it. *)
+let test_controlled_z_64_qubits_refuted () =
+  let g = bv_64 () in
+  let controls = List.init 24 (fun i -> { Op.cq = i + 1; pos = true }) in
+  let g' = with_ops g "bv+c24z" [ Op.apply ~controls Gates.Z 0 ] in
+  List.iter
+    (fun strategy ->
+      let r = Qcec.Verify.functional ~strategy g g' in
+      let name = Qcec.Strategy.name strategy in
+      Alcotest.(check bool) (name ^ " refutes up to phase") false r.Qcec.Verify.equivalent;
+      Alcotest.(check bool) (name ^ " refutes exactly") false r.Qcec.Verify.exactly_equal)
+    exact_strategies
+
+(* A phase P(delta) on one wire leaves |Tr M| = dim |cos(delta/2)|, which
+   an up-to-phase trace test with a first-order threshold accepts for
+   delta up to about 9e-4.  Every exact strategy must refute delta = 1e-6. *)
+let test_small_phase_refuted () =
+  let pair = Algorithms.Qft.make 6 in
+  let g = pair.Pair.static_circuit in
+  let nudged = with_ops g "qft+p" [ Op.apply (Gates.P 1e-6) 3 ] in
+  List.iter
+    (fun strategy ->
+      let check g =
+        (Qcec.Verify.functional ~strategy ~perm:pair.Pair.dyn_to_static g
+           pair.Pair.dynamic_circuit)
+          .Qcec.Verify.equivalent
+      in
+      let name = Qcec.Strategy.name strategy in
+      Alcotest.(check bool) (name ^ " accepts QFT-6") true (check g);
+      Alcotest.(check bool) (name ^ " refutes P(1e-6) on wire 3") false (check nudged))
+    exact_strategies
+
 (* property: random unitary circuit is equivalent to itself composed with
    identity-preserving rewrites, and inequivalent to a mutated version *)
 let prop_self_equivalence =
@@ -171,6 +229,11 @@ let suite =
   ; Alcotest.test_case "global phase freedom" `Quick test_global_phase_freedom
   ; Alcotest.test_case "register width padding" `Quick test_qubit_count_mismatch
   ; Alcotest.test_case "distribution helpers" `Quick test_distribution_helpers
+  ; Alcotest.test_case "process fidelity on 64 qubits" `Quick test_fidelity_64_qubits
+  ; Alcotest.test_case "24-controlled Z on 64 qubits refuted" `Quick
+      test_controlled_z_64_qubits_refuted
+  ; Alcotest.test_case "small phase refuted by every exact strategy" `Quick
+      test_small_phase_refuted
   ; Util.qtest prop_self_equivalence
   ; Util.qtest prop_transform_then_check_random_dynamic
   ]
