@@ -5,7 +5,6 @@
      fig4      the extraction branching tree of the running example
      ablation  design-choice studies: QPE generator alignment, extraction
                pruning thresholds, parallel extraction, checking strategies
-     scaling   the batch engine's worker pool, 1 worker vs --jobs
      micro     Bechamel micro-benchmarks (one per table/figure)
 
    Run everything:       dune exec bench/main.exe
@@ -151,9 +150,6 @@ let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
 let json_path : string option ref = ref None
 let json_rows : (string * row) list ref = ref []
 
-(* filled by the scaling section, emitted as the "scaling" field *)
-let scaling_json : Obs.Json.t option ref = ref None
-
 let collect family row =
   if !json_path <> None then json_rows := (family, row) :: !json_rows
 
@@ -192,21 +188,16 @@ let write_json ~mode path =
           ])
       !families
   in
-  let scaling =
-    match !scaling_json with None -> [] | Some j -> [ ("scaling", j) ]
-  in
   let doc =
     Obs.Json.Obj
-      ([ ("schema", Obs.Json.String "qcec-bench/v1")
-       ; ("mode", Obs.Json.String mode)
-       ; ("backend", Obs.Json.String !backend_name)
-       ; ("table1", Obs.Json.List table1)
-       ]
-      @ scaling
-      @ [ ("failures", Obs.Json.Int !failures)
-        ; ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
-        ; ("spans", Obs.Span.to_json ())
-        ])
+      [ ("schema", Obs.Json.String "qcec-bench/v1")
+      ; ("mode", Obs.Json.String mode)
+      ; ("backend", Obs.Json.String !backend_name)
+      ; ("table1", Obs.Json.List table1)
+      ; ("failures", Obs.Json.Int !failures)
+      ; ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
+      ; ("spans", Obs.Span.to_json ())
+      ]
   in
   Obs.Json.to_file path doc
 
@@ -501,90 +492,6 @@ let ablation ~full () =
   ablation_optimizer ()
 
 (* ------------------------------------------------------------------ *)
-(* Scaling: the batch engine, sequential vs parallel                   *)
-(* ------------------------------------------------------------------ *)
-
-(* --jobs N for the scaling section (default: what the runtime
-   recommends, i.e. roughly the core count) *)
-let jobs_n = ref (Domain.recommended_domain_count ())
-
-(* Run one batch of independent verification jobs (the Table 1 families)
-   through the engine's worker pool, once on a single worker and once on
-   [--jobs] workers, and report the wall-clock speedup.  Verdicts must be
-   identical across the two runs — scheduling is not allowed to change
-   answers. *)
-let scaling ~full ~quick () =
-  pr "@.== Scaling: batch verification on the domain worker pool ==@.@.";
-  let pairs =
-    let bv n = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:n n) in
-    let qft n = Algorithms.Qft.make n in
-    let qpe m =
-      Algorithms.Qpe.make ~theta:(Algorithms.Qpe.random_theta ~seed:m ~bits:m) ~bits:m
-    in
-    if quick then List.map bv [ 8; 10 ] @ List.map qft [ 5; 6 ] @ List.map qpe [ 4; 5 ]
-    else if full then
-      List.map bv [ 48; 56; 64; 72 ]
-      @ List.map qft [ 9; 10; 11; 12 ]
-      @ List.map qpe [ 10; 11; 12; 13 ]
-    else
-      List.map bv [ 24; 28; 32; 36 ]
-      @ List.map qft [ 7; 8; 9; 10 ]
-      @ List.map qpe [ 8; 9; 10; 11 ]
-  in
-  let specs =
-    List.mapi
-      (fun index (pair : Pair.t) ->
-        Engine.Job.circuits ~perm:pair.Pair.dyn_to_static ~backend:!backend_name
-          ~index pair.Pair.static_circuit pair.Pair.dynamic_circuit)
-      pairs
-  in
-  let run workers =
-    Engine.Pool.run
-      { Engine.Pool.default_config with
-        Engine.Pool.workers
-      ; dd_config = !dd_config
-      }
-      specs
-  in
-  let check_verdicts (b : Engine.Pool.batch) =
-    List.iter
-      (fun (r : Engine.Job.result) ->
-        if not (Engine.Job.succeeded r) then
-          report_failure "scaling: %a@." Engine.Job.pp_result r)
-      b.Engine.Pool.results
-  in
-  let seq = run 1 in
-  check_verdicts seq;
-  let jobs = max 1 !jobs_n in
-  let par = run jobs in
-  check_verdicts par;
-  if
-    List.exists2
-      (fun (a : Engine.Job.result) (b : Engine.Job.result) ->
-        not (Engine.Job.same_outcome a.Engine.Job.outcome b.Engine.Job.outcome))
-      seq.Engine.Pool.results par.Engine.Pool.results
-  then report_failure "scaling: verdicts differ between 1 and %d workers!@." jobs;
-  let speedup =
-    if par.Engine.Pool.wall_seconds > 0.0 then
-      seq.Engine.Pool.wall_seconds /. par.Engine.Pool.wall_seconds
-    else 1.0
-  in
-  pr "%8s %10s@." "workers" "wall [s]";
-  pr "%8d %10.4f@." 1 seq.Engine.Pool.wall_seconds;
-  pr "%8d %10.4f@." jobs par.Engine.Pool.wall_seconds;
-  pr "@.%d jobs; speedup at %d workers: %.2fx@." (List.length pairs) jobs speedup;
-  scaling_json :=
-    Some
-      (Obs.Json.Obj
-         [ ("jobs", Obs.Json.Int (List.length pairs))
-         ; ("workers", Obs.Json.Int jobs)
-         ; ("wall_seconds_sequential", Obs.Json.Float seq.Engine.Pool.wall_seconds)
-         ; ("wall_seconds_parallel", Obs.Json.Float par.Engine.Pool.wall_seconds)
-         ; ("speedup", Obs.Json.Float speedup)
-         ; ("batch", Engine.Results.aggregate par)
-         ])
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
 (* ------------------------------------------------------------------ *)
 
@@ -657,9 +564,6 @@ let () =
       let n = int_opt "--gc-threshold" n in
       set_dd_config (fun cfg -> { cfg with Dd.Pkg.gc_threshold = Some n });
       extract_opts acc rest
-    | "--jobs" :: n :: rest ->
-      jobs_n := int_opt "--jobs" n;
-      extract_opts acc rest
     | "--backend" :: name :: rest ->
       backend_name := name;
       ignore (backend_module ()) (* unknown names exit 2 before any work *);
@@ -675,16 +579,14 @@ let () =
     | "table1" -> table1 ~full ~quick ()
     | "fig4" -> fig4 ()
     | "ablation" -> ablation ~full ()
-    | "scaling" -> scaling ~full ~quick ()
     | "micro" -> micro ()
     | "all" ->
       table1 ~full ~quick ();
       fig4 ();
       ablation ~full ();
-      scaling ~full ~quick ();
       micro ()
     | other ->
-      Fmt.epr "unknown section %S (expected table1|fig4|ablation|scaling|micro|all)@."
+      Fmt.epr "unknown section %S (expected table1|fig4|ablation|micro|all)@."
         other;
       exit 2
   in

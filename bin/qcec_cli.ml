@@ -924,8 +924,8 @@ let batch_cmd =
       & opt int (Domain.recommended_domain_count ())
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains (default: the runtime's recommended domain \
-             count); clamped to the number of jobs")
+            "Workers, the calling domain included (default: the runtime's \
+             recommended domain count); clamped to the number of jobs")
   in
   let out =
     Arg.(

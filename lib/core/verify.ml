@@ -354,7 +354,7 @@ let m_port_cancelled = Obs.Metrics.counter "portfolio.cancelled"
 
 (* Raised inside a losing candidate's safepoint hook the moment another
    candidate has published a verdict: the loser unwinds mid-check and its
-   domain (package included) is discarded. *)
+   package is dropped with it. *)
 exception Lost
 
 let pp_candidate_outcome ppf = function
@@ -429,53 +429,59 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
             in
             (r, now () -. t))
     in
-    (* publish before returning: losers must be able to observe the
-       verdict while this domain is still being joined.  Only definitive
+    (* publish before returning, so the others unwind at their next
+       safepoint instead of running to the end.  Only definitive
        verdicts claim the race — a simulative all-shots-pass is
        probabilistic, so it must not cancel the exact deciders (it may
        still serve as a flagged fallback if nobody else finishes). *)
-    let won =
-      match r with
-      | Ok fr when not (simulative strategy && fr.equivalent) ->
-        Atomic.compare_and_set winner (-1) i
-      | Ok _ | Error _ -> false
-    in
-    (r, won, seed, wall, Obs.Metrics.snapshot (), Obs.Span.report ())
+    (match r with
+     | Ok fr when not (simulative strategy && fr.equivalent) ->
+       ignore (Atomic.compare_and_set winner (-1) i)
+     | Ok _ | Error _ -> ());
+    (r, seed, wall)
   in
-  let joined =
-    (* one domain per candidate, the first included: the race is uniform
-       and the caller's domain just coordinates.  Spawning is protected: if
-       [Domain.spawn] fails partway (domain exhaustion under a racing batch
-       pool), the race is aborted via the winner cell — [max_int] makes the
-       already-running candidates unwind at their next safepoint — and every
-       spawned domain is joined before the spawn failure propagates. *)
-    let spawned = ref [] in
-    (try
-       List.iteri
-         (fun i c ->
-           spawned := Domain.spawn (fun () -> run_candidate i c) :: !spawned)
-         candidates
-     with e ->
-       ignore (Atomic.compare_and_set winner (-1) max_int);
-       List.iter
-         (fun d ->
-           match Domain.join d with
-           | (_, _, _, _, m, spans) ->
-             Obs.Metrics.absorb m;
-             Obs.Span.absorb spans
-           | exception _ -> ())
-         !spawned;
-       raise e);
-    List.map Domain.join (List.rev !spawned)
+  (* Candidate 0 runs on the calling domain and only the others get a
+     domain of their own, so the caller reaches [Domain.join] only once its
+     own candidate is done.  A spawned candidate's registries hold exactly
+     its own work; they are folded into the caller at join, so per-job
+     metric diffs taken by callers (the batch pool) account for the whole
+     race.  Candidate 0's work is already in the caller's registries. *)
+  let spawned = ref [] in
+  let join d =
+    let c, m, spans = Domain.join d in
+    Obs.Metrics.absorb m;
+    Obs.Span.absorb spans;
+    (c, m)
   in
+  let first =
+    match
+      List.iteri
+        (fun i c ->
+          if i > 0 then
+            spawned :=
+              Domain.spawn (fun () ->
+                let r = run_candidate i c in
+                (r, Obs.Metrics.snapshot (), Obs.Span.report ()))
+              :: !spawned)
+        candidates;
+      let m0 = Obs.Metrics.snapshot () in
+      let r = run_candidate 0 (List.hd candidates) in
+      (r, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
+    with
+    | first -> first
+    | exception e ->
+      (* a spawn failed partway (domain exhaustion under a racing batch
+         pool) or the caller's own candidate raised: abort the race through
+         the winner cell — [max_int] makes the running candidates unwind at
+         their next safepoint — and join every spawned domain before the
+         exception propagates *)
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set winner (-1) max_int);
+      List.iter (fun d -> try ignore (join d) with _ -> ()) !spawned;
+      Printexc.raise_with_backtrace e bt
+  in
+  let joined = first :: List.rev_map join !spawned in
   let t_wall = now () -. t0 in
-  (* fold every candidate's DD work into this domain so per-job metric
-     diffs taken by callers (the batch pool) account for the whole race *)
-  List.iter
-    (fun (_, _, _, _, m, spans) ->
-      Obs.Metrics.absorb m;
-      Obs.Span.absorb spans)
-    joined;
   let decided = Atomic.get winner in
   let winner_index =
     if decided >= 0 then Some decided
@@ -487,7 +493,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
          such finisher, flagged via [winner_definitive = false]. *)
       let rec first_ok i = function
         | [] -> None
-        | (Ok _, _, _, _, _, _) :: _ -> Some i
+        | ((Ok _, _, _), _) :: _ -> Some i
         | _ :: rest -> first_ok (i + 1) rest
       in
       first_ok 0 joined
@@ -496,7 +502,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
   let reports =
     let idx = ref (-1) in
     List.map2
-      (fun (strategy, backend) (r, _, seed, wall, m, _) ->
+      (fun (strategy, backend) ((r, seed, wall), m) ->
         incr idx;
         let outcome =
           match r with
@@ -526,7 +532,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
        classify the race exactly like a solo run of their lead pick. *)
     (match
        List.find_map
-         (fun (r, _, _, _, _, _) ->
+         (fun ((r, _, _), _) ->
            match r with Error e when e <> Lost -> Some e | _ -> None)
          joined
      with
@@ -535,7 +541,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
   | Some w ->
     let winner_result =
       match List.nth joined w with
-      | Ok r, _, _, _, _, _ -> r
+      | (Ok r, _, _), _ -> r
       | _ -> assert false
     in
     { winner = winner_result

@@ -197,10 +197,16 @@ type candidate_report =
         (** derived seed: {!candidate_seed} of the race seed and the
             candidate index *)
   ; c_outcome : candidate_outcome
-  ; c_wall : float  (** seconds from spawn to verdict/cancellation *)
+  ; c_wall : float
+        (** seconds from the candidate's start on its domain to its
+            verdict, failure or cancellation *)
   ; c_metrics : Obs.Metrics.snapshot
-        (** the candidate domain's full metric registry (the domain does
-            nothing else, so this is exactly its attributable work) *)
+        (** the metrics attributable to this candidate: for candidate 0,
+            which runs on the calling domain, the diff of that domain's
+            registry over its run (peak gauges then keep the domain's
+            lifetime peak, as in {!functional_result.metrics}); for every
+            other candidate, the full registry of the domain spawned for
+            it, which does nothing else *)
   }
 
 type portfolio_result =
@@ -227,13 +233,20 @@ type portfolio_result =
     with job [j+1]'s candidate 0. *)
 val candidate_seed : seed:int -> candidate:int -> int
 
-(** [portfolio ~candidates g g'] races one spawned domain per candidate
+(** [portfolio ~candidates g g'] races the candidates
     [(strategy, backend)] — each with its own DD package on its own
-    registry backend — and returns the first definitive verdict.  The
-    instant a candidate publishes, every other candidate observes it at
-    its next safepoint ([Pkg.checkpoint]) and unwinds; per-candidate
-    metrics and spans are folded into the calling domain at join, so a
-    batch worker's per-job metric diff covers the whole race.
+    registry backend — and returns the first definitive verdict.
+    Candidate 0 runs on the calling domain and every other candidate on a
+    domain spawned for it, so a width-[k] race spawns [k - 1] domains and
+    joins them all before it returns or raises.  While candidate 0 runs,
+    its safepoint hook replaces any hook the caller installed on its
+    backend ({!Dd.Pkg.set_safepoint_hook}), and it is cleared afterwards.
+    The instant a candidate publishes, every other candidate observes it
+    at its next safepoint ([Pkg.checkpoint]) and unwinds.  Candidate 0's
+    metrics and spans land in the calling domain's registries as it runs;
+    the spawned candidates' are folded into them at join, so a batch
+    worker's per-job metric diff covers the whole race, each candidate
+    once.
 
     [seed] is the {e race} seed; candidate [i] runs under
     [candidate_seed ~seed ~candidate:i], so simulative candidates draw
@@ -254,11 +267,11 @@ val candidate_seed : seed:int -> candidate:int -> int
     the first such finisher become the winner, with
     [winner_definitive = false].  If {e no} candidate finishes, the
     first candidate's failure is re-raised so callers classify the race
-    like a solo run.  If a candidate domain fails to spawn, the
-    already-running candidates are unwound and joined before the spawn
-    failure propagates.  Increments [portfolio.races] once and
-    [portfolio.cancelled] per cancelled candidate.  Raises
-    [Invalid_argument] on an empty candidate list. *)
+    like a solo run.  If a candidate domain fails to spawn, or the
+    calling domain's own share raises, the running candidates are unwound
+    and joined before the exception propagates.  Increments
+    [portfolio.races] once and [portfolio.cancelled] per cancelled
+    candidate.  Raises [Invalid_argument] on an empty candidate list. *)
 val portfolio :
      candidates:(Strategy.t * string) list
   -> ?perm:int array

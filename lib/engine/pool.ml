@@ -112,10 +112,11 @@ let with_guard (module B : Dd.Backend.S) ~deadline ~node_limit ~control f =
 
 (* Portfolio jobs want extra domains for their candidate races, but the
    pool's domain budget is [config.workers] — full stop.  The bank tracks
-   the free slots: every running job holds one (its worker), and a
-   portfolio job may additionally borrow whatever is free at its start,
-   non-blockingly, so a busy pool degrades the race width instead of
-   oversubscribing the machine. *)
+   the free slots: every running job holds one (its worker, which also
+   runs a race's candidate 0), and a portfolio job may additionally borrow
+   whatever is free at its start, non-blockingly, spawning one candidate
+   domain per borrowed slot, so a busy pool degrades the race width
+   instead of oversubscribing the machine. *)
 type bank =
   { bl : Mutex.t
   ; bc : Condition.t
@@ -159,7 +160,7 @@ let rec take_at_most k = function
 
 (* The racing attempt: compose a candidate field for the pair (the pinned
    strategy, if any, leads it) and hand the race to [Qcec.Verify.portfolio].
-   The safepoint closure runs [check_budget] on the candidate domains,
+   The safepoint closure runs [check_budget] on every candidate's domain,
    where the DD safepoints actually fire, and reports progress under a
    ["race:<candidate>"] phase so SSE consumers see who is currently leading
    the pack. *)
@@ -185,7 +186,7 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
       in
       let candidates = List.map (fun s -> (s, spec.backend)) strategies in
       let t0 = now () in
-      (* the throttle is shared by every candidate domain, hence the lock *)
+      (* the throttle is shared by every candidate, hence the lock *)
       let beat_lock = Mutex.create () in
       let last_beat = ref t0 in
       let safepoint ~candidate ~live_nodes =
@@ -392,10 +393,10 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
 
 (* -- the pool ---------------------------------------------------------- *)
 
-(* Worker domains stay alive across submissions: jobs arrive one at a time
-   (the daemon's admission queue feeds them in, [run] submits a whole
-   batch) and each completion is delivered through its own callback, on
-   the worker domain that ran it.  Queueing here is deliberately
+(* Workers stay alive across submissions: jobs arrive one at a time (the
+   daemon's admission queue feeds them in, [run] submits a whole batch)
+   and each completion is delivered through its own callback, on the
+   domain of the worker that ran it.  Queueing here is deliberately
    unbounded — admission control (bounded queue, 429s) is the caller's
    policy, not the pool's.  Each job builds its own [Dd.Pkg.t] inside
    [Verify.functional], so packages never cross domains (and the package
@@ -457,21 +458,23 @@ let worker pool wid () =
   in
   loop ()
 
-let create (cfg : config) =
+(* a pool with no worker running yet *)
+let make (cfg : config) =
   let workers = max 1 cfg.workers in
   M.observe m_workers workers;
-  let pool =
-    { pcfg = { cfg with workers }
-    ; lock = Mutex.create ()
-    ; nonempty = Condition.create ()
-    ; queue = Queue.create ()
-    ; pbank = bank workers
-    ; stopping = false
-    ; active = 0
-    ; domains = []
-    }
-  in
-  pool.domains <- List.init workers (fun wid -> Domain.spawn (worker pool wid));
+  { pcfg = { cfg with workers }
+  ; lock = Mutex.create ()
+  ; nonempty = Condition.create ()
+  ; queue = Queue.create ()
+  ; pbank = bank workers
+  ; stopping = false
+  ; active = 0
+  ; domains = []
+  }
+
+let create cfg =
+  let pool = make cfg in
+  pool.domains <- List.init pool.pcfg.workers (fun wid -> Domain.spawn (worker pool wid));
   pool
 
 let submit pool ?control ~on_done spec =
@@ -504,12 +507,11 @@ let stop ~drain pool =
       with _ -> ())
     abandoned
 
-(* Join the workers and fold their registries into the calling domain, so
-   process-level reports ([qcec_cli stats], the daemon's metrics, bench
-   output) see the pool's work; the per-worker readings are returned for
-   [run]'s batch aggregate. *)
-let shutdown_harvest ~drain pool =
-  stop ~drain pool;
+(* Join the worker domains and fold their registries into the calling
+   domain, so process-level reports ([qcec_cli stats], the daemon's
+   metrics, bench output) see the pool's work; the per-worker readings are
+   returned for [run]'s batch aggregate. *)
+let join_workers pool =
   let harvests = List.map Domain.join pool.domains in
   pool.domains <- [];
   List.iter
@@ -519,19 +521,24 @@ let shutdown_harvest ~drain pool =
     harvests;
   harvests
 
-let shutdown ?(drain = true) pool = ignore (shutdown_harvest ~drain pool)
+let shutdown ?(drain = true) pool =
+  stop ~drain pool;
+  ignore (join_workers pool)
 
 (* A batch is the pool run to completion: one submission per spec, then a
-   draining shutdown.  [on_result] runs under [lock], in completion order.
-   If it raises (say EPIPE on a closed stdout), queued jobs are dropped
-   and [run] re-raises once the workers are joined. *)
+   draining stop, with [workers - 1] spawned worker domains and the
+   calling domain running the last worker loop itself.  [on_result] runs
+   under [lock], in completion order.  If it raises (say EPIPE on a closed
+   stdout), queued jobs are dropped and [run] re-raises once the workers
+   are joined. *)
 let run (cfg : config) specs =
   let n = List.length specs in
-  (* scheduling counters land on the calling domain; remember the delta so
-     the batch aggregate (merged from worker registries) includes them *)
-  let m_before = M.snapshot () in
+  (* the calling domain's registries gain the scheduling counters and its
+     own worker's jobs; their diffs over the run are its batch harvest *)
+  let m_before = M.snapshot () and s_before = Obs.Span.report () in
   let t0 = now () in
-  let pool = create { cfg with workers = min cfg.workers (max 1 n) } in
+  let pool = make { cfg with workers = min cfg.workers (max 1 n) } in
+  let workers = pool.pcfg.workers in
   let lock = Mutex.create () in
   let results = Array.make n None in
   let failure = ref None in
@@ -554,8 +561,26 @@ let run (cfg : config) specs =
   (* a submission refused because a callback already failed is moot: the
      failure is re-raised below *)
   List.iteri (fun i spec -> ignore (submit pool ~on_done:(on_done i) spec)) specs;
-  let scheduling_delta = M.diff ~before:m_before ~after:(M.snapshot ()) in
-  let harvests = shutdown_harvest ~drain:true pool in
+  stop ~drain:true pool;
+  (match
+     for wid = 0 to workers - 2 do
+       pool.domains <- Domain.spawn (worker pool wid) :: pool.domains
+     done;
+     ignore (worker pool (workers - 1) ())
+   with
+   | () -> ()
+   | exception e ->
+     (* a spawn failed partway or the caller's own loop raised: drop the
+        queue and join every spawned worker before re-raising *)
+     let bt = Printexc.get_raw_backtrace () in
+     stop ~drain:false pool;
+     (try ignore (join_workers pool) with _ -> ());
+     Printexc.raise_with_backtrace e bt);
+  let own =
+    ( M.diff ~before:m_before ~after:(M.snapshot ())
+    , Obs.Span.diff ~before:s_before ~after:(Obs.Span.report ()) )
+  in
+  let harvests = own :: join_workers pool in
   let wall_seconds = now () -. t0 in
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   let spans =
@@ -579,7 +604,7 @@ let run (cfg : config) specs =
   in
   { results = Array.to_list results |> List.map Option.get
   ; wall_seconds
-  ; workers = pool.pcfg.workers
-  ; metrics = M.merge (scheduling_delta :: List.map fst harvests)
+  ; workers
+  ; metrics = M.merge (List.map fst harvests)
   ; spans
   }

@@ -78,7 +78,8 @@ type config =
   ; lint : bool  (** run the lint pre-flight before each verification *)
   ; on_result : (Job.result -> unit) option
         (** {!run}'s streaming callback, invoked under one lock as each job
-            finishes (from a worker domain, in completion order) *)
+            finishes (on the domain of the worker that ran it, the calling
+            domain included, in completion order) *)
   ; cache : Cache_store.Store.t option
         (** verdict store shared by every worker (lookups are lock-free,
             inserts serialize inside the store); jobs with
@@ -94,29 +95,34 @@ type batch =
   ; wall_seconds : float
   ; workers : int  (** domains actually used *)
   ; metrics : Obs.Metrics.snapshot
-        (** merged worker registries — exactly the batch's work *)
-  ; spans : Obs.Span.entry list  (** merged worker span reports *)
+        (** merged worker registries — exactly the batch's work; the
+            calling domain contributes its diff over the run *)
+  ; spans : Obs.Span.entry list
+        (** merged worker span reports, the calling domain's as a diff *)
   }
 
-(** [run config specs] executes the batch and blocks until every job has a
-    result: it is {!create} (workers clamped to the job count), one
-    {!submit} per spec, and [shutdown ~drain:true].  Worker domains are
-    always spawned (also for [workers = 1]), so single- and multi-worker
-    runs execute identically.  If [config.on_result] raises, the jobs
-    still queued are dropped and [run] re-raises that exception once the
+(** [run config specs] executes the batch and returns once every job has
+    a result: one {!submit} per spec and a draining stop, with [workers]
+    clamped to the job count.  The calling domain runs the last worker
+    itself and spawns only the other [workers - 1] domains, so
+    [workers = 1] spawns none; every spawned domain is joined before [run]
+    returns or raises.  If [config.on_result] raises, the jobs still
+    queued are dropped and [run] re-raises that exception once the
     workers have exited.
 
     Jobs with [spec.portfolio = Some w] ([w >= 2]) race candidate deciders
-    via [Qcec.Verify.portfolio].  Candidate domains are borrowed from the
-    worker budget: the pool never runs more than [config.workers] domains
-    at once, so on a busy pool a race is granted fewer lanes (down to a
-    single candidate) rather than oversubscribing the machine. *)
+    via [Qcec.Verify.portfolio]: the job's worker runs candidate 0 and
+    every other candidate's domain is borrowed from the worker budget.
+    The pool never runs more than [config.workers] domains at once, so on
+    a busy pool a race is granted fewer lanes (down to a single
+    candidate) rather than oversubscribing the machine. *)
 val run : config -> Job.spec list -> batch
 
 (** {1 Persistent pool}
 
-    The daemon's execution substrate, and {!run}'s: [config.workers]
-    domains stay alive across submissions.  Jobs are queued (unboundedly —
+    The daemon's execution substrate: {!create} spawns all
+    [config.workers] domains, and they stay alive across submissions
+    until {!shutdown}.  Jobs are queued (unboundedly —
     admission control is the {e caller's} policy) and every completion is
     delivered through its own callback, invoked on the worker domain that
     ran the job.  [config.on_result] is ignored in this mode. *)

@@ -77,6 +77,15 @@ let absorb entries =
       a.total_ns <- Int64.add a.total_ns (Int64.of_float (e.seconds *. 1e9)))
     entries
 
+let diff ~before ~after =
+  List.filter_map
+    (fun e ->
+      match List.find_opt (fun b -> String.equal b.path e.path) before with
+      | None -> Some e
+      | Some b when b.count = e.count -> None
+      | Some b -> Some { e with count = e.count - b.count; seconds = e.seconds -. b.seconds })
+    after
+
 let reset () =
   let st = Domain.DLS.get state_key in
   Hashtbl.reset st.table;

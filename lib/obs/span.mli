@@ -31,6 +31,11 @@ val report : unit -> entry list
     domain's aggregates (counts and durations accumulate). *)
 val absorb : entry list -> unit
 
+(** [diff ~before ~after] is what two reports of one domain say was
+    recorded in between: counts and durations are subtracted, and paths
+    that completed no span in the interval are dropped. *)
+val diff : before:entry list -> after:entry list -> entry list
+
 (** Drop the calling domain's aggregates and any stale nesting state. *)
 val reset : unit -> unit
 

@@ -211,17 +211,41 @@ module Make (B : Dd.Backend.S) = struct
           (Bytes.make c.Circ.num_cbits '0');
         (dist, counters)
       in
-      (* run at most [domains] tasks simultaneously *)
+      (* run at most [domains] tasks simultaneously: the first of each
+         batch on the calling domain, the others on domains of their own,
+         whose registries are folded into the caller at join *)
       let results = Array.make tasks None in
+      let join (idx, h) =
+        let r, m, spans = Domain.join h in
+        M.absorb m;
+        Obs.Span.absorb spans;
+        results.(idx) <- Some r
+      in
       Obs.Span.with_ "extract.walk.parallel" (fun () ->
         let next = ref 0 in
         while !next < tasks do
-          let batch = min domains (tasks - !next) in
-          let handles =
-            List.init batch (fun i -> (!next + i, Domain.spawn (task_of (!next + i))))
-          in
-          List.iter (fun (idx, h) -> results.(idx) <- Some (Domain.join h)) handles;
-          next := !next + batch
+          let first = !next in
+          let batch = min domains (tasks - first) in
+          let spawned = ref [] in
+          (match
+             for idx = first + 1 to first + batch - 1 do
+               spawned :=
+                 ( idx
+                 , Domain.spawn (fun () ->
+                     let r = task_of idx () in
+                     (r, M.snapshot (), Obs.Span.report ())) )
+                 :: !spawned
+             done;
+             results.(first) <- Some (task_of first ())
+           with
+           | () -> ()
+           | exception e ->
+             (* join what was spawned before the caller's failure escapes *)
+             let bt = Printexc.get_raw_backtrace () in
+             List.iter (fun h -> try join h with _ -> ()) !spawned;
+             Printexc.raise_with_backtrace e bt);
+          List.iter join !spawned;
+          next := first + batch
         done);
       let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
       let counters = new_counters () in

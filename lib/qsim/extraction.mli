@@ -55,12 +55,14 @@ module Make (B : Dd.Backend.S) : sig
 
       [cutoff] prunes branches with accumulated probability at or below it
       (default [1e-12]).  [domains] > 1 distributes the first branch points
-      over that many OCaml domains, each re-simulating its forced prefix
-      with a private DD package (the paper notes the branches are
-      embarrassingly parallel; its own evaluation is sequential, and so is
-      the default here).  [dd_config] bounds the DD packages' operation
-      caches and enables automatic compaction; the walk roots the state of
-      every pending branch, so mid-walk sweeps are safe. *)
+      over that many OCaml domains, the calling one included, each
+      re-simulating its forced prefix with a private DD package (the paper
+      notes the branches are embarrassingly parallel; its own evaluation is
+      sequential, and so is the default here).  The spawned domains'
+      metrics and spans are folded into the caller's at join.  [dd_config]
+      bounds the DD packages' operation caches and enables automatic
+      compaction; the walk roots the state of every pending branch, so
+      mid-walk sweeps are safe. *)
   val run :
        ?cutoff:float
     -> ?domains:int

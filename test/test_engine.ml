@@ -95,6 +95,22 @@ let test_worker_count_equivalence () =
        v.Job.equivalent
    | Job.Failed _ -> Alcotest.fail "job 0 unexpectedly failed")
 
+(* [run] spawns [workers - 1] domains and runs the last worker on the
+   calling domain, so a one-worker batch runs every job here *)
+let test_caller_runs_last_worker () =
+  let caller = (Domain.self () :> int) in
+  let seen = ref [] in
+  let batch =
+    run ~workers:1
+      ~on_result:(fun _ -> seen := (Domain.self () :> int) :: !seen)
+      (specs_of_pairs (List.init 3 bv_pair))
+  in
+  Alcotest.(check (list int)) "on_result runs on the calling domain"
+    [ caller; caller; caller ] !seen;
+  List.iter
+    (fun (r : Job.result) -> Alcotest.(check int) "the caller is worker 0" 0 r.Job.worker)
+    batch.Pool.results
+
 (* per-job seeds derived from one batch seed keep simulative verdicts
    identical across worker counts *)
 let test_seeded_stimuli_deterministic () =
@@ -191,20 +207,31 @@ let test_batch_metrics () =
       Obs.Span.reset ())
     (fun () ->
       let n = 4 in
-      let batch = run ~workers:2 (specs_of_pairs (List.init n bv_pair)) in
-      let find = Obs.Metrics.find batch.Pool.metrics in
-      Alcotest.(check int) "scheduled = jobs" n (find "engine.jobs.scheduled");
-      Alcotest.(check int) "completed = jobs" n (find "engine.jobs.completed");
-      Alcotest.(check int) "no failures" 0 (find "engine.jobs.failed");
-      Alcotest.(check bool) "workers peak recorded" true
-        (find "engine.workers.peak" >= 1);
-      Alcotest.(check bool) "DD work is attributed to the batch" true
-        (find "dd.unique.mat.inserts" > 0);
+      (* the second batch runs after the first was folded into this
+         domain: its own jobs must still be counted once *)
       List.iter
-        (fun (r : Job.result) ->
-          Alcotest.(check bool) "per-job metrics carry DD work" true
-            (Obs.Metrics.find r.Job.metrics "dd.unique.mat.inserts" > 0))
-        batch.Pool.results)
+        (fun workers ->
+          let batch = run ~workers (specs_of_pairs (List.init n bv_pair)) in
+          let find = Obs.Metrics.find batch.Pool.metrics in
+          Alcotest.(check int) "scheduled = jobs" n (find "engine.jobs.scheduled");
+          Alcotest.(check int) "completed = jobs" n (find "engine.jobs.completed");
+          Alcotest.(check int) "no failures" 0 (find "engine.jobs.failed");
+          Alcotest.(check int) "one package per job" n (find "dd.pkg.created");
+          Alcotest.(check bool) "workers peak recorded" true
+            (find "engine.workers.peak" >= 1);
+          Alcotest.(check bool) "DD work is attributed to the batch" true
+            (find "dd.unique.mat.inserts" > 0);
+          Alcotest.(check bool) "spans cover every job" true
+            (List.exists
+               (fun (e : Obs.Span.entry) ->
+                 e.path = "verify.functional.check" && e.count = n)
+               batch.Pool.spans);
+          List.iter
+            (fun (r : Job.result) ->
+              Alcotest.(check bool) "per-job metrics carry DD work" true
+                (Obs.Metrics.find r.Job.metrics "dd.unique.mat.inserts" > 0))
+            batch.Pool.results)
+        [ 2; 1 ])
 
 (* -- manifests ---------------------------------------------------------- *)
 
@@ -451,6 +478,8 @@ let suite =
       test_on_result_exception
   ; Alcotest.test_case "verdicts independent of worker count" `Quick
       test_worker_count_equivalence
+  ; Alcotest.test_case "the caller runs the last worker" `Quick
+      test_caller_runs_last_worker
   ; Alcotest.test_case "seeded stimuli deterministic" `Quick
       test_seeded_stimuli_deterministic
   ; Alcotest.test_case "timeout and bounded retry" `Quick test_timeout_and_retries

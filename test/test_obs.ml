@@ -113,12 +113,18 @@ let test_span_absorb () =
         Span.report ())
       |> Domain.join
     in
+    let before = Span.report () in
     Span.absorb worker;
-    match List.find_opt (fun (e : Span.entry) -> e.path = "absorbed") (Span.report ()) with
-    | Some e ->
-      Alcotest.(check int) "absorbed counts accumulate" 3 e.count;
-      Alcotest.(check bool) "absorbed durations accumulate" true (e.seconds >= 0.0)
-    | None -> Alcotest.fail "absorbed span path missing")
+    (match List.find_opt (fun (e : Span.entry) -> e.path = "absorbed") (Span.report ()) with
+     | Some e ->
+       Alcotest.(check int) "absorbed counts accumulate" 3 e.count;
+       Alcotest.(check bool) "absorbed durations accumulate" true (e.seconds >= 0.0)
+     | None -> Alcotest.fail "absorbed span path missing");
+    Span.with_ "later" (fun () -> ());
+    let counts entries = List.map (fun (e : Span.entry) -> (e.path, e.count)) entries in
+    Alcotest.(check (list (pair string int))) "diff keeps only what was recorded in between"
+      [ ("absorbed", 2); ("later", 1) ]
+      (counts (Span.diff ~before ~after:(Span.report ()))))
 
 let test_span_survives_exception () =
   with_metrics (fun () ->

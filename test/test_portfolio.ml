@@ -211,6 +211,103 @@ let test_loser_cancellation () =
       Alcotest.(check int) "portfolio.cancelled counts the loser" 1
         (after - before))
 
+(* Candidate 0 runs on the calling domain and candidate 1 on a domain
+   spawned for it.  Candidate 1 waits at its safepoints until candidate 0
+   has reported one, so both report before the race ends; candidate 0
+   sleeps at each of its own, so candidate 1 wins. *)
+let test_race_runs_candidate_0_on_caller () =
+  let c = (Algorithms.Qft.make 5).Pair.static_circuit in
+  let first = Qcec.Strategy.name Qcec.Strategy.Sequential in
+  let seen = Atomic.make [] in
+  let rec record x =
+    let l = Atomic.get seen in
+    if not (Atomic.compare_and_set seen l (x :: l)) then record x
+  in
+  let domains_of name =
+    List.sort_uniq compare
+      (List.filter_map (fun (c, d) -> if c = name then Some d else None) (Atomic.get seen))
+  in
+  let r =
+    Qcec.Verify.portfolio
+      ~candidates:
+        [ (Qcec.Strategy.Sequential, "classic"); (Qcec.Strategy.Proportional, "classic") ]
+      ~seed:1
+      ~safepoint:(fun ~candidate ~live_nodes:_ ->
+        record (candidate, (Domain.self () :> int));
+        if candidate = first then Unix.sleepf 0.002
+        else begin
+          let give_up = Unix.gettimeofday () +. 5.0 in
+          while domains_of first = [] && Unix.gettimeofday () < give_up do
+            Unix.sleepf 0.001
+          done
+        end)
+      c c
+  in
+  let caller = (Domain.self () :> int) in
+  Alcotest.(check bool) "the race verdict is correct" true
+    r.Qcec.Verify.winner.Qcec.Verify.equivalent;
+  Alcotest.(check (list int)) "candidate 0 runs on the calling domain" [ caller ]
+    (domains_of first);
+  match domains_of (Qcec.Strategy.name Qcec.Strategy.Proportional) with
+  | [ d ] -> Alcotest.(check bool) "candidate 1 runs on a spawned domain" true (d <> caller)
+  | ds -> Alcotest.failf "candidate 1 reported from %d domains" (List.length ds)
+
+(* Each candidate's work is counted once: in its own report, and in the
+   calling domain's registry.  The caller builds a package first, so a
+   report that took the caller's whole registry would read at least 2,
+   and folding candidate 0's report back into the caller would count its
+   package twice. *)
+let test_race_metrics_counted_once () =
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ();
+      Obs.Span.reset ())
+    (fun () ->
+      let pair = bv_pair 2 in
+      let a = pair.Pair.static_circuit and b = pair.Pair.dynamic_circuit in
+      let perm = pair.Pair.dyn_to_static in
+      ignore (Qcec.Verify.functional ~perm a b);
+      let created () = Obs.Metrics.find (Obs.Metrics.snapshot ()) "dd.pkg.created" in
+      let before = created () in
+      let r =
+        Qcec.Verify.portfolio
+          ~candidates:
+            [ (Qcec.Strategy.Proportional, "classic"); (Qcec.Strategy.Lookahead, "classic") ]
+          ~perm a b
+      in
+      Alcotest.(check int) "the race adds one package per candidate" 2
+        (created () - before);
+      List.iteri
+        (fun i (c : Qcec.Verify.candidate_report) ->
+          Alcotest.(check int)
+            (Fmt.str "candidate %d reports its own package" i)
+            1
+            (Obs.Metrics.find c.Qcec.Verify.c_metrics "dd.pkg.created"))
+        r.Qcec.Verify.candidates)
+
+(* A phase-only S on the last wire of QFT-10: basis stimuli cannot see
+   it, so the exact candidates must refute it. *)
+let test_race_refutes_high_wire_phase () =
+  let n = 10 in
+  let qft = Circuit.Circ.strip_measurements (Algorithms.Qft.static n) in
+  let mutant =
+    Circuit.Circ.make ~name:"qft_s" ~qubits:n ~cbits:qft.Circuit.Circ.num_cbits
+      (qft.Circuit.Circ.ops @ [ Circuit.Op.apply Circuit.Gates.S (n - 1) ])
+  in
+  let kind = Analysis.Classify.pair_kind qft mutant in
+  let candidates =
+    Analysis.Classify.compose_portfolio ~width:2 kind (Analysis.Cost.profile qft)
+      (Analysis.Cost.profile mutant)
+    |> List.map (fun c -> (Qcec.Strategy.of_candidate c, "classic"))
+  in
+  let r = Qcec.Verify.portfolio ~candidates ~seed:3 qft mutant in
+  Alcotest.(check bool) "the race refutes the mutant" false
+    r.Qcec.Verify.winner.Qcec.Verify.equivalent;
+  Alcotest.(check bool) "the refutation is definitive" true
+    r.Qcec.Verify.winner_definitive
+
 (* The soundness trap the race must not fall into: classical basis
    stimuli are deterministically blind to phase-only discrepancies
    (state fidelity is |<a|b>|^2 — S|b> and |b> have fidelity 1 for every
@@ -474,6 +571,12 @@ let suite =
       test_race_rejects_bad_input
   ; Alcotest.test_case "losers cancel at safepoints" `Quick
       test_loser_cancellation
+  ; Alcotest.test_case "candidate 0 runs on the calling domain" `Quick
+      test_race_runs_candidate_0_on_caller
+  ; Alcotest.test_case "race metrics count each candidate once" `Quick
+      test_race_metrics_counted_once
+  ; Alcotest.test_case "the race refutes QFT-10 with an S on wire 9" `Quick
+      test_race_refutes_high_wire_phase
   ; Alcotest.test_case "a simulative all-shots-pass cannot claim the race"
       `Quick test_simulative_pass_cannot_win
   ; Alcotest.test_case "all-simulative races are flagged probabilistic" `Quick
