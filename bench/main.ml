@@ -31,7 +31,8 @@ let report_failure fmt =
   Fmt.epr fmt
 
 (* DD memory-manager knobs (--cache-cap, --gc-threshold): [None] keeps the
-   historical unbounded/no-GC behaviour. *)
+   default package, with unbounded caches and a sweep once the unique
+   tables outgrow twice their live set. *)
 let dd_config : Dd.Pkg.config option ref = ref None
 
 (* --backend NAME runs every section under that DD backend (a

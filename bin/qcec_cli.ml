@@ -180,7 +180,10 @@ let gc_threshold_arg =
     & info [ "gc-threshold" ] ~docv:"N"
         ~doc:
           "Compact the DD package automatically once its unique tables grow \
-           by $(docv) nodes since the last sweep (default: no auto-GC)")
+           by more than $(docv) nodes since the last sweep (default: once \
+           they grow by more than the nodes that survived it, or by 512 \
+           while fewer survived, which keeps them within about twice the \
+           live set)")
 
 let backend_arg =
   Arg.(
@@ -988,7 +991,9 @@ let batch_cmd =
       & info [ "node-limit" ] ~docv:"N"
           ~doc:
             "Fail a job (exit class node_limit) once its DD package holds \
-             more than $(docv) live nodes")
+             more than $(docv) nodes at a safepoint: the live nodes plus \
+             the garbage since the last sweep, which the default GC keeps \
+             within about twice the live set plus 512 nodes")
   in
   let no_lint =
     Arg.(

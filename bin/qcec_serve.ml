@@ -115,7 +115,11 @@ let cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "node-limit" ] ~docv:"N" ~doc:"Live DD node budget per job.")
+      & info [ "node-limit" ] ~docv:"N"
+          ~doc:
+            "DD node budget per job, checked at safepoints against the unique \
+             tables' size: the live nodes plus the garbage since the last \
+             sweep.")
   in
   let cache_dir =
     Arg.(

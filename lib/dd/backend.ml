@@ -37,10 +37,24 @@ type config =
   { caps : caps
   ; gc_threshold : int option
         (* automatic compaction once the unique tables have grown by this
-           many nodes since the last sweep; [None] disables auto-GC *)
+           many nodes since the last sweep; [None] is the default growth
+           rule of [gc_due] *)
   }
 
 let default_config = { caps = caps_unbounded; gc_threshold = None }
+
+(* The sweep rule every backend's [checkpoint] applies.  [live] counts the
+   unique-table entries, [baseline] the survivors of the last sweep (0
+   before the first).  [Some n] sweeps after [n] nodes of growth.  [None]
+   sweeps once growth exceeds the survivors, or [gc_floor] while they are
+   fewer: the tables stay within about twice the live set plus the floor,
+   and since at least [baseline] inserts precede a sweep that costs
+   O(survivors), a large live DD is never swept quadratically. *)
+let gc_floor = 512
+
+let gc_due threshold ~live ~baseline =
+  live - baseline
+  > (match threshold with Some n -> n | None -> max gc_floor baseline)
 
 type stats =
   { vector_nodes : int

@@ -526,14 +526,14 @@ let clear_caches p =
 
 (* -- compaction --------------------------------------------------------- *)
 
-(* Port of [Pkg.compact]: unreachable nodes are dropped from the unique
-   tables and the weight buckets are re-seeded from the survivors.  Node
-   and weight ids stay monotonic (stale handles lose canonicity but never
-   collide).  Array slots of dead nodes are retained until the package is
-   dropped — the packed layout trades sweep-time reclamation for id
-   stability; [live_nodes]/[stats] count unique-table entries, exactly as
-   the classic backend does. *)
-let compact p =
+(* Port of [Pkg.sweep]: unreachable nodes are dropped from the unique
+   tables and, with [~weights], the weight buckets are re-seeded from the
+   survivors.  Node and weight ids stay monotonic (stale handles lose
+   canonicity but never collide).  Array slots of dead nodes are retained
+   until the package is dropped — the packed layout trades sweep-time
+   reclamation for id stability; [live_nodes]/[stats] count unique-table
+   entries, exactly as the classic backend does. *)
+let sweep ~weights:rebuild p =
   guard p;
   M.incr m_gc_runs;
   let nodes_before = live_nodes p and weights_before = Ct.size p.ctab in
@@ -542,7 +542,7 @@ let compact p =
   Hashtbl.reset p.mtab;
   let vseen = Hashtbl.create 256 and mseen = Hashtbl.create 256 in
   let weights : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let keep_w w = if w > 1 then Hashtbl.replace weights w () in
+  let keep_w w = if rebuild && w > 1 then Hashtbl.replace weights w () in
   let rec revisit_v t =
     if t >= 0 && not (Hashtbl.mem vseen t) then begin
       Hashtbl.add vseen t ();
@@ -582,11 +582,15 @@ let compact p =
   for i = 0 to p.nidents - 1 do
     root_medge p.idents.(i)
   done;
-  Hashtbl.reset p.sigs;
-  Ct.rebuild p.ctab (Hashtbl.fold (fun id () acc -> p.wvals.(id) :: acc) weights []);
+  if rebuild then begin
+    Hashtbl.reset p.sigs;
+    Ct.rebuild p.ctab (Hashtbl.fold (fun id () acc -> p.wvals.(id) :: acc) weights []);
+    M.add m_gc_swept_weights (max 0 (weights_before - Ct.size p.ctab))
+  end;
   p.gc_baseline <- live_nodes p;
-  M.add m_gc_swept_nodes (nodes_before - live_nodes p);
-  M.add m_gc_swept_weights (max 0 (weights_before - Ct.size p.ctab))
+  M.add m_gc_swept_nodes (nodes_before - live_nodes p)
+
+let compact p = sweep ~weights:true p
 
 let safepoint_hook : (t -> unit) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -595,11 +599,11 @@ let set_safepoint_hook h = Domain.DLS.set safepoint_hook h
 
 let checkpoint p =
   (match Domain.DLS.get safepoint_hook with None -> () | Some f -> f p);
-  match p.gc_threshold with
-  | Some threshold when live_nodes p - p.gc_baseline > threshold ->
+  if Backend.gc_due p.gc_threshold ~live:(live_nodes p) ~baseline:p.gc_baseline
+  then begin
     M.incr m_gc_auto;
-    compact p
-  | _ -> ()
+    sweep ~weights:false p
+  end
 
 let stats p =
   { Backend.vector_nodes = Hashtbl.length p.vtab

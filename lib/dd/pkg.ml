@@ -522,14 +522,14 @@ let live_nodes p = Hashtbl.length p.vtab + Hashtbl.length p.mtab
 (* -- compaction ------------------------------------------------------- *)
 
 (* Sweep everything unreachable from the registered roots (plus the cached
-   identity chain): operation caches are dropped, the unique tables are
-   rebuilt from the reachable nodes, and the complex table is re-seeded
-   with exactly the weights those nodes (and the root edges themselves)
-   carry.  Nodes and weights held by callers but not reachable from a root
-   must no longer be used with this package: they stay structurally valid
-   OCaml values, but lose canonicity (a later structurally-equal build
-   yields a different physical node). *)
-let compact p =
+   identity chain): operation caches are dropped and the unique tables are
+   rebuilt from the reachable nodes.  With [~weights] the complex table is
+   also re-seeded with exactly the weights those nodes (and the root edges
+   themselves) carry.  Nodes and weights held by callers but not reachable
+   from a root must no longer be used with this package: they stay
+   structurally valid OCaml values, but lose canonicity (a later
+   structurally-equal build yields a different physical node). *)
+let sweep ~weights:rebuild p =
   guard p;
   M.incr m_gc_runs;
   let nodes_before = live_nodes p and weights_before = Ct.size p.ctab in
@@ -538,7 +538,7 @@ let compact p =
   Hashtbl.reset p.mtab;
   let vseen = Hashtbl.create 256 and mseen = Hashtbl.create 256 in
   let weights : (int, weight) Hashtbl.t = Hashtbl.create 256 in
-  let keep_w (w : weight) = if w.id > 1 then Hashtbl.replace weights w.id w in
+  let keep_w (w : weight) = if rebuild && w.id > 1 then Hashtbl.replace weights w.id w in
   let rec revisit_v = function
     | None -> ()
     | Some n ->
@@ -581,14 +581,18 @@ let compact p =
   for i = 0 to p.nidents - 1 do
     root_medge p.idents.(i)
   done;
-  (* gate signatures key on interned weight ids, which the rebuild below
-     invalidates; dropping them means the next application re-interns
-     (monotonic [gs_id]s keep cleared-cache keys collision-free) *)
-  Hashtbl.reset p.sigs;
-  Ct.rebuild p.ctab (Hashtbl.fold (fun _ w acc -> w :: acc) weights []);
+  if rebuild then begin
+    (* gate signatures key on interned weight ids, which the rebuild
+       invalidates; dropping them means the next application re-interns
+       (monotonic [gs_id]s keep cleared-cache keys collision-free) *)
+    Hashtbl.reset p.sigs;
+    Ct.rebuild p.ctab (Hashtbl.fold (fun _ w acc -> w :: acc) weights []);
+    M.add m_gc_swept_weights (max 0 (weights_before - Ct.size p.ctab))
+  end;
   p.gc_baseline <- live_nodes p;
-  M.add m_gc_swept_nodes (nodes_before - live_nodes p);
-  M.add m_gc_swept_weights (max 0 (weights_before - Ct.size p.ctab))
+  M.add m_gc_swept_nodes (nodes_before - live_nodes p)
+
+let compact p = sweep ~weights:true p
 
 (* Safepoint hook: a domain-local callback fired on every [checkpoint].
    Checkpoints are the places where consumers declare "everything live is
@@ -606,14 +610,18 @@ let set_safepoint_hook h = Domain.DLS.set safepoint_hook h
    operations, when everything live is rooted).  Compaction must never run
    in the middle of a {!Vec}/{!Mat} operation — intermediate edges held in
    OCaml locals are not rooted — so the package never compacts on its own;
-   it only does so here, when a consumer says it is safe. *)
+   it only does so here, when a consumer says it is safe.  These sweeps
+   keep the complex table: re-seeding it drops the representatives that
+   rounded values snap back to, so rounding error compounds from one sweep
+   to the next (the 1,365-gate optimized Grover-5 circuit drifted from
+   fidelity 1 by 2.8e-8 on a basis state, past the 1e-9 stimuli test). *)
 let checkpoint p =
   (match Domain.DLS.get safepoint_hook with None -> () | Some f -> f p);
-  match p.gc_threshold with
-  | Some threshold when live_nodes p - p.gc_baseline > threshold ->
+  if Backend.gc_due p.gc_threshold ~live:(live_nodes p) ~baseline:p.gc_baseline
+  then begin
     M.incr m_gc_auto;
-    compact p
-  | _ -> ()
+    sweep ~weights:false p
+  end
 
 type stats = Backend.stats =
   { vector_nodes : int

@@ -57,12 +57,15 @@ val caps_uniform : int -> caps
 type config = Backend.config =
   { caps : caps
   ; gc_threshold : int option
-        (** run {!compact} automatically (at consumer {!checkpoint}s) once
-            the unique tables have grown by this many nodes since the last
-            sweep; [None] (the default) disables auto-GC *)
+        (** when {!checkpoint} sweeps.  [Some n]: once the unique
+            tables have grown by more than [n] nodes since the last sweep
+            ([Some max_int] never sweeps).  [None], the default: once they
+            have grown by more than the survivors of the last sweep, or by
+            more than 512 nodes while fewer survived — see {!checkpoint} *)
   }
 
-(** Unbounded caches, no auto-GC — the historical behaviour. *)
+(** Unbounded caches; {!checkpoint} sweeps once the unique tables outgrow
+    twice their live set ([gc_threshold = None]). *)
 val default_config : config
 
 (** [create ?tol ?config ()] makes a fresh, empty package.  [tol] is the
@@ -251,11 +254,19 @@ val live_nodes : t -> int
     longer be used with this package. *)
 val compact : t -> unit
 
-(** [checkpoint p] fires the domain's safepoint hook (if any), then runs
-    {!compact} if the growth policy asks for it: the unique tables grew
-    past [config.gc_threshold] nodes since the last sweep.  Consumers call
-    this at safepoints — between DD operations, when everything live is
-    rooted.  A no-op (one comparison) otherwise. *)
+(** [checkpoint p] fires the domain's safepoint hook (if any), then
+    sweeps if the growth policy asks for it.  Let [b] be the number of
+    nodes that survived the last sweep (0 before the first).  With the
+    default [config.gc_threshold = None] the package sweeps once
+    [live_nodes p - b > max 512 b], so the tables stay within about twice
+    the live set plus 512 nodes, and every sweep, which costs O([b]), is
+    preceded by at least [b] inserts.  [Some n] sweeps once
+    [live_nodes p - b > n].  A sweep is {!compact} minus the complex-table
+    rebuild: interned weights survive, so values computed after a sweep
+    snap to the representatives interned before it.  Consumers call this
+    at safepoints — between DD operations, when everything live is rooted:
+    any edge not reachable from a root may be swept by the next
+    checkpoint.  A no-op (a few comparisons) otherwise. *)
 val checkpoint : t -> unit
 
 (** [set_safepoint_hook h] installs (or, with [None], removes) the calling

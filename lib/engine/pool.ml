@@ -326,9 +326,10 @@ let classify = function
   | Qcec.Verify.Rejected d -> (Job.Rejected, Analysis.Diagnostic.to_string d)
   | e -> (Job.Crash, Printexc.to_string e)
 
-(* Timed-out attempts may retry with the auto-GC threshold relaxed 4x: a
-   job that spent its budget collecting garbage gets to trade memory for
-   time on the next try. *)
+(* Timed-out attempts may retry with an explicit auto-GC threshold relaxed
+   4x: a job that spent its budget collecting garbage gets to trade memory
+   for time on the next try.  The default rule ([None]) already scales
+   with the live set and stays as it is. *)
 let relax dd_config =
   Option.map
     (fun c ->

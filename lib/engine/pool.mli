@@ -21,9 +21,10 @@
     ([Dd.Pkg.checkpoint], reached after every gate application) raises
     {!Cancelled} when the attempt's deadline or the pool's node limit is
     exceeded — a tiny job may finish before its first safepoint even with
-    a zero budget.  Timed-out jobs retry (up to [spec.retries] extra
-    attempts) with the auto-GC threshold scaled by 4, trading memory for
-    time. *)
+    a zero budget.  The node limit counts the unique tables at the
+    safepoint: the live nodes plus the garbage since the last sweep.
+    Timed-out jobs retry (up to [spec.retries] extra attempts) with an
+    explicit auto-GC threshold scaled by 4, trading memory for time. *)
 
 (** Raised inside a worker at a DD safepoint to unwind a cancelled
     attempt; classified into [Job.Timeout] / [Job.Node_limit] /
@@ -74,7 +75,7 @@ val cancel_requested : control -> bool
 type config =
   { workers : int  (** domain count; clamped to [1 .. max 1 (#jobs)] *)
   ; dd_config : Dd.Pkg.config option  (** per-job DD package bounds *)
-  ; node_limit : int option  (** live-node budget, checked at safepoints *)
+  ; node_limit : int option  (** unique-table node budget, checked at safepoints *)
   ; lint : bool  (** run the lint pre-flight before each verification *)
   ; on_result : (Job.result -> unit) option
         (** {!run}'s streaming callback, invoked under one lock as each job

@@ -24,12 +24,21 @@ module Make (B : Dd.Backend.S) : sig
 
   (** [simulate p c] runs a unitary circuit from |0...0> (final measurements
       and barriers are skipped).  Raises [Invalid_argument] on dynamic
-      circuits. *)
+      circuits.
+
+      It checkpoints [p] after every gate, so any edge of [p] the caller
+      holds across the call must be rooted.  The returned edge is
+      unrooted: the next call that checkpoints [p] (another [simulate] or
+      [build_unitary], a strategy, an extraction) may sweep it.  Root it
+      with [B.Pkg.with_root_v] to keep it across such a call. *)
   val simulate : B.pkg -> Circuit.Circ.t -> B.vedge
 
   (** [build_unitary p c] multiplies all gates into the circuit's system
       matrix.  Raises [Invalid_argument] if [c] contains non-unitary
-      operations (strip measurements first). *)
+      operations (strip measurements first).  The rooting contract of
+      {!simulate} applies: the result is unrooted, and the next call that
+      checkpoints [p] may sweep it unless it is held by [B.Pkg.root_m]
+      or [B.Pkg.with_root_m]. *)
   val build_unitary : B.pkg -> Circuit.Circ.t -> B.medge
 
   (** [measured_distribution p state ~n ~measures] marginalizes the final

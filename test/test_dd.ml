@@ -443,10 +443,10 @@ let prop_cache_capacity_invariance =
       let reference = run None in
       let cfg caps gc_threshold = Some { Dd.Pkg.caps; gc_threshold } in
       (* capacity only changes what is recomputed, never the float ops, so
-         the amplitudes are bit-identical; a sweep may re-intern a swept
-         weight as a fresh representative that differs from the old one by
-         up to the interning tolerance, so auto-GC runs are compared
-         numerically *)
+         the amplitudes are bit-identical; a node a sweep dropped comes
+         back under a new id, which can reorder the operands of an
+         addition and move a result within the interning tolerance, so
+         auto-GC runs are compared numerically *)
       List.for_all
         (fun config -> Array.for_all2 cx_identical reference (run config))
         [ cfg (Dd.Pkg.caps_uniform 0) None; cfg (Dd.Pkg.caps_uniform 3) None ]

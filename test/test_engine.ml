@@ -152,6 +152,14 @@ let test_node_limit () =
   let batch = run ~workers:1 ~node_limit:2 (specs_of_pairs [ pair ]) in
   check_class "node budget enforced at safepoints" "node_limit" (exit_of batch 0)
 
+(* The budget is checked against the unique tables, which the default
+   sweep keeps within about twice the live set: BV-64 fits in 5,000 nodes,
+   though a package that never swept would build about 17,000. *)
+let test_node_limit_counts_live_nodes () =
+  let pair = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:5 63) in
+  let batch = run ~workers:1 ~node_limit:5_000 (specs_of_pairs [ pair ]) in
+  check_class "BV-64 within a 5,000-node budget" "equivalent" (exit_of batch 0)
+
 let test_bad_jobs_do_not_abort () =
   let with_temp_qasm contents f =
     let path = Filename.temp_file "engine_test" ".qasm" in
@@ -484,6 +492,8 @@ let suite =
       test_seeded_stimuli_deterministic
   ; Alcotest.test_case "timeout and bounded retry" `Quick test_timeout_and_retries
   ; Alcotest.test_case "node-limit cancellation" `Quick test_node_limit
+  ; Alcotest.test_case "node limit counts live nodes" `Quick
+      test_node_limit_counts_live_nodes
   ; Alcotest.test_case "bad jobs never abort the batch" `Quick
       test_bad_jobs_do_not_abort
   ; Alcotest.test_case "transform=false rejects dynamic inputs" `Quick

@@ -122,6 +122,26 @@ let test_parallel_matches_sequential () =
     seq.Qsim.Extraction.stats.Qsim.Extraction.leaves
     par.Qsim.Extraction.stats.Qsim.Extraction.leaves
 
+(* Branches of this circuit outgrow the sweep floor, so the default
+   package sweeps mid-walk; the distribution must not change. *)
+let test_extraction_sweeps () =
+  let dyn = Algorithms.Random_circuit.dynamic ~seed:4 ~qubits:7 ~cbits:7 ~ops:90 in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      let before = Obs.Metrics.snapshot () in
+      let swept = Qsim.Extraction.run dyn in
+      let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+      Alcotest.(check bool) "the walk swept" true (Obs.Metrics.find d "dd.gc.runs" > 0);
+      let never =
+        Qsim.Extraction.run
+          ~dd_config:{ Dd.Pkg.default_config with gc_threshold = Some max_int }
+          dyn
+      in
+      Util.check_distributions "as without sweeps" never.Qsim.Extraction.distribution
+        swept.Qsim.Extraction.distribution)
+
 let prop_extraction_matches_dense =
   QCheck.Test.make ~name:"DD extraction = dense extraction (random dynamic)"
     ~count:80
@@ -168,6 +188,7 @@ let suite =
   ; Alcotest.test_case "teleportation distribution" `Quick test_teleport_distribution
   ; Alcotest.test_case "branching tree structure" `Quick test_tree_structure
   ; Alcotest.test_case "parallel driver" `Quick test_parallel_matches_sequential
+  ; Alcotest.test_case "sweeping walk" `Quick test_extraction_sweeps
   ; Util.qtest prop_extraction_matches_dense
   ; Util.qtest prop_mass_is_one
   ; Util.qtest prop_parallel_matches_sequential

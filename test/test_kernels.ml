@@ -114,7 +114,11 @@ let prop_swap_kernels_match_cx_decomposition =
       let b = (a + 1 + Random.State.int st (n - 1)) mod n in
       let p = Dd.Pkg.create () in
       let old = swap_via_cx p ~n a b in
+      (* [simulate] and [build_unitary] checkpoint, so the edges built
+         before them are rooted across the calls *)
+      Dd.Pkg.with_root_m p old @@ fun _ ->
       let v = random_state p ~n ~seed in
+      Dd.Pkg.with_root_v p v @@ fun _ ->
       let m = random_unitary p ~n ~seed:(seed + 1) in
       bit_identical_v (Dd.Mat.apply p old v) (Dd.Mat.apply_swap p ~n a b v)
       && bit_identical_m (Dd.Mat.mul p old m) (Dd.Mat.mul_swap_left p ~n a b m)
@@ -137,7 +141,7 @@ let test_boundary_wires () =
       let p = Dd.Pkg.create () in
       let u = Gates.matrix (Gates.U3 (0.9, -0.3, 1.7)) in
       let v = random_state p ~n ~seed:(1000 + i) in
-      let m = random_unitary p ~n ~seed:(2000 + i) in
+      let m = Dd.Pkg.with_root_v p v (fun _ -> random_unitary p ~n ~seed:(2000 + i)) in
       let g = Dd.Pkg.gate p ~n ~controls ~target u in
       Alcotest.(check bool)
         (Fmt.str "vector case %d" i)

@@ -102,7 +102,10 @@ let test_roundtrip_static () =
   (* same unitary, up to the creg renaming the printer applies *)
   let p = Dd.Pkg.create () in
   let u = Qsim.Dd_sim.build_unitary p (Circ.strip_measurements original) in
-  let u' = Qsim.Dd_sim.build_unitary p (Circ.strip_measurements back) in
+  let u' =
+    Dd.Pkg.with_root_m p u (fun _ ->
+      Qsim.Dd_sim.build_unitary p (Circ.strip_measurements back))
+  in
   Alcotest.(check bool) "same unitary after round trip" true (Dd.Mat.equal p u u')
 
 let test_roundtrip_dynamic () =
@@ -154,7 +157,7 @@ let test_gate_definition_semantics () =
   let inline = parse {|qreg q[2]; h q[0]; cx q[0],q[1];|} in
   let p = Dd.Pkg.create () in
   let u = Qsim.Dd_sim.build_unitary p defined in
-  let u' = Qsim.Dd_sim.build_unitary p inline in
+  let u' = Dd.Pkg.with_root_m p u (fun _ -> Qsim.Dd_sim.build_unitary p inline) in
   Alcotest.(check bool) "same unitary" true (Dd.Mat.equal p u u')
 
 let test_conditioned_defined_gate () =

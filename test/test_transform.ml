@@ -116,8 +116,9 @@ let test_transform_paper_example () =
   let p = Dd.Pkg.create () in
   let u = Qsim.Dd_sim.build_unitary p (Circ.strip_measurements aligned) in
   let u' =
-    Qsim.Dd_sim.build_unitary p
-      (Circ.strip_measurements pair.Algorithms.Pair.static_circuit)
+    Dd.Pkg.with_root_m p u (fun _ ->
+      Qsim.Dd_sim.build_unitary p
+        (Circ.strip_measurements pair.Algorithms.Pair.static_circuit))
   in
   Alcotest.(check bool) "transformed IQPE = static QPE (exactly)" true
     (Dd.Mat.equal p u u')

@@ -193,6 +193,59 @@ let test_small_phase_refuted () =
       Alcotest.(check bool) (name ^ " refutes P(1e-6) on wire 3") false (check nudged))
     exact_strategies
 
+(* The dynamic side transformed (Section 4) and aligned with the static
+   one, ready for [Strategy.check] on an explicit package. *)
+let unitary_pair (pair : Pair.t) =
+  ( pair.Pair.static_circuit
+  , Pair.align_transformed pair (Transform.Dynamic.transform pair.Pair.dynamic_circuit) )
+
+(* By default a package sweeps at checkpoints once its unique tables
+   outgrow twice their live set, so the alternating check holds a few
+   hundred nodes where a package that never sweeps keeps every node it
+   built (about 17,000 on BV-64).  The verdict must not change. *)
+let test_default_gc_bounds_tables () =
+  let qft, qft' = unitary_pair (Algorithms.Qft.make 40) in
+  let cases =
+    [ ("BV-64", unitary_pair (Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:5 63)))
+    ; ("QFT-40 S-mutant", (with_ops qft "qft+s" [ Op.apply Gates.S 0 ], qft'))
+    ]
+  in
+  let check (module B : Dd.Backend.S) (name, (g, g')) =
+    let module St = Qcec.Strategy.Make (B) in
+    let run gc_threshold =
+      let p = B.Pkg.create ~config:{ Dd.Pkg.default_config with gc_threshold } () in
+      let most = ref 0 in
+      B.Pkg.set_safepoint_hook (Some (fun p -> most := max !most (B.Pkg.live_nodes p)));
+      let o =
+        Fun.protect
+          ~finally:(fun () -> B.Pkg.set_safepoint_hook None)
+          (fun () -> St.check p Qcec.Strategy.Proportional g g')
+      in
+      (o, max !most (B.Pkg.live_nodes p))
+    in
+    let before = Obs.Metrics.snapshot () in
+    let o, most = run None in
+    let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+    let reference, _ = run (Some max_int) in
+    let label = Fmt.str "%s %s: " B.name name in
+    Alcotest.(check bool) (label ^ "swept") true (Obs.Metrics.find d "dd.gc.runs" > 0);
+    let bound = 2 * (Dd.Backend.gc_floor + o.Qcec.Strategy.peak_nodes) in
+    Alcotest.(check bool)
+      (Fmt.str "%s%d nodes at a safepoint <= %d" label most bound)
+      true (most <= bound);
+    Alcotest.(check (pair bool bool))
+      (label ^ "verdict as without sweeps")
+      (reference.Qcec.Strategy.equivalent, reference.Qcec.Strategy.equivalent_up_to_phase)
+      (o.Qcec.Strategy.equivalent, o.Qcec.Strategy.equivalent_up_to_phase)
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun b -> List.iter (check b) cases)
+        [ (module Dd.Classic : Dd.Backend.S); (module Dd.Packed : Dd.Backend.S) ])
+
 (* property: random unitary circuit is equivalent to itself composed with
    identity-preserving rewrites, and inequivalent to a mutated version *)
 let prop_self_equivalence =
@@ -234,6 +287,8 @@ let suite =
       test_controlled_z_64_qubits_refuted
   ; Alcotest.test_case "small phase refuted by every exact strategy" `Quick
       test_small_phase_refuted
+  ; Alcotest.test_case "default GC bounds the unique tables" `Quick
+      test_default_gc_bounds_tables
   ; Util.qtest prop_self_equivalence
   ; Util.qtest prop_transform_then_check_random_dynamic
   ]
