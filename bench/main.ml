@@ -5,7 +5,6 @@
      fig4      the extraction branching tree of the running example
      ablation  design-choice studies: QPE generator alignment, extraction
                pruning thresholds, parallel extraction, checking strategies
-     micro     Bechamel micro-benchmarks (one per table/figure)
 
    Run everything:       dune exec bench/main.exe
    One section:          dune exec bench/main.exe -- table1
@@ -493,47 +492,6 @@ let ablation ~full () =
   ablation_optimizer ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  pr "@.== Bechamel micro-benchmarks (one per table/figure) ==@.@.";
-  let bv_pair = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:1 32) in
-  let qft_pair = Algorithms.Qft.make 8 in
-  let qpe_pair = Algorithms.Qpe.make ~theta:(3.0 /. 16.0) ~bits:8 in
-  let fig4_dyn = Algorithms.Qpe.dynamic ~theta:(3.0 /. 16.0) ~bits:3 in
-  let functional (pair : Pair.t) () =
-    ignore
-      (Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static pair.Pair.static_circuit
-         pair.Pair.dynamic_circuit)
-  in
-  let tests =
-    Test.make_grouped ~name:"paper" ~fmt:"%s/%s"
-      [ Test.make ~name:"table1-bv32-functional" (Staged.stage (functional bv_pair))
-      ; Test.make ~name:"table1-qft8-functional" (Staged.stage (functional qft_pair))
-      ; Test.make ~name:"table1-qpe8-functional" (Staged.stage (functional qpe_pair))
-      ; Test.make ~name:"table1-qpe8-extraction"
-          (Staged.stage (fun () ->
-             ignore (Qsim.Extraction.run qpe_pair.Pair.dynamic_circuit)))
-      ; Test.make ~name:"fig4-extraction-tree"
-          (Staged.stage (fun () -> ignore (Qsim.Extraction.tree fig4_dyn)))
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] |> List.sort compare in
-  List.iter
-    (fun name ->
-      let result = Hashtbl.find results name in
-      match Analyze.OLS.estimates result with
-      | Some [ ns ] -> pr "  %-34s %14.1f ns/run@." name ns
-      | Some _ | None -> pr "  %-34s (no estimate)@." name)
-    names
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -580,15 +538,12 @@ let () =
     | "table1" -> table1 ~full ~quick ()
     | "fig4" -> fig4 ()
     | "ablation" -> ablation ~full ()
-    | "micro" -> micro ()
     | "all" ->
       table1 ~full ~quick ();
       fig4 ();
-      ablation ~full ();
-      micro ()
+      ablation ~full ()
     | other ->
-      Fmt.epr "unknown section %S (expected table1|fig4|ablation|micro|all)@."
-        other;
+      Fmt.epr "unknown section %S (expected table1|fig4|ablation|all)@." other;
       exit 2
   in
   List.iter run sections;

@@ -1,33 +1,34 @@
 type t = (string * float) list
 
-let to_table d =
-  let tbl = Hashtbl.create (List.length d) in
-  List.iter (fun (k, v) -> Qsim.Classical.add_weighted tbl k v) d;
-  tbl
+(* [fold2 f acc a b] folds [f] over the union of the assignments of [a]
+   and [b] in key order, with 0 for the side that lacks one; it walks the
+   two canonical lists in step. *)
+let fold2 f acc a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], [] -> acc
+    | (_, pa) :: ra, [] -> go (f acc pa 0.0) ra []
+    | [], (_, pb) :: rb -> go (f acc 0.0 pb) [] rb
+    | (ka, pa) :: ra, (kb, pb) :: rb ->
+      let c = String.compare ka kb in
+      if c = 0 then go (f acc pa pb) ra rb
+      else if c < 0 then go (f acc pa 0.0) ra b
+      else go (f acc 0.0 pb) a rb
+  in
+  go acc (Qsim.Classical.canonical a) (Qsim.Classical.canonical b)
 
 let total_variation a b =
-  let ta = to_table a and tb = to_table b in
-  let keys = Hashtbl.create 64 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) ta;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tb;
-  let get t k = Option.value ~default:0.0 (Hashtbl.find_opt t k) in
-  Hashtbl.fold (fun k () acc -> acc +. Float.abs (get ta k -. get tb k)) keys 0.0
-  /. 2.0
+  fold2 (fun acc pa pb -> acc +. Float.abs (pa -. pb)) 0.0 a b /. 2.0
 
-let fidelity a b =
-  let tb = to_table b in
-  let get k = Option.value ~default:0.0 (Hashtbl.find_opt tb k) in
-  List.fold_left (fun acc (k, v) -> acc +. Float.sqrt (v *. get k)) 0.0 a
+let fidelity a b = fold2 (fun acc pa pb -> acc +. Float.sqrt (pa *. pb)) 0.0 a b
 
 let equal ?(eps = 1e-9) a b = total_variation a b <= eps
 
 let marginalize d ~bits =
-  let tbl = Hashtbl.create 64 in
   let project key =
     String.init (List.length bits) (fun k -> key.[List.nth bits k])
   in
-  List.iter (fun (k, v) -> Qsim.Classical.add_weighted tbl (project k) v) d;
-  Qsim.Classical.sorted_bindings tbl
+  Qsim.Classical.canonical (List.map (fun (k, v) -> (project k, v)) d)
 
 let mass d = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 d
 

@@ -293,13 +293,16 @@ module Make (B : Dd.Backend.S) = struct
        per job from the manifest seed, portfolio races one per candidate)
        extends rather than replaces it — see [Qsim.Stimuli.rng] *)
     let st = Qsim.Stimuli.rng ?seed ~num_qubits:n ~shots () in
-    let run ops state =
+    let prog = Sim.compile p ops and prog' = Sim.compile p ops' in
+    let run prog state =
       Pkg.with_root_v p state (fun r ->
-          List.iter
-            (fun op ->
-              Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
-              Pkg.checkpoint p)
-            ops;
+          Array.iter
+            (function
+              | Sim.Gate s ->
+                Pkg.set_vroot r (Mat.apply_sig p ~n s (Pkg.vroot_edge r));
+                Pkg.checkpoint p
+              | Cond _ | Measure _ | Reset _ -> assert false (* [unitary_ops] *))
+            prog;
           Pkg.vroot_edge r)
     in
     (* the input must stay rooted while both circuits run on it, and the
@@ -307,8 +310,8 @@ module Make (B : Dd.Backend.S) = struct
        per shot *)
     let one_shot () =
       Pkg.with_root_v p (random_stimulus p ~kind ~n st) (fun rin ->
-          Pkg.with_root_v p (run ops (Pkg.vroot_edge rin)) (fun rout ->
-              let out' = run ops' (Pkg.vroot_edge rin) in
+          Pkg.with_root_v p (run prog (Pkg.vroot_edge rin)) (fun rout ->
+              let out' = run prog' (Pkg.vroot_edge rin) in
               let out = Pkg.vroot_edge rout in
               let fid = Vec.fidelity p out out' in
               ( Float.abs (fid -. 1.0) <= 1e-9

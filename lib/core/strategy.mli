@@ -88,7 +88,9 @@ module Make (B : Dd.Backend.S) : sig
       derive a distinct, reproducible stream per job from one
       manifest-level seed; it is ignored by the exact strategies.  Every
       gate application goes through the direct kernels ([Mat.apply_gate]
-      and friends).  Raises [Invalid_argument] on register mismatch and
+      and friends); the simulative strategies compile both circuits once
+      ({!Qsim.Dd_sim.Make.compile}) and run the programs on every
+      stimulus.  Raises [Invalid_argument] on register mismatch and
       {!Non_unitary} on non-unitary operations. *)
   val check :
        ?seed:int

@@ -217,6 +217,13 @@ module type S = sig
 
     val apply_swap : pkg -> n:int -> int -> int -> vedge -> vedge
 
+    (* [apply_sig p ~n s v] applies a signature resolved beforehand by
+       [Pkg.gate_sig]/[Pkg.swap_sig] on [p]: [apply_gate] and [apply_swap]
+       are this kernel behind a signature lookup, which interns the 2x2
+       entries and hashes the key on every call.  A signature stays valid
+       across sweeps and [compact], because ids are never reused. *)
+    val apply_sig : pkg -> n:int -> gate_sig -> vedge -> vedge
+
     val mul_gate_left :
       pkg -> n:int -> controls:(int * bool) list -> target:int -> Cx.t array
       -> medge -> medge

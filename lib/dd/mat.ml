@@ -666,13 +666,13 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
   in
   if s.Pkg.gs_swap then swap_go m else go m
 
-let apply_gate p ~n ~controls ~target u v =
-  let s = Pkg.gate_sig p ~controls ~target u in
+let apply_sig p ~n s v =
   Obs.Span.with_ "apply.kernel.vec" (fun () -> kernel_apply_sig p s ~n v)
 
-let apply_swap p ~n a b v =
-  let s = Pkg.swap_sig p a b in
-  Obs.Span.with_ "apply.kernel.vec" (fun () -> kernel_apply_sig p s ~n v)
+let apply_gate p ~n ~controls ~target u v =
+  apply_sig p ~n (Pkg.gate_sig p ~controls ~target u) v
+
+let apply_swap p ~n a b v = apply_sig p ~n (Pkg.swap_sig p a b) v
 
 let mul_gate_left p ~n ~controls ~target u m =
   let s = Pkg.gate_sig p ~controls ~target u in

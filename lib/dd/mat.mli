@@ -41,6 +41,15 @@ val apply_gate :
 (** [apply_swap p ~n a b v] applies the SWAP of wires [a] and [b]. *)
 val apply_swap : Pkg.t -> n:int -> int -> int -> vedge -> vedge
 
+(** [apply_sig p ~n s v] applies the gate or swap that [s] describes:
+    [apply_gate] and [apply_swap] are [apply_sig] on
+    {!Pkg.gate_sig}/{!Pkg.swap_sig}.  A caller that applies the same gate
+    many times resolves [s] once and skips the per-call interning of the
+    matrix entries.  [s] must come from [p]; it stays valid across
+    {!Pkg.checkpoint} sweeps and {!Pkg.compact} (signature ids are never
+    reused). *)
+val apply_sig : Pkg.t -> n:int -> Pkg.gate_sig -> vedge -> vedge
+
 (** [mul_gate_left p ~n ~controls ~target u m] is [G * m]. *)
 val mul_gate_left :
      Pkg.t

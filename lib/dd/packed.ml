@@ -1542,13 +1542,13 @@ module Mat = struct
   let mul = mat_mul
   let adjoint = mat_adjoint
 
-  let apply_gate p ~n ~controls ~target u v =
-    let s = gate_sig p ~controls ~target u in
+  let apply_sig p ~n s v =
     Obs.Span.with_ "apply.kernel.vec" (fun () -> kernel_apply_sig p s ~n v)
 
-  let apply_swap p ~n a b v =
-    let s = swap_sig p a b in
-    Obs.Span.with_ "apply.kernel.vec" (fun () -> kernel_apply_sig p s ~n v)
+  let apply_gate p ~n ~controls ~target u v =
+    apply_sig p ~n (gate_sig p ~controls ~target u) v
+
+  let apply_swap p ~n a b v = apply_sig p ~n (swap_sig p a b) v
 
   let mul_gate_left p ~n ~controls ~target u m =
     let s = gate_sig p ~controls ~target u in

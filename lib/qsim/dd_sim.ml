@@ -10,14 +10,40 @@ module Make (B : Dd.Backend.S) = struct
   module Vec = B.Vec
   module Mat = B.Mat
 
-  let apply_op p ~n state op =
+  type instr =
+    | Gate of B.gate_sig
+    | Cond of Op.cond * B.gate_sig
+    | Measure of
+        { qubit : int
+        ; cbit : int
+        }
+    | Reset of
+        { qubit : int
+        ; x : B.gate_sig
+        }
+
+  let sig_of p op =
     match (op : Op.t) with
     | Apply { gate; controls; target } ->
-      Mat.apply_gate p ~n ~controls:(controls_of controls) ~target
-        (Gates.matrix gate) state
-    | Swap (a, b) -> Mat.apply_swap p ~n a b state
+      Pkg.gate_sig p ~controls:(controls_of controls) ~target (Gates.matrix gate)
+    | Swap (a, b) -> Pkg.swap_sig p a b
     | Measure _ | Reset _ | Cond _ | Barrier _ ->
-      invalid_arg "Dd_sim.apply_op: non-unitary operation"
+      invalid_arg "Dd_sim: non-unitary operation"
+
+  let apply_op p ~n state op = Mat.apply_sig p ~n (sig_of p op) state
+
+  let compile p ops =
+    let x = Gates.matrix Gates.X in
+    let instr op =
+      match (op : Op.t) with
+      | Barrier _ -> None
+      | Apply _ | Swap _ -> Some (Gate (sig_of p op))
+      | Cond { cond; op } -> Some (Cond (cond, sig_of p op))
+      | Measure { qubit; cbit } -> Some (Measure { qubit; cbit })
+      | Reset qubit ->
+        Some (Reset { qubit; x = Pkg.gate_sig p ~controls:[] ~target:qubit x })
+    in
+    Array.of_list (List.filter_map instr ops)
 
   let mul_op_left p ~n op m =
     match (op : Op.t) with
@@ -70,25 +96,17 @@ module Make (B : Dd.Backend.S) = struct
 
   let measured_distribution p state ~n ~num_cbits ~measures ?(cutoff = 1e-12)
       ?(limit = 1 lsl 22) () =
-    let cbit_of = Hashtbl.create 16 in
-    List.iter (fun (q, cb) -> Hashtbl.replace cbit_of q cb) measures;
-    let paths = Vec.nonzero_paths p state ~n ~cutoff ~limit () in
-    let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-    let record (bits, prob) =
+    let cbit_of = Array.make n (-1) in
+    List.iter (fun (q, cb) -> cbit_of.(q) <- cb) measures;
+    let assignment (bits, prob) =
       let key = Bytes.make num_cbits '0' in
       Array.iteri
-        (fun q b ->
-          match Hashtbl.find_opt cbit_of q with
-          | Some cb -> if b = 1 then Bytes.set key cb '1'
-          | None -> ())
+        (fun q b -> if b = 1 && cbit_of.(q) >= 0 then Bytes.set key cbit_of.(q) '1')
         bits;
-      let key = Bytes.to_string key in
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt dist key) in
-      Hashtbl.replace dist key (prev +. prob)
+      (Bytes.to_string key, prob)
     in
-    List.iter record paths;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) dist []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    Classical.canonical
+      (List.map assignment (Vec.nonzero_paths p state ~n ~cutoff ~limit ()))
 end
 
 include Make (Dd.Classic)

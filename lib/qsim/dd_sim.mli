@@ -10,9 +10,37 @@
 
 module Make (B : Dd.Backend.S) : sig
   (** [apply_op p ~n state op] applies a unitary operation to a state
-      through the direct gate-application kernels ([Mat.apply_gate],
-      [Mat.apply_swap]); no gate DD is materialized. *)
+      through the direct gate-application kernel ([Mat.apply_sig]); no
+      gate DD is materialized.  It resolves the gate's signature on every
+      call: a loop that applies the same operations again and again runs
+      a {!compile}d program instead. *)
   val apply_op : B.pkg -> n:int -> B.vedge -> Circuit.Op.t -> B.vedge
+
+  (** One step of a compiled program: every gate carries its signature,
+      resolved in the package the program was compiled for. *)
+  type instr =
+    | Gate of B.gate_sig  (** a unitary gate or swap *)
+    | Cond of Circuit.Op.cond * B.gate_sig
+        (** applied when the condition holds on the classical bits *)
+    | Measure of
+        { qubit : int
+        ; cbit : int
+        }
+    | Reset of
+        { qubit : int
+        ; x : B.gate_sig  (** the X on [qubit] that undoes outcome 1 *)
+        }
+
+  (** [compile p ops] resolves the signature of every gate in [ops] once,
+      so that a loop running the program on many branches or shots pays
+      only for the DD work ([Mat.apply_sig]).  Barriers are dropped.
+      Raises [Invalid_argument] if a condition guards anything but a gate
+      or a swap.
+
+      The program belongs to [p]: apply it to no other package.  It stays
+      valid across [B.Pkg.checkpoint] sweeps and [B.Pkg.compact], because
+      signature ids are never reused. *)
+  val compile : B.pkg -> Circuit.Op.t list -> instr array
 
   (** [mul_op_left p ~n op m] is [U_op * m], applied in place without
       materializing the gate's DD. *)

@@ -229,9 +229,8 @@ let num_qubits st = st.n
 let entries st = Hashtbl.length st.ensemble
 
 let distribution st =
-  let dist = Hashtbl.create 16 in
-  Hashtbl.iter (fun key m -> Classical.add_weighted dist key (trace_rho m)) st.ensemble;
-  Classical.sorted_bindings dist
+  Classical.canonical
+    (Hashtbl.fold (fun key m acc -> (key, trace_rho m) :: acc) st.ensemble [])
 
 let final_density st =
   let total = zero_rho st.n in

@@ -1,6 +1,5 @@
 module Op = Circuit.Op
 module Circ = Circuit.Circ
-module Gates = Circuit.Gates
 module M = Obs.Metrics
 
 (* observability: totals of the per-run counters below, accumulated across
@@ -83,98 +82,77 @@ module Make (B : Dd.Backend.S) = struct
     let total = p0 +. p1 in
     (p0 /. total, p1 /. total)
 
-  (* The core branching walk.  [forced] optionally prescribes outcomes for
-     the first branch points (used by the parallel driver); [on_branch] lets
-     the tree builder observe the branching structure.
+  (* The state and classical bits that outcome [o] of a branch point
+     leaves: a measurement records [o] in a copy of the bits, a reset
+     flips outcome 1 back to |0>. *)
+  let settle p ~n (i : Sim.instr) state cvals o =
+    match i with
+    | Measure { qubit; cbit } ->
+      let cvals' = Bytes.copy cvals in
+      Bytes.set cvals' cbit (if o = 1 then '1' else '0');
+      (Vec.project p state qubit o, cvals')
+    | Reset { qubit; x } ->
+      let state' = Vec.project p state qubit o in
+      ((if o = 1 then Mat.apply_sig p ~n x state' else state'), cvals)
+    | Gate _ | Cond _ -> assert false (* branch points only *)
+
+  (* The core branching walk over a program compiled for [p]; it returns
+     the leaves, one (assignment, probability) pair per path.  [forced]
+     optionally prescribes outcomes for the first branch points (used by
+     the parallel driver).
 
      Each branch frame holds its state in a registered root: the parent's
      pre-projection state stays rooted across the recursion into the first
      outcome, so automatic compaction at any checkpoint safepoint cannot
      sweep a state that a pending sibling branch still needs. *)
-  let walk ~pkg:p ~n ~cutoff ~counters ~record ?(forced = [||])
-      circuit_ops cvals_init =
-    let x_gate = Gates.matrix Gates.X in
-    let apply_x state qubit =
-      Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
+  let walk ~pkg:p ~n ~cutoff ~counters ?(forced = [||]) prog num_cbits =
+    let leaves = ref [] in
+    let apply r s =
+      counters.c_gates <- counters.c_gates + 1;
+      Pkg.set_vroot r (Mat.apply_sig p ~n s (Pkg.vroot_edge r));
+      Pkg.checkpoint p
     in
-    let rec go r ops cvals prob depth =
-      match ops with
-      | [] ->
+    let rec go r pc cvals prob depth =
+      if pc = Array.length prog then begin
         counters.c_leaves <- counters.c_leaves + 1;
-        record (Bytes.to_string cvals) prob
-      | op :: rest ->
-        (match (op : Op.t) with
-         | Barrier _ -> go r rest cvals prob depth
-         | Apply _ | Swap _ ->
-           counters.c_gates <- counters.c_gates + 1;
-           Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
-           Pkg.checkpoint p;
-           go r rest cvals prob depth
-         | Cond { cond; op } ->
-           if Classical.cond_holds cond cvals then begin
-             counters.c_gates <- counters.c_gates + 1;
-             Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
-             Pkg.checkpoint p
-           end;
-           go r rest cvals prob depth
-         | Measure { qubit; cbit } ->
-           counters.c_branch_points <- counters.c_branch_points + 1;
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let take outcome p_out =
-             let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-             let cvals' = Bytes.copy cvals in
-             Bytes.set cvals' cbit (if outcome = 1 then '1' else '0');
-             Pkg.with_root_v p state' (fun r' ->
-                 Pkg.checkpoint p;
-                 go r' rest cvals' (prob *. p_out) (depth + 1))
-           in
-           if depth < Array.length forced then begin
-             let outcome = forced.(depth) in
-             let p_out = if outcome = 1 then p1 else p0 in
-             if prob *. p_out > cutoff then take outcome p_out
-           end
-           else begin
-             if prob *. p1 > cutoff then take 1 p1
-             else counters.c_pruned <- counters.c_pruned + 1;
-             if prob *. p0 > cutoff then take 0 p0
-             else counters.c_pruned <- counters.c_pruned + 1
-           end
-         | Reset qubit ->
-           counters.c_branch_points <- counters.c_branch_points + 1;
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let take outcome p_out =
-             let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-             let state' = if outcome = 1 then apply_x state' qubit else state' in
-             Pkg.with_root_v p state' (fun r' ->
-                 Pkg.checkpoint p;
-                 go r' rest cvals (prob *. p_out) (depth + 1))
-           in
-           if depth < Array.length forced then begin
-             let outcome = forced.(depth) in
-             let p_out = if outcome = 1 then p1 else p0 in
-             if prob *. p_out > cutoff then take outcome p_out
-           end
-           else begin
-             if prob *. p1 > cutoff then take 1 p1
-             else counters.c_pruned <- counters.c_pruned + 1;
-             if prob *. p0 > cutoff then take 0 p0
-             else counters.c_pruned <- counters.c_pruned + 1
-           end)
+        leaves := (Bytes.to_string cvals, prob) :: !leaves
+      end
+      else
+        match prog.(pc) with
+        | Sim.Gate s ->
+          apply r s;
+          go r (pc + 1) cvals prob depth
+        | Cond (cond, s) ->
+          if Classical.cond_holds cond cvals then apply r s;
+          go r (pc + 1) cvals prob depth
+        | (Measure { qubit; _ } | Reset { qubit; _ }) as i ->
+          counters.c_branch_points <- counters.c_branch_points + 1;
+          let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+          let take o p_out =
+            let state', cvals' = settle p ~n i (Pkg.vroot_edge r) cvals o in
+            Pkg.with_root_v p state' (fun r' ->
+                Pkg.checkpoint p;
+                go r' (pc + 1) cvals' (prob *. p_out) (depth + 1))
+          in
+          if depth < Array.length forced then begin
+            let o = forced.(depth) in
+            let p_out = if o = 1 then p1 else p0 in
+            if prob *. p_out > cutoff then take o p_out
+          end
+          else begin
+            if prob *. p1 > cutoff then take 1 p1
+            else counters.c_pruned <- counters.c_pruned + 1;
+            if prob *. p0 > cutoff then take 0 p0
+            else counters.c_pruned <- counters.c_pruned + 1
+          end
     in
     Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        go r circuit_ops cvals_init 1.0 0)
+        go r 0 (Bytes.make num_cbits '0') 1.0 0);
+    !leaves
 
-  let run_sequential ~cutoff ?dd_config (c : Circ.t) =
-    let p = Pkg.create ?config:dd_config () in
-    let counters = new_counters () in
-    let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-    let record = Classical.add_weighted dist in
-    Obs.Span.with_ "extract.walk" (fun () ->
-      walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters ~record
-        c.Circ.ops
-        (Bytes.make c.Circ.num_cbits '0'));
+  let result leaves counters =
     publish_counters counters;
-    { distribution = Classical.sorted_bindings dist
+    { distribution = Classical.canonical leaves
     ; stats =
         { leaves = counters.c_leaves
         ; branch_points = counters.c_branch_points
@@ -182,6 +160,16 @@ module Make (B : Dd.Backend.S) = struct
         ; gate_applications = counters.c_gates
         }
     }
+
+  let run_sequential ~cutoff ?dd_config (c : Circ.t) =
+    let p = Pkg.create ?config:dd_config () in
+    let counters = new_counters () in
+    let leaves =
+      Obs.Span.with_ "extract.walk" (fun () ->
+        walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters
+          (Sim.compile p c.Circ.ops) c.Circ.num_cbits)
+    in
+    result leaves counters
 
   (* Parallel driver: the first [depth] branch points are forced per task,
      so the 2^depth tasks partition the branching tree; each re-simulates
@@ -203,13 +191,12 @@ module Make (B : Dd.Backend.S) = struct
       let task_of idx () =
         let p = Pkg.create ?config:dd_config () in
         let counters = new_counters () in
-        let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-        let record = Classical.add_weighted dist in
         let forced = Array.init depth (fun k -> (idx lsr k) land 1) in
-        walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters ~record
-          ~forced c.Circ.ops
-          (Bytes.make c.Circ.num_cbits '0');
-        (dist, counters)
+        let leaves =
+          walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters ~forced
+            (Sim.compile p c.Circ.ops) c.Circ.num_cbits
+        in
+        (leaves, counters)
       in
       (* run at most [domains] tasks simultaneously: the first of each
          batch on the calling domain, the others on domains of their own,
@@ -247,27 +234,20 @@ module Make (B : Dd.Backend.S) = struct
           List.iter join !spawned;
           next := first + batch
         done);
-      let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
       let counters = new_counters () in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (d, ctr) ->
-            Hashtbl.iter (fun k v -> Classical.add_weighted dist k v) d;
-            counters.c_leaves <- counters.c_leaves + ctr.c_leaves;
-            counters.c_branch_points <- counters.c_branch_points + ctr.c_branch_points;
-            counters.c_pruned <- counters.c_pruned + ctr.c_pruned;
-            counters.c_gates <- counters.c_gates + ctr.c_gates)
-        results;
-      publish_counters counters;
-      { distribution = Classical.sorted_bindings dist
-      ; stats =
-          { leaves = counters.c_leaves
-          ; branch_points = counters.c_branch_points
-          ; pruned = counters.c_pruned
-          ; gate_applications = counters.c_gates
-          }
-      }
+      let leaves =
+        Array.fold_left
+          (fun acc -> function
+            | None -> acc
+            | Some (leaves, ctr) ->
+              counters.c_leaves <- counters.c_leaves + ctr.c_leaves;
+              counters.c_branch_points <- counters.c_branch_points + ctr.c_branch_points;
+              counters.c_pruned <- counters.c_pruned + ctr.c_pruned;
+              counters.c_gates <- counters.c_gates + ctr.c_gates;
+              List.rev_append leaves acc)
+          [] results
+      in
+      result leaves counters
     end
 
   let run ?(cutoff = 1e-12) ?(domains = 1) ?dd_config c =
@@ -278,58 +258,39 @@ module Make (B : Dd.Backend.S) = struct
   let tree ?(cutoff = 1e-12) ?dd_config (c : Circ.t) =
     let p = Pkg.create ?config:dd_config () in
     let n = c.Circ.num_qubits in
-    let x_gate = Gates.matrix Gates.X in
-    let apply_x state qubit =
-      Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
+    let prog = Sim.compile p c.Circ.ops in
+    let apply r s =
+      Pkg.set_vroot r (Mat.apply_sig p ~n s (Pkg.vroot_edge r));
+      Pkg.checkpoint p
     in
-    let rec go r ops cvals prob =
-      match ops with
-      | [] -> Leaf { cvals = Bytes.to_string cvals; probability = prob }
-      | op :: rest ->
-        (match (op : Op.t) with
-         | Barrier _ -> go r rest cvals prob
-         | Apply _ | Swap _ ->
-           Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
-           Pkg.checkpoint p;
-           go r rest cvals prob
-         | Cond { cond; op } ->
-           if Classical.cond_holds cond cvals then begin
-             Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
-             Pkg.checkpoint p
-           end;
-           go r rest cvals prob
-         | Measure { qubit; cbit } ->
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let side outcome p_out =
-             if prob *. p_out > cutoff then begin
-               let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-               let cvals' = Bytes.copy cvals in
-               Bytes.set cvals' cbit (if outcome = 1 then '1' else '0');
-               Some
-                 (Pkg.with_root_v p state' (fun r' ->
-                      Pkg.checkpoint p;
-                      go r' rest cvals' (prob *. p_out)))
-             end
-             else None
-           in
-           Branch { qubit; cbit = Some cbit; p0; p1; zero = side 0 p0; one = side 1 p1 }
-         | Reset qubit ->
-           let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
-           let side outcome p_out =
-             if prob *. p_out > cutoff then begin
-               let state' = Vec.project p (Pkg.vroot_edge r) qubit outcome in
-               let state' = if outcome = 1 then apply_x state' qubit else state' in
-               Some
-                 (Pkg.with_root_v p state' (fun r' ->
-                      Pkg.checkpoint p;
-                      go r' rest cvals (prob *. p_out)))
-             end
-             else None
-           in
-           Branch { qubit; cbit = None; p0; p1; zero = side 0 p0; one = side 1 p1 })
+    let rec go r pc cvals prob =
+      if pc = Array.length prog then
+        Leaf { cvals = Bytes.to_string cvals; probability = prob }
+      else
+        match prog.(pc) with
+        | Sim.Gate s ->
+          apply r s;
+          go r (pc + 1) cvals prob
+        | Cond (cond, s) ->
+          if Classical.cond_holds cond cvals then apply r s;
+          go r (pc + 1) cvals prob
+        | (Measure { qubit; _ } | Reset { qubit; _ }) as i ->
+          let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+          let side o p_out =
+            if prob *. p_out > cutoff then begin
+              let state', cvals' = settle p ~n i (Pkg.vroot_edge r) cvals o in
+              Some
+                (Pkg.with_root_v p state' (fun r' ->
+                     Pkg.checkpoint p;
+                     go r' (pc + 1) cvals' (prob *. p_out)))
+            end
+            else None
+          in
+          let cbit = match i with Measure { cbit; _ } -> Some cbit | _ -> None in
+          Branch { qubit; cbit; p0; p1; zero = side 0 p0; one = side 1 p1 }
     in
     Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        go r c.Circ.ops (Bytes.make c.Circ.num_cbits '0') 1.0)
+        go r 0 (Bytes.make c.Circ.num_cbits '0') 1.0)
 end
 
 include Make (Dd.Classic)

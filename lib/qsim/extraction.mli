@@ -62,7 +62,14 @@ module Make (B : Dd.Backend.S) : sig
       metrics and spans are folded into the caller's at join.  [dd_config]
       bounds the DD packages' operation caches and enables automatic
       compaction; the walk roots the state of every pending branch, so
-      mid-walk sweeps are safe. *)
+      mid-walk sweeps are safe.
+
+      Each package compiles [c] once ({!Dd_sim.Make.compile}) before its
+      walk, so a branch pays only for DD work, not for resolving gate
+      signatures.  The program belongs to that package and stays valid
+      across its checkpoint sweeps and [compact]: signature ids are never
+      reused.  The leaves are collected in a list and summed into the
+      distribution by one sort. *)
   val run :
        ?cutoff:float
     -> ?domains:int
@@ -71,7 +78,8 @@ module Make (B : Dd.Backend.S) : sig
     -> result
 
   (** [tree c] materializes the whole branching structure; only sensible
-      for small numbers of measurements. *)
+      for small numbers of measurements.  It walks a compiled program,
+      like {!run}. *)
   val tree :
        ?cutoff:float
     -> ?dd_config:Dd.Backend.config

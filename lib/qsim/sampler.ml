@@ -1,6 +1,4 @@
-module Op = Circuit.Op
 module Circ = Circuit.Circ
-module Gates = Circuit.Gates
 
 type result =
   { counts : (string * int) list
@@ -17,37 +15,30 @@ module Make (B : Dd.Backend.S) = struct
   module Mat = B.Mat
   module Sim = Dd_sim.Make (B)
 
-  let one_shot ~rng p ~n (c : Circ.t) =
-    let x_gate = Gates.matrix Gates.X in
-    let apply_x state qubit =
-      Mat.apply_gate p ~n ~controls:[] ~target:qubit x_gate state
-    in
-    let cvals = Bytes.make c.Circ.num_cbits '0' in
+  let one_shot ~rng p ~n prog num_cbits =
+    let cvals = Bytes.make num_cbits '0' in
     let sample state qubit =
       let p0, p1 = Vec.probabilities p state qubit in
       let outcome = if Random.State.float rng (p0 +. p1) < p0 then 0 else 1 in
       (outcome, Vec.project p state qubit outcome)
     in
-    let step r op =
+    let step r (i : Sim.instr) =
       let state = Pkg.vroot_edge r in
-      (match (op : Op.t) with
-       | Barrier _ -> ()
-       | Apply _ | Swap _ ->
-         Pkg.set_vroot r (Sim.apply_op p ~n state op)
-       | Cond { cond; op } ->
+      (match i with
+       | Gate s -> Pkg.set_vroot r (Mat.apply_sig p ~n s state)
+       | Cond (cond, s) ->
          if Classical.cond_holds cond cvals then
-           Pkg.set_vroot r (Sim.apply_op p ~n state op)
+           Pkg.set_vroot r (Mat.apply_sig p ~n s state)
        | Measure { qubit; cbit } ->
          let outcome, state = sample state qubit in
          Bytes.set cvals cbit (if outcome = 1 then '1' else '0');
          Pkg.set_vroot r state
-       | Reset qubit ->
+       | Reset { qubit; x } ->
          let outcome, state = sample state qubit in
-         Pkg.set_vroot r (if outcome = 1 then apply_x state qubit else state));
+         Pkg.set_vroot r (if outcome = 1 then Mat.apply_sig p ~n x state else state));
       Pkg.checkpoint p
     in
-    Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-        List.iter (step r) c.Circ.ops);
+    Pkg.with_root_v p (Pkg.zero_state p n) (fun r -> Array.iter (step r) prog);
     Bytes.to_string cvals
 
   let run ~seed ~shots ?dd_config (c : Circ.t) =
@@ -57,8 +48,9 @@ module Make (B : Dd.Backend.S) = struct
     (* one package for all shots: states from different shots share nodes,
        which is exactly what makes repeated runs affordable *)
     let p = Pkg.create ?config:dd_config () in
+    let prog = Sim.compile p c.Circ.ops in
     for _ = 1 to shots do
-      let key = one_shot ~rng p ~n c in
+      let key = one_shot ~rng p ~n prog c.Circ.num_cbits in
       let prev = Option.value ~default:0 (Hashtbl.find_opt counts key) in
       Hashtbl.replace counts key (prev + 1)
     done;

@@ -23,7 +23,9 @@ val empirical : result -> (string * float) list
 
 module Make (B : Dd.Backend.S) : sig
   (** [run ~seed ~shots c] performs [shots] independent end-to-end
-      simulations, sampling every measurement and reset outcome.
+      simulations, sampling every measurement and reset outcome.  The
+      circuit is compiled once for the shared package
+      ({!Dd_sim.Make.compile}) and every shot runs the program.
       [dd_config] bounds the shared DD package's caches and enables
       automatic compaction between operations. *)
   val run :

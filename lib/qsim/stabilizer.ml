@@ -234,10 +234,10 @@ let project st q outcome =
 let extract_distribution (c : Circ.t) =
   if not (is_clifford_circuit c) then
     invalid_arg "Stabilizer.extract_distribution: non-Clifford circuit";
-  let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  let leaves = ref [] in
   let rec walk st ops cvals prob =
     match ops with
-    | [] -> Classical.add_weighted dist (Bytes.to_string cvals) prob
+    | [] -> leaves := (Bytes.to_string cvals, prob) :: !leaves
     | op :: rest ->
       (match (op : Op.t) with
        | Barrier _ -> walk st rest cvals prob
@@ -284,7 +284,7 @@ let extract_distribution (c : Circ.t) =
             walk other rest cvals1 (prob /. 2.0)))
   in
   walk (init c.Circ.num_qubits) c.Circ.ops (Bytes.make c.Circ.num_cbits '0') 1.0;
-  Classical.sorted_bindings dist
+  Classical.canonical !leaves
 
 let run_shot ~rng (c : Circ.t) =
   let st = init c.Circ.num_qubits in

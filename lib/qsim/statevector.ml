@@ -113,8 +113,8 @@ let fidelity a b =
    (and Extraction in this library), but over dense vectors; kept as an
    independent oracle for the DD implementation. *)
 let extract_distribution ?(cutoff = 1e-12) (c : Circ.t) =
-  let dist : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let record cvals prob = Classical.add_weighted dist (Bytes.to_string cvals) prob in
+  let leaves = ref [] in
+  let record cvals prob = leaves := (Bytes.to_string cvals, prob) :: !leaves in
   let rec walk sv ops cvals prob =
     if prob > cutoff then begin
       match ops with
@@ -162,7 +162,7 @@ let extract_distribution ?(cutoff = 1e-12) (c : Circ.t) =
   in
   let cvals = Bytes.make c.Circ.num_cbits '0' in
   walk (init c.Circ.num_qubits) c.Circ.ops cvals 1.0;
-  Classical.sorted_bindings dist
+  Classical.canonical !leaves
 
 let unitary_matrix (c : Circ.t) =
   let n = c.Circ.num_qubits in

@@ -142,6 +142,69 @@ let test_extraction_sweeps () =
       Util.check_distributions "as without sweeps" never.Qsim.Extraction.distribution
         swept.Qsim.Extraction.distribution)
 
+(* Every kind of op a compiled program holds, including those
+   [Random_circuit.dynamic] never emits: a barrier, a swap bare and under
+   a condition, a two-bit condition whose value 2 holds only for c0 = 0,
+   c1 = 1, a doubly-controlled gate with a negative control, a bare reset
+   of the entangled q3 and a reset of the measured q0.  Each one moves the
+   distribution: q3 and q0 are reused after their resets. *)
+let all_op_kinds =
+  let ctrl cq pos = { Op.cq; pos } in
+  Circ.make ~name:"all_op_kinds" ~qubits:4 ~cbits:4
+    [ Op.apply Gates.H 0
+    ; Op.apply Gates.H 1
+    ; Op.apply (Gates.RY 1.1) 2
+    ; Op.controlled Gates.X ~control:0 ~target:3
+    ; Op.Barrier [ 0; 1; 2; 3 ]
+    ; Op.Swap (1, 2)
+    ; Op.apply ~controls:[ ctrl 1 false; ctrl 2 true ] (Gates.RY 0.8) 0
+    ; Op.Reset 3
+    ; Op.Measure { qubit = 0; cbit = 0 }
+    ; Op.Measure { qubit = 1; cbit = 1 }
+    ; Op.Cond { cond = { bits = [ 0; 1 ]; value = 2 }; op = Op.apply (Gates.RY 0.6) 2 }
+    ; Op.Cond { cond = { bits = [ 0 ]; value = 1 }; op = Op.Swap (1, 2) }
+    ; Op.Measure { qubit = 2; cbit = 2 }
+    ; Op.Reset 0
+    ; Op.apply (Gates.RY 0.7) 3
+    ; Op.controlled Gates.X ~control:3 ~target:0
+    ; Op.Measure { qubit = 0; cbit = 3 }
+    ]
+
+module Extraction_packed = Qsim.Extraction.Make (Dd.Packed)
+module Sampler_packed = Qsim.Sampler.Make (Dd.Packed)
+
+let rec tree_leaves = function
+  | Qsim.Extraction.Leaf { cvals; probability } -> [ (cvals, probability) ]
+  | Branch { zero; one; _ } ->
+    List.concat_map (function None -> [] | Some t -> tree_leaves t) [ zero; one ]
+
+let check_all_op_kinds backend ~run ~tree ~sample =
+  let dense = Qsim.Statevector.extract_distribution all_op_kinds in
+  let check what d =
+    Util.check_distributions (Fmt.str "%s %s = dense oracle" backend what) dense d
+  in
+  check "run" (run 1).Qsim.Extraction.distribution;
+  check "run ~domains:2" (run 2).Qsim.Extraction.distribution;
+  check "tree leaves" (tree_leaves (tree ()));
+  let tv = Qcec.Distribution.total_variation dense (Qsim.Sampler.empirical (sample ())) in
+  Alcotest.(check bool) (Fmt.str "%s sampler TVD %.4f < 0.1" backend tv) true (tv < 0.1)
+
+let test_all_op_kinds () =
+  (* the dense oracle shares [cond_holds], so pin its bit order here *)
+  let holds cvals =
+    Qsim.Classical.cond_holds { bits = [ 0; 1 ]; value = 2 } (Bytes.of_string cvals)
+  in
+  Alcotest.(check (list bool)) "value 2 over [c0; c1]" [ false; true; false; false ]
+    (List.map holds [ "00"; "01"; "10"; "11" ]);
+  check_all_op_kinds "classic"
+    ~run:(fun domains -> Qsim.Extraction.run ~domains all_op_kinds)
+    ~tree:(fun () -> Qsim.Extraction.tree all_op_kinds)
+    ~sample:(fun () -> Qsim.Sampler.run ~seed:5 ~shots:4000 all_op_kinds);
+  check_all_op_kinds "packed"
+    ~run:(fun domains -> Extraction_packed.run ~domains all_op_kinds)
+    ~tree:(fun () -> Extraction_packed.tree all_op_kinds)
+    ~sample:(fun () -> Sampler_packed.run ~seed:5 ~shots:4000 all_op_kinds)
+
 let prop_extraction_matches_dense =
   QCheck.Test.make ~name:"DD extraction = dense extraction (random dynamic)"
     ~count:80
@@ -189,6 +252,7 @@ let suite =
   ; Alcotest.test_case "branching tree structure" `Quick test_tree_structure
   ; Alcotest.test_case "parallel driver" `Quick test_parallel_matches_sequential
   ; Alcotest.test_case "sweeping walk" `Quick test_extraction_sweeps
+  ; Alcotest.test_case "every op kind, both backends" `Quick test_all_op_kinds
   ; Util.qtest prop_extraction_matches_dense
   ; Util.qtest prop_mass_is_one
   ; Util.qtest prop_parallel_matches_sequential

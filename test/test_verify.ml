@@ -269,6 +269,28 @@ let prop_transform_then_check_random_dynamic =
          pre-transformed version *)
       (Qcec.Verify.functional static dyn).Qcec.Verify.equivalent)
 
+(* Unsorted lists over eight 3-bit assignments, so keys repeat. *)
+let arb_distribution =
+  let bit i k = if (i lsr k) land 1 = 1 then '1' else '0' in
+  let key = QCheck.Gen.(map (fun i -> String.init 3 (bit i)) (0 -- 7)) in
+  QCheck.(list_of_size Gen.(0 -- 24) (pair (make ~print:Fun.id key) (float_range 0.0 1.0)))
+
+let prop_total_variation_matches_reference =
+  QCheck.Test.make ~name:"total_variation = hash-table reference; canonical is sorted"
+    ~count:300
+    QCheck.(pair arb_distribution arb_distribution)
+    (fun (a, b) ->
+      let canon = Qsim.Classical.canonical a in
+      let rec strictly_sorted = function
+        | (x, _) :: ((y, _) :: _ as rest) -> String.compare x y < 0 && strictly_sorted rest
+        | _ -> true
+      in
+      Float.abs
+        (Qcec.Distribution.total_variation a b -. Distribution_ref.total_variation a b)
+      <= 1e-12
+      && strictly_sorted canon
+      && Float.abs (Qcec.Distribution.mass canon -. Qcec.Distribution.mass a) <= 1e-12)
+
 let suite =
   [ Alcotest.test_case "BV functional" `Quick test_bv_functional
   ; Alcotest.test_case "QFT functional" `Quick test_qft_functional
@@ -289,6 +311,7 @@ let suite =
       test_small_phase_refuted
   ; Alcotest.test_case "default GC bounds the unique tables" `Quick
       test_default_gc_bounds_tables
+  ; Util.qtest prop_total_variation_matches_reference
   ; Util.qtest prop_self_equivalence
   ; Util.qtest prop_transform_then_check_random_dynamic
   ]
