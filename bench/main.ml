@@ -34,18 +34,6 @@ let report_failure fmt =
    tables outgrow twice their live set. *)
 let dd_config : Dd.Pkg.config option ref = ref None
 
-(* --backend NAME runs every section under that DD backend (a
-   [Dd.Registry] name). *)
-let backend_name = ref Dd.Registry.default
-
-let backend_module () =
-  match Dd.Registry.find !backend_name with
-  | Some b -> b
-  | None ->
-    Fmt.epr "unknown backend %S (available: %s)@." !backend_name
-      (String.concat ", " (Dd.Registry.names ()));
-    exit 2
-
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -80,9 +68,6 @@ let print_header () =
 (* One Table 1 row: functional verification via the Section 4 scheme and,
    when requested, the Section 5 extraction against plain simulation. *)
 let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
-  let module B = (val backend_module () : Dd.Backend.S) in
-  let module V = Qcec.Verify.Make (B) in
-  let module Sim = Qsim.Dd_sim.Make (B) in
   let m0 = Obs.Metrics.snapshot () in
   let static = pair.Pair.static_circuit and dyn = pair.Pair.dynamic_circuit in
   (* static-analyzer overhead, reported as the analysis.lint span in the
@@ -96,7 +81,8 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   let t_trans, t_ver, equivalent =
     if verify then begin
       let r =
-        V.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config static dyn
+        Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
+          static dyn
       in
       if not r.Qcec.Verify.equivalent then
         report_failure "%s: NOT equivalent!@." static.Circ.name;
@@ -113,7 +99,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   in
   let t_extract, t_sim, distributions_equal =
     if extract then begin
-      let r = V.distribution ?dd_config:!dd_config dyn static in
+      let r = Qcec.Verify.distribution ?dd_config:!dd_config dyn static in
       if not r.Qcec.Verify.distributions_equal then
         report_failure "%s: distributions differ!@." static.Circ.name;
       ( Some r.Qcec.Verify.t_extract
@@ -121,9 +107,9 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
       , Some r.Qcec.Verify.distributions_equal )
     end
     else begin
-      let p = B.Pkg.create ?config:!dd_config () in
+      let p = Dd.Pkg.create ?config:!dd_config () in
       let t0 = Qcec.Verify.now () in
-      ignore (Sim.simulate p static);
+      ignore (Qsim.Dd_sim.simulate p static);
       (None, Some (Qcec.Verify.now () -. t0), None)
     end
   in
@@ -192,7 +178,6 @@ let write_json ~mode path =
     Obs.Json.Obj
       [ ("schema", Obs.Json.String "qcec-bench/v1")
       ; ("mode", Obs.Json.String mode)
-      ; ("backend", Obs.Json.String !backend_name)
       ; ("table1", Obs.Json.List table1)
       ; ("failures", Obs.Json.Int !failures)
       ; ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
@@ -522,10 +507,6 @@ let () =
     | "--gc-threshold" :: n :: rest ->
       let n = int_opt "--gc-threshold" n in
       set_dd_config (fun cfg -> { cfg with Dd.Pkg.gc_threshold = Some n });
-      extract_opts acc rest
-    | "--backend" :: name :: rest ->
-      backend_name := name;
-      ignore (backend_module ()) (* unknown names exit 2 before any work *);
       extract_opts acc rest
     | x :: rest -> extract_opts (x :: acc) rest
     | [] -> List.rev acc

@@ -103,12 +103,12 @@ let portfolio_width_arg =
 (* Compose the race field: the most dynamic classification of the pair
    gates the candidate set (simulative candidates cannot decide dynamic
    circuits), the cost profiles order it. *)
-let portfolio_candidates ~width ~backend a b =
+let portfolio_candidates ~width a b =
   let kind = Analysis.Classify.pair_kind a b in
   Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
     Analysis.Classify.compose_portfolio ~width kind (Analysis.Cost.profile a)
       (Analysis.Cost.profile b))
-  |> List.map (fun c -> (Qcec.Strategy.of_candidate c, backend))
+  |> List.map (fun c -> (Qcec.Strategy.of_candidate c, Dd.Registry.default))
 
 let pp_portfolio_report ppf (r : Qcec.Verify.portfolio_result) =
   Fmt.pf ppf "@[<v>portfolio race: %d candidates, winner %s (#%d%s) in %.4fs"
@@ -143,7 +143,6 @@ let portfolio_json (r : Qcec.Verify.portfolio_result) =
                Obs.Json.Obj
                  [ ( "strategy"
                    , Obs.Json.String (Qcec.Strategy.name c.Qcec.Verify.c_strategy) )
-                 ; ("backend", Obs.Json.String c.Qcec.Verify.c_backend)
                  ; ( "outcome"
                    , Obs.Json.String
                        (Fmt.str "%a" Qcec.Verify.pp_candidate_outcome
@@ -184,26 +183,6 @@ let gc_threshold_arg =
            they grow by more than the nodes that survived it, or by 512 \
            while fewer survived, which keeps them within about twice the \
            live set)")
-
-let backend_arg =
-  Arg.(
-    value
-    & opt string Dd.Registry.default
-    & info [ "backend" ] ~docv:"NAME"
-        ~doc:
-          "DD backend: $(b,classic) (hash-consed node records, the \
-           default) or $(b,packed) (packed int-array nodes).  Both build \
-           isomorphic diagrams and produce identical verdicts; they \
-           differ only in memory layout and speed")
-
-(* exit code 2 = usage error, consistent with the other input failures *)
-let resolve_backend name =
-  match Dd.Registry.find name with
-  | Some b -> b
-  | None ->
-    Fmt.epr "qcec: unknown backend %S (available: %s)@." name
-      (String.concat ", " (Dd.Registry.names ()));
-    exit 2
 
 let dd_config_of cache_cap gc_threshold : Dd.Pkg.config option =
   match (cache_cap, gc_threshold) with
@@ -297,14 +276,11 @@ let open_store ~cache_dir ~no_result_cache =
 (* -- distribution ------------------------------------------------------ *)
 
 let distribution_cmd =
-  let run dyn_file static_file cutoff domains eps stats_json cache_cap gc_threshold
-      backend =
+  let run dyn_file static_file cutoff domains eps stats_json cache_cap gc_threshold =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
     let dyn = load dyn_file and static = load static_file in
-    let r = V.distribution ~eps ~cutoff ~domains ?dd_config dyn static in
+    let r = Qcec.Verify.distribution ~eps ~cutoff ~domains ?dd_config dyn static in
     Fmt.pr "%a@." Qcec.Verify.pp_distribution r;
     maybe_write_stats stats_json ~command:"distribution"
       ~files:[ dyn_file; static_file ]
@@ -346,23 +322,21 @@ let distribution_cmd =
           (extracted with the Section 5 scheme) against a static reference")
     Term.(
       const run $ dyn $ static $ cutoff $ domains $ eps $ stats_json_arg
-      $ cache_cap_arg $ gc_threshold_arg $ backend_arg)
+      $ cache_cap_arg $ gc_threshold_arg)
 
 (* -- extract ------------------------------------------------------------ *)
 
 let extract_cmd =
-  let run file cutoff tree top stats_json cache_cap gc_threshold backend =
+  let run file cutoff tree top stats_json cache_cap gc_threshold =
     enable_stats stats_json;
     let dd_config = dd_config_of cache_cap gc_threshold in
-    let module B = (val resolve_backend backend : Dd.Backend.S) in
-    let module E = Qsim.Extraction.Make (B) in
     let c = load file in
     if tree then begin
       Fmt.pr "%a@." Qsim.Extraction.pp_tree
-        (E.tree ~cutoff ?dd_config c)
+        (Qsim.Extraction.tree ~cutoff ?dd_config c)
     end
     else begin
-      let r = E.run ~cutoff ?dd_config c in
+      let r = Qsim.Extraction.run ~cutoff ?dd_config c in
       Fmt.pr "%a@." Qcec.Distribution.pp
         (Qcec.Distribution.most_probable ~count:top r.Qsim.Extraction.distribution);
       Fmt.pr "(%d leaves, %d branch points, %d pruned, mass %.6f)@."
@@ -395,7 +369,7 @@ let extract_cmd =
        ~doc:"Extract the measurement-outcome distribution of a dynamic circuit")
     Term.(
       const run $ file $ cutoff $ tree $ top $ stats_json_arg $ cache_cap_arg
-      $ gc_threshold_arg $ backend_arg)
+      $ gc_threshold_arg)
 
 (* -- transform ------------------------------------------------------------ *)
 
@@ -611,11 +585,9 @@ let analyze_cmd =
    Section 4 scheme, and opens no verdict store. *)
 let functional_run ~command ~preflight file_a file_b strategy scheme perm
     transform quiet stats_json cache_cap gc_threshold cache_dir
-    no_result_cache backend width =
+    no_result_cache width =
   enable_stats stats_json;
   let dd_config = dd_config_of cache_cap gc_threshold in
-  let module B = (val resolve_backend backend : Dd.Backend.S) in
-  let module V = Qcec.Verify.Make (B) in
   let store = open_store ~cache_dir ~no_result_cache in
   let a, b, profiles =
     if not preflight then (load file_a, load file_b, None)
@@ -672,7 +644,7 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
   let r, portfolio =
     match strategy, scheme with
     | Strat_portfolio, None ->
-      let candidates = portfolio_candidates ~width ~backend a b in
+      let candidates = portfolio_candidates ~width a b in
       let pr =
         guarded (fun () ->
           Qcec.Verify.portfolio ~candidates ?perm ~on_dynamic ?dd_config
@@ -691,7 +663,8 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
     | Strat strategy, _ ->
       let strategy = resolve_scheme ~strategy ~scheme a b in
       ( guarded (fun () ->
-          V.functional ~strategy ?perm ~on_dynamic ?dd_config ?cache:store a b)
+          Qcec.Verify.functional ~strategy ?perm ~on_dynamic ?dd_config ?cache:store
+            a b)
       , None )
   in
   Option.iter Cache_store.Store.close store;
@@ -715,7 +688,6 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
        ; ("transformed_qubits", Obs.Json.Int r.Qcec.Verify.transformed_qubits)
        ; ("peak_nodes", Obs.Json.Int r.Qcec.Verify.peak_nodes)
        ; ("cached", Obs.Json.Bool r.Qcec.Verify.cached)
-       ; ("backend", Obs.Json.String backend)
        ]
       @ (match profiles with
          | Some ps -> [ ("profiles", Obs.Json.List (List.map Analysis.Classify.to_json ps)) ]
@@ -762,7 +734,7 @@ let functional_cmd ~preflight name ~doc ~transform ~cache_dir ~no_result_cache =
       const run
       $ file_a $ file_b $ strategy $ scheme_arg $ perm $ transform $ quiet
       $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ cache_dir
-      $ no_result_cache $ backend_arg $ portfolio_width_arg)
+      $ no_result_cache $ portfolio_width_arg)
 
 let check_cmd =
   functional_cmd ~preflight:false "check"
@@ -798,13 +770,10 @@ let verify_cmd =
    out.  Per-job failures are structured results, never batch aborts. *)
 let batch_cmd =
   let run inputs workers out summary strategy timeout retries seed node_limit
-      no_lint quiet cache_cap gc_threshold cache_dir no_result_cache backend
-      portfolio =
+      no_lint quiet cache_cap gc_threshold cache_dir no_result_cache portfolio =
     (* per-job metric deltas are part of the result schema, so collection
        is on for batch runs (flipped before any worker spawns) *)
     Obs.Metrics.set_enabled true;
-    (* validate up front so a typo fails before any parsing or spawning *)
-    Option.iter (fun b -> ignore (resolve_backend b)) backend;
     let usage msg =
       Fmt.epr "qcec batch: %s@." msg;
       exit 2
@@ -839,8 +808,6 @@ let batch_cmd =
               (match seed with
                | Some s0 -> Some (s0 + s.Engine.Job.index)
                | None -> s.Engine.Job.seed)
-          ; backend =
-              (match backend with Some b -> b | None -> s.Engine.Job.backend)
           ; portfolio =
               (match portfolio with
                | Some 0 -> None
@@ -1000,15 +967,6 @@ let batch_cmd =
       value & flag
       & info [ "no-lint" ] ~doc:"skip the per-job lint pre-flight")
   in
-  let backend =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "backend" ] ~docv:"NAME"
-          ~doc:
-            "Run every job on this DD backend (classic or packed), \
-             overriding manifest defaults and per-job settings")
-  in
   let portfolio =
     Arg.(
       value
@@ -1035,7 +993,7 @@ let batch_cmd =
     Term.(
       const run $ inputs $ workers $ out $ summary $ strategy $ timeout
       $ retries $ seed $ node_limit $ no_lint $ quiet $ cache_cap_arg
-      $ gc_threshold_arg $ cache_dir_arg $ no_result_cache_arg $ backend
+      $ gc_threshold_arg $ cache_dir_arg $ no_result_cache_arg
       $ portfolio)
 
 (* -- stats ------------------------------------------------------------ *)

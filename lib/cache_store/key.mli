@@ -5,11 +5,7 @@
     included), whether dynamic circuits are transformed or rejected, any
     explicit output permutation, the stimuli seed and the numerical
     tolerance.  All of it is folded into one hex digest so the store can
-    index verdicts by a single string.
-
-    The DD backend is deliberately {e not} part of the key: backends
-    agree on every verdict (CI enforces this), so a cached verdict is
-    valid under any of them. *)
+    index verdicts by a single string. *)
 
 type config =
   { strategy : string  (** canonical name, e.g. [proportional], [simulation(16)] *)

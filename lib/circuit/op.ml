@@ -112,8 +112,10 @@ let rec validate ~num_qubits ~num_cbits op =
   let in_c c = 0 <= c && c < num_cbits in
   let err fmt = Fmt.kstr (fun s -> Error s) fmt in
   match op with
-  | Apply { controls; target; _ } ->
-    if not (in_q target) then err "target qubit %d out of range" target
+  | Apply { gate; controls; target } ->
+    if not (List.for_all Float.is_finite (Gates.params gate)) then
+      err "non-finite parameter in %a" Gates.pp gate
+    else if not (in_q target) then err "target qubit %d out of range" target
     else begin
       let cqs = List.map (fun c -> c.cq) controls in
       if List.exists (fun q -> not (in_q q)) cqs then err "control qubit out of range"

@@ -85,7 +85,8 @@ val map_cbits : (int -> int) -> t -> t
 val adjoint : t -> t
 
 (** [validate ~num_qubits ~num_cbits op] checks all indices are in range,
-    controls are distinct from targets, and conditions wrap unitaries. *)
+    controls are distinct from targets, gate parameters are finite, and
+    conditions wrap unitaries. *)
 val validate : num_qubits:int -> num_cbits:int -> t -> (unit, string) result
 
 val pp : Format.formatter -> t -> unit

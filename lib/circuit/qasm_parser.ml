@@ -217,7 +217,13 @@ let gate_of_name st name args =
   | ("u3" | "u" | "U"), 3 -> Gates.U3 (a 0, a 1, a 2)
   | _ -> fail st (Fmt.str "unknown gate %s with %d parameters" name (List.length args))
 
+(* Every op is checked against the registers declared so far, so a
+   malformed statement fails with its own line instead of an
+   [Invalid_argument] from [Circ.make]. *)
 let emit_at st ~line op =
+  (match Op.validate ~num_qubits:st.num_qubits ~num_cbits:st.num_cbits op with
+   | Ok () -> ()
+   | Error msg -> raise (Parse_error (msg, line)));
   st.rev_ops <- op :: st.rev_ops;
   st.rev_lines <- line :: st.rev_lines
 

@@ -80,28 +80,17 @@ val of_candidate : Analysis.Cost.candidate -> t
     transformation first. *)
 exception Non_unitary of Circuit.Op.t
 
-module Make (B : Dd.Backend.S) : sig
-  (** [check ?seed p strategy g g'] compares two unitary circuits over the
-      same number of qubits (measurements and barriers are ignored).
-      [seed] perturbs the (otherwise instance-shape-derived)
-      random-stimuli state of the simulative strategies, so batch runs can
-      derive a distinct, reproducible stream per job from one
-      manifest-level seed; it is ignored by the exact strategies.  Every
-      gate application goes through the direct kernels ([Mat.apply_gate]
-      and friends); the simulative strategies compile both circuits once
-      ({!Qsim.Dd_sim.Make.compile}) and run the programs on every
-      stimulus.  Raises [Invalid_argument] on register mismatch and
-      {!Non_unitary} on non-unitary operations. *)
-  val check :
-       ?seed:int
-    -> B.pkg
-    -> t
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> outcome
-end
-
-(** {!Make}[.check] over the classic backend — the historical API. *)
+(** [check ?seed p strategy g g'] compares two unitary circuits over the
+    same number of qubits (measurements and barriers are ignored).
+    [seed] perturbs the (otherwise instance-shape-derived)
+    random-stimuli state of the simulative strategies, so batch runs can
+    derive a distinct, reproducible stream per job from one
+    manifest-level seed; it is ignored by the exact strategies.  Every
+    gate application goes through the direct kernels ([Mat.apply_gate]
+    and friends); the simulative strategies compile both circuits once
+    ({!Qsim.Dd_sim.compile}) and run the programs on every
+    stimulus.  Raises [Invalid_argument] on register mismatch and
+    {!Non_unitary} on non-unitary operations. *)
 val check :
      ?seed:int
   -> Dd.Pkg.t

@@ -123,10 +123,8 @@ let preflight ~on_dynamic g g' =
    that can change the outcome: strategy (shot counts included via
    {!Strategy.name}), transform-vs-reject mode, any explicit permutation,
    the stimuli seed, and the weight-interning tolerance ([Pkg.create]'s
-   default — [functional] never overrides it).  [dd_config] and the DD
-   backend are deliberately absent: they change performance, never
-   verdicts (CI enforces cross-backend agreement), so a verdict computed
-   under one backend is served warm under any other. *)
+   default — [functional] never overrides it).  [dd_config] is
+   deliberately absent: it changes performance, never verdicts. *)
 let cache_key ~strategy ~perm ~on_dynamic ~seed ~digest_a ~digest_b =
   Cache_store.Key.make ~digest_a ~digest_b
     { Cache_store.Key.strategy = Strategy.name strategy
@@ -153,172 +151,162 @@ let pp_distribution ppf r =
     r.extraction_stats.Qsim.Extraction.branch_points
     r.extraction_stats.Qsim.Extraction.pruned
 
-module Make (B : Dd.Backend.S) = struct
-  module Pkg = B.Pkg
-  module Mat = B.Mat
-  module St = Strategy.Make (B)
-  module Sim = Qsim.Dd_sim.Make (B)
-  module Extr = Qsim.Extraction.Make (B)
-
-  let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
-      ?(on_dynamic = `Transform) ?dd_config ?seed ?cache g g' =
-    preflight ~on_dynamic g g';
-    (* consult the verdict store before any transformation or DD package
-       construction — a warm run allocates no DD state at all *)
-    let m0 = Obs.Metrics.snapshot () in
-    let hit, pending =
-      match cache with
-      | None -> (None, None)
-      | Some store ->
-        let digest_a = Circ.digest g and digest_b = Circ.digest g' in
-        let key = cache_key ~strategy ~perm ~on_dynamic ~seed ~digest_a ~digest_b in
-        (match Cache_store.Store.lookup store key with
-         | Some e -> (Some e, None)
-         | None -> (None, Some (store, key, digest_a, digest_b)))
-    in
-    match hit with
-    | Some e ->
-      { equivalent = e.Cache_store.Store.equivalent
-      ; exactly_equal = e.Cache_store.Store.exactly_equal
-      ; strategy
-      ; t_transform = 0.0
-      ; t_check = 0.0
-      ; transformed_qubits = e.Cache_store.Store.transformed_qubits
-      ; peak_nodes = e.Cache_store.Store.peak_nodes
-      ; cached = true
-      ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
-      }
-    | None ->
-    let t0 = now () in
-    let g, g' =
-      Obs.Span.with_ "verify.functional.transform" (fun () ->
-        let static_of c =
-          match (Analysis.classify c).Analysis.Classify.kind with
-          | Analysis.Classify.Dynamic -> Transform.Dynamic.transform c
-          | Analysis.Classify.Unitary | Analysis.Classify.Measure_terminal -> c
-        in
-        let g = static_of g in
-        let g' = static_of g' in
-        let g, g' = equalize_widths g g' in
-        let perm =
-          match perm with
-          | Some _ as p -> p
-          | None ->
-            if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
-            else None
-        in
-        let g' = match perm with None -> g' | Some perm -> Circ.remap g' ~perm in
-        (g, g'))
-    in
-    let t1 = now () in
-    let p = Pkg.create ?config:dd_config () in
-    let outcome =
-      Obs.Span.with_ "verify.functional.check" (fun () ->
-        St.check ?seed p strategy g g')
-    in
-    let t2 = now () in
-    let r =
-      { equivalent = outcome.Strategy.equivalent_up_to_phase
-      ; exactly_equal = outcome.Strategy.equivalent
-      ; strategy
-      ; t_transform = t1 -. t0
-      ; t_check = t2 -. t1
-      ; transformed_qubits = g'.Circ.num_qubits
-      ; peak_nodes = outcome.Strategy.peak_nodes
-      ; cached = false
-      ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
-      }
-    in
-    (match pending with
-     | None -> ()
-     | Some (store, key, digest_a, digest_b) ->
-       Cache_store.Store.insert store
-         { Cache_store.Store.key
-         ; digest_a
-         ; digest_b
-         ; strategy = Strategy.name strategy
-         ; equivalent = r.equivalent
-         ; exactly_equal = r.exactly_equal
-         ; transformed_qubits = r.transformed_qubits
-         ; peak_nodes = r.peak_nodes
-         ; t_transform = r.t_transform
-         ; t_check = r.t_check
-         });
-    r
-
-  let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config dyn
-      static =
-    let m0 = Obs.Metrics.snapshot () in
-    let t0 = now () in
-    let extraction =
-      Obs.Span.with_ "verify.distribution.extract" (fun () ->
-        Extr.run ~cutoff ~domains ?dd_config dyn)
-    in
-    let t1 = now () in
-    (* a dynamic reference is extracted as well; a static one is simulated
-       once and marginalized onto its measured classical bits *)
-    let static_dist, t2 =
-      Obs.Span.with_ "verify.distribution.simulate" (fun () ->
-        if Circ.is_dynamic static then begin
-          let r = Extr.run ~cutoff ~domains ?dd_config static in
-          (r.Qsim.Extraction.distribution, now ())
-        end
-        else begin
-          let p = Pkg.create ?config:dd_config () in
-          let final = Sim.simulate p static in
-          let t2 = now () in
-          ( Sim.measured_distribution p final ~n:static.Circ.num_qubits
-              ~num_cbits:static.Circ.num_cbits ~measures:(Circ.measurements static)
-              ~cutoff ()
-          , t2 )
-        end)
-    in
-    let tv = Distribution.total_variation extraction.Qsim.Extraction.distribution static_dist in
-    { distributions_equal = tv <= eps
-    ; total_variation = tv
-    ; t_extract = t1 -. t0
-    ; t_simulate = t2 -. t1
-    ; dynamic_distribution = extraction.Qsim.Extraction.distribution
-    ; static_distribution = static_dist
-    ; extraction_stats = extraction.Qsim.Extraction.stats
+let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
+    ?(on_dynamic = `Transform) ?dd_config ?seed ?cache g g' =
+  preflight ~on_dynamic g g';
+  (* consult the verdict store before any transformation or DD package
+     construction — a warm run allocates no DD state at all *)
+  let m0 = Obs.Metrics.snapshot () in
+  let hit, pending =
+    match cache with
+    | None -> (None, None)
+    | Some store ->
+      let digest_a = Circ.digest g and digest_b = Circ.digest g' in
+      let key = cache_key ~strategy ~perm ~on_dynamic ~seed ~digest_a ~digest_b in
+      (match Cache_store.Store.lookup store key with
+       | Some e -> (Some e, None)
+       | None -> (None, Some (store, key, digest_a, digest_b)))
+  in
+  match hit with
+  | Some e ->
+    { equivalent = e.Cache_store.Store.equivalent
+    ; exactly_equal = e.Cache_store.Store.exactly_equal
+    ; strategy
+    ; t_transform = 0.0
+    ; t_check = 0.0
+    ; transformed_qubits = e.Cache_store.Store.transformed_qubits
+    ; peak_nodes = e.Cache_store.Store.peak_nodes
+    ; cached = true
     ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
     }
-
-  let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) ?dd_config
-      g g' =
-    let t0 = now () in
-    let static_of c = if Circ.is_dynamic c then Transform.Dynamic.transform c else c in
-    let g = static_of g in
-    let g' = static_of g' in
-    let g, g' = equalize_widths g g' in
-    let perm =
-      match perm with
-      | Some _ as p -> p
-      | None ->
-        if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
-        else None
-    in
-    let g' = match perm with None -> g' | Some perm -> Circ.remap g' ~perm in
-    let t1 = now () in
-    let p = Pkg.create ?config:dd_config () in
-    let fidelity =
-      Obs.Span.with_ "verify.approximate.check" (fun () ->
-        (* [u] stays rooted while [u'] is built (auto-GC safepoints) *)
-        Pkg.with_root_m p
-          (Sim.build_unitary p (Circ.strip_measurements g))
-          (fun ru ->
-            let u' = Sim.build_unitary p (Circ.strip_measurements g') in
-            Mat.process_fidelity p (Pkg.mroot_edge ru) u' ~n:g.Circ.num_qubits))
-    in
-    let t2 = now () in
-    { process_fidelity = fidelity
-    ; within = fidelity >= threshold
+  | None ->
+  let t0 = now () in
+  let g, g' =
+    Obs.Span.with_ "verify.functional.transform" (fun () ->
+      let static_of c =
+        match (Analysis.classify c).Analysis.Classify.kind with
+        | Analysis.Classify.Dynamic -> Transform.Dynamic.transform c
+        | Analysis.Classify.Unitary | Analysis.Classify.Measure_terminal -> c
+      in
+      let g = static_of g in
+      let g' = static_of g' in
+      let g, g' = equalize_widths g g' in
+      let perm =
+        match perm with
+        | Some _ as p -> p
+        | None ->
+          if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
+          else None
+      in
+      let g' = match perm with None -> g' | Some perm -> Circ.remap g' ~perm in
+      (g, g'))
+  in
+  let t1 = now () in
+  let p = Dd.Pkg.create ?config:dd_config () in
+  let outcome =
+    Obs.Span.with_ "verify.functional.check" (fun () ->
+      Strategy.check ?seed p strategy g g')
+  in
+  let t2 = now () in
+  let r =
+    { equivalent = outcome.Strategy.equivalent_up_to_phase
+    ; exactly_equal = outcome.Strategy.equivalent
+    ; strategy
     ; t_transform = t1 -. t0
     ; t_check = t2 -. t1
+    ; transformed_qubits = g'.Circ.num_qubits
+    ; peak_nodes = outcome.Strategy.peak_nodes
+    ; cached = false
+    ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
     }
-end
+  in
+  (match pending with
+   | None -> ()
+   | Some (store, key, digest_a, digest_b) ->
+     Cache_store.Store.insert store
+       { Cache_store.Store.key
+       ; digest_a
+       ; digest_b
+       ; strategy = Strategy.name strategy
+       ; equivalent = r.equivalent
+       ; exactly_equal = r.exactly_equal
+       ; transformed_qubits = r.transformed_qubits
+       ; peak_nodes = r.peak_nodes
+       ; t_transform = r.t_transform
+       ; t_check = r.t_check
+       });
+  r
 
-include Make (Dd.Classic)
+let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config dyn
+    static =
+  let m0 = Obs.Metrics.snapshot () in
+  let t0 = now () in
+  let extraction =
+    Obs.Span.with_ "verify.distribution.extract" (fun () ->
+      Qsim.Extraction.run ~cutoff ~domains ?dd_config dyn)
+  in
+  let t1 = now () in
+  (* a dynamic reference is extracted as well; a static one is simulated
+     once and marginalized onto its measured classical bits *)
+  let static_dist, t2 =
+    Obs.Span.with_ "verify.distribution.simulate" (fun () ->
+      if Circ.is_dynamic static then begin
+        let r = Qsim.Extraction.run ~cutoff ~domains ?dd_config static in
+        (r.Qsim.Extraction.distribution, now ())
+      end
+      else begin
+        let p = Dd.Pkg.create ?config:dd_config () in
+        let final = Qsim.Dd_sim.simulate p static in
+        let t2 = now () in
+        ( Qsim.Dd_sim.measured_distribution p final ~n:static.Circ.num_qubits
+            ~num_cbits:static.Circ.num_cbits ~measures:(Circ.measurements static)
+            ~cutoff ()
+        , t2 )
+      end)
+  in
+  let tv = Distribution.total_variation extraction.Qsim.Extraction.distribution static_dist in
+  { distributions_equal = tv <= eps
+  ; total_variation = tv
+  ; t_extract = t1 -. t0
+  ; t_simulate = t2 -. t1
+  ; dynamic_distribution = extraction.Qsim.Extraction.distribution
+  ; static_distribution = static_dist
+  ; extraction_stats = extraction.Qsim.Extraction.stats
+  ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
+  }
+
+let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) ?dd_config
+    g g' =
+  let t0 = now () in
+  let static_of c = if Circ.is_dynamic c then Transform.Dynamic.transform c else c in
+  let g = static_of g in
+  let g' = static_of g' in
+  let g, g' = equalize_widths g g' in
+  let perm =
+    match perm with
+    | Some _ as p -> p
+    | None ->
+      if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
+      else None
+  in
+  let g' = match perm with None -> g' | Some perm -> Circ.remap g' ~perm in
+  let t1 = now () in
+  let p = Dd.Pkg.create ?config:dd_config () in
+  let fidelity =
+    Obs.Span.with_ "verify.approximate.check" (fun () ->
+      (* [u] stays rooted while [u'] is built (auto-GC safepoints) *)
+      Dd.Pkg.with_root_m p
+        (Qsim.Dd_sim.build_unitary p (Circ.strip_measurements g))
+        (fun ru ->
+          let u' = Qsim.Dd_sim.build_unitary p (Circ.strip_measurements g') in
+          Dd.Mat.process_fidelity p (Dd.Pkg.mroot_edge ru) u' ~n:g.Circ.num_qubits))
+  in
+  let t2 = now () in
+  { process_fidelity = fidelity
+  ; within = fidelity >= threshold
+  ; t_transform = t1 -. t0
+  ; t_check = t2 -. t1
+  }
 
 (* ---------------------------------------------------------------- *)
 (* Portfolio racing: first definitive verdict wins                  *)
@@ -332,7 +320,6 @@ type candidate_outcome =
 
 type candidate_report =
   { c_strategy : Strategy.t
-  ; c_backend : string
   ; c_seed : int option
   ; c_outcome : candidate_outcome
   ; c_wall : float
@@ -393,41 +380,39 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
   (* -1 = undecided; the first candidate whose compare-and-set lands owns
      the race.  Every other candidate observes it at its next safepoint. *)
   let winner = Atomic.make (-1) in
-  let run_candidate i (strategy, backend) =
+  let run_candidate i (strategy, package) =
     let seed = Option.map (fun s -> candidate_seed ~seed:s ~candidate:i) seed in
     let r, wall =
-      match Dd.Registry.find backend with
-      | None ->
+      if package <> Dd.Registry.default then
         ( Error
             (Invalid_argument
-               (Fmt.str "Verify.portfolio: unknown DD backend %S" backend))
+               (Fmt.str "Verify.portfolio: unknown DD backend %S" package))
         , 0.0 )
-      | Some b ->
-        let module B = (val b) in
-        let module V = Make (B) in
+      else begin
         let cname = Strategy.name strategy in
-        (* the hook store is domain-local in every backend, so installing
-           it here cannot disturb a sibling candidate on the same backend *)
-        B.Pkg.set_safepoint_hook
+        (* the hook store is domain-local, so installing it here cannot
+           disturb a sibling candidate *)
+        Dd.Pkg.set_safepoint_hook
           (Some
              (fun p ->
                if Atomic.get winner >= 0 then raise Lost;
                match safepoint with
                | None -> ()
-               | Some f -> f ~candidate:cname ~live_nodes:(B.Pkg.live_nodes p)));
+               | Some f -> f ~candidate:cname ~live_nodes:(Dd.Pkg.live_nodes p)));
         Fun.protect
-          ~finally:(fun () -> B.Pkg.set_safepoint_hook None)
+          ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None)
           (fun () ->
             let t = now () in
             let r =
               match
-                V.functional ~strategy ?perm ?auto_align ?on_dynamic ?dd_config
+                functional ~strategy ?perm ?auto_align ?on_dynamic ?dd_config
                   ?seed ?cache g g'
               with
               | r -> Ok r
               | exception e -> Error e
             in
             (r, now () -. t))
+      end
     in
     (* publish before returning, so the others unwind at their next
        safepoint instead of running to the end.  Only definitive
@@ -502,7 +487,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
   let reports =
     let idx = ref (-1) in
     List.map2
-      (fun (strategy, backend) ((r, seed, wall), m) ->
+      (fun (strategy, _) ((r, seed, wall), m) ->
         incr idx;
         let outcome =
           match r with
@@ -512,7 +497,6 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
           | Error e -> `Error (Printexc.to_string e)
         in
         { c_strategy = strategy
-        ; c_backend = backend
         ; c_seed = seed
         ; c_outcome = outcome
         ; c_wall = wall

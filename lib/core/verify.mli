@@ -62,44 +62,6 @@ type approximate_result =
   ; t_check : float
   }
 
-(** {1 Backend-generic flows}
-
-    All result types above are defined outside the functor, so results
-    from different backends are interchangeable (the engine relies on
-    this to dispatch per job at runtime via {!Dd.Registry}). *)
-
-module Make (B : Dd.Backend.S) : sig
-  val functional :
-       ?strategy:Strategy.t
-    -> ?perm:int array
-    -> ?auto_align:bool
-    -> ?on_dynamic:[ `Transform | `Reject ]
-    -> ?dd_config:Dd.Backend.config
-    -> ?seed:int
-    -> ?cache:Cache_store.Store.t
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> functional_result
-
-  val distribution :
-       ?eps:float
-    -> ?cutoff:float
-    -> ?domains:int
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> distribution_result
-
-  val approximate :
-       ?threshold:float
-    -> ?perm:int array
-    -> ?auto_align:bool
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> Circuit.Circ.t
-    -> approximate_result
-end
-
 (** [functional ?strategy ?perm g g'] checks full functional equivalence.
     Dynamic inputs are first transformed with the Section 4 scheme; [perm]
     (applied to the transformed [g']) aligns its wires with [g]'s (see
@@ -192,7 +154,6 @@ type candidate_outcome =
 
 type candidate_report =
   { c_strategy : Strategy.t
-  ; c_backend : string  (** registry name of the DD backend it ran on *)
   ; c_seed : int option
         (** derived seed: {!candidate_seed} of the race seed and the
             candidate index *)
@@ -234,13 +195,15 @@ type portfolio_result =
 val candidate_seed : seed:int -> candidate:int -> int
 
 (** [portfolio ~candidates g g'] races the candidates
-    [(strategy, backend)] — each with its own DD package on its own
-    registry backend — and returns the first definitive verdict.
+    [(strategy, package)] — each with its own DD package — and returns the
+    first definitive verdict.  A candidate's package name must be
+    {!Dd.Registry.default}; any other name fails that candidate with
+    [Invalid_argument].
     Candidate 0 runs on the calling domain and every other candidate on a
     domain spawned for it, so a width-[k] race spawns [k - 1] domains and
     joins them all before it returns or raises.  While candidate 0 runs,
-    its safepoint hook replaces any hook the caller installed on its
-    backend ({!Dd.Pkg.set_safepoint_hook}), and it is cleared afterwards.
+    its safepoint hook replaces any hook the caller installed
+    ({!Dd.Pkg.set_safepoint_hook}), and it is cleared afterwards.
     The instant a candidate publishes, every other candidate observes it
     at its next safepoint ([Pkg.checkpoint]) and unwinds.  Candidate 0's
     metrics and spans land in the calling domain's registries as it runs;

@@ -1,107 +1,80 @@
-(* Graphviz export, backend-generic: the traversal runs on the structural
-   views every backend exposes ({!Backend.S.vedge_view} and friends), so
-   draw/debug dumps work identically for classic and packed DDs. *)
+(* Graphviz export of vector and matrix DDs. *)
 
+open Types
 module Cx = Cxnum.Cx
+module Ct = Cxnum.Cx_table
 
-module Make (B : Backend.S) = struct
-  let weight_label z = Fmt.str "%a" Cx.pp z
+let weight_label (w : weight) = Fmt.str "%a" Cx.pp (Ct.to_cx w)
 
-  let vector p ppf (root : B.vedge) =
-    Fmt.pf ppf "digraph vector_dd {@.";
-    Fmt.pf ppf "  root [shape=point];@.";
-    Fmt.pf ppf "  t [label=\"1\", shape=box];@.";
-    let seen = Hashtbl.create 64 in
-    let rec node e =
-      match B.vedge_view p e with
-      | None -> ()
-      | Some nv ->
-        if not (Hashtbl.mem seen nv.Backend.nv_id) then begin
-          Hashtbl.add seen nv.Backend.nv_id ();
-          Fmt.pf ppf "  v%d [label=\"q%d\", shape=circle];@." nv.Backend.nv_id
-            nv.Backend.nv_var;
-          edge nv.Backend.nv_id 0 nv.Backend.nv_edges.(0);
-          edge nv.Backend.nv_id 1 nv.Backend.nv_edges.(1)
-        end
-    and edge src branch e =
-      if not (B.vedge_is_zero p e) then begin
-        let dst =
-          match B.vedge_view p e with
-          | None -> "t"
-          | Some nv -> Fmt.str "v%d" nv.Backend.nv_id
-        in
-        let style = if branch = 0 then "dashed" else "solid" in
-        Fmt.pf ppf "  v%d -> %s [label=\"%s\", style=%s];@." src dst
-          (weight_label (B.vedge_weight p e))
-          style;
-        node e
+let vector ppf (root : vedge) =
+  Fmt.pf ppf "digraph vector_dd {@.";
+  Fmt.pf ppf "  root [shape=point];@.";
+  Fmt.pf ppf "  t [label=\"1\", shape=box];@.";
+  let seen = Hashtbl.create 64 in
+  let rec node = function
+    | None -> ()
+    | Some n ->
+      if not (Hashtbl.mem seen n.vid) then begin
+        Hashtbl.add seen n.vid ();
+        Fmt.pf ppf "  v%d [label=\"q%d\", shape=circle];@." n.vid n.vvar;
+        edge n.vid 0 n.v0;
+        edge n.vid 1 n.v1
       end
-    in
-    if B.vedge_is_zero p root then Fmt.pf ppf "  root -> t [label=\"0\"];@."
-    else begin
-      let dst =
-        match B.vedge_view p root with
-        | None -> "t"
-        | Some nv -> Fmt.str "v%d" nv.Backend.nv_id
-      in
-      Fmt.pf ppf "  root -> %s [label=\"%s\"];@." dst
-        (weight_label (B.vedge_weight p root));
-      node root
-    end;
-    Fmt.pf ppf "}@."
+  and edge src branch (e : vedge) =
+    if not (vedge_is_zero e) then begin
+      let dst = match e.vt with None -> "t" | Some m -> Fmt.str "v%d" m.vid in
+      let style = if branch = 0 then "dashed" else "solid" in
+      Fmt.pf ppf "  v%d -> %s [label=\"%s\", style=%s];@." src dst
+        (weight_label e.vw) style;
+      node e.vt
+    end
+  in
+  if vedge_is_zero root then Fmt.pf ppf "  root -> t [label=\"0\"];@."
+  else begin
+    let dst = match root.vt with None -> "t" | Some m -> Fmt.str "v%d" m.vid in
+    Fmt.pf ppf "  root -> %s [label=\"%s\"];@." dst (weight_label root.vw);
+    node root.vt
+  end;
+  Fmt.pf ppf "}@."
 
-  let matrix p ppf (root : B.medge) =
-    Fmt.pf ppf "digraph matrix_dd {@.";
-    Fmt.pf ppf "  root [shape=point];@.";
-    Fmt.pf ppf "  t [label=\"1\", shape=box];@.";
-    let seen = Hashtbl.create 64 in
-    let branches = [| "00"; "01"; "10"; "11" |] in
-    let rec node e =
-      match B.medge_view p e with
-      | None -> ()
-      | Some nv ->
-        if not (Hashtbl.mem seen nv.Backend.nv_id) then begin
-          Hashtbl.add seen nv.Backend.nv_id ();
-          Fmt.pf ppf "  m%d [label=\"q%d\", shape=circle];@." nv.Backend.nv_id
-            nv.Backend.nv_var;
-          Array.iteri
-            (fun i child -> edge nv.Backend.nv_id branches.(i) child)
-            nv.Backend.nv_edges
-        end
-    and edge src branch e =
-      if not (B.medge_is_zero p e) then begin
-        let dst =
-          match B.medge_view p e with
-          | None -> "t"
-          | Some nv -> Fmt.str "m%d" nv.Backend.nv_id
-        in
-        Fmt.pf ppf "  m%d -> %s [label=\"%s:%s\"];@." src dst branch
-          (weight_label (B.medge_weight p e));
-        node e
+let matrix ppf (root : medge) =
+  Fmt.pf ppf "digraph matrix_dd {@.";
+  Fmt.pf ppf "  root [shape=point];@.";
+  Fmt.pf ppf "  t [label=\"1\", shape=box];@.";
+  let seen = Hashtbl.create 64 in
+  let rec node = function
+    | None -> ()
+    | Some n ->
+      if not (Hashtbl.mem seen n.mid) then begin
+        Hashtbl.add seen n.mid ();
+        Fmt.pf ppf "  m%d [label=\"q%d\", shape=circle];@." n.mid n.mvar;
+        edge n.mid "00" n.m00;
+        edge n.mid "01" n.m01;
+        edge n.mid "10" n.m10;
+        edge n.mid "11" n.m11
       end
-    in
-    if B.medge_is_zero p root then Fmt.pf ppf "  root -> t [label=\"0\"];@."
-    else begin
-      let dst =
-        match B.medge_view p root with
-        | None -> "t"
-        | Some nv -> Fmt.str "m%d" nv.Backend.nv_id
-      in
-      Fmt.pf ppf "  root -> %s [label=\"%s\"];@." dst
-        (weight_label (B.medge_weight p root));
-      node root
-    end;
-    Fmt.pf ppf "}@."
+  and edge src branch (e : medge) =
+    if not (medge_is_zero e) then begin
+      let dst = match e.mt with None -> "t" | Some m -> Fmt.str "m%d" m.mid in
+      Fmt.pf ppf "  m%d -> %s [label=\"%s:%s\"];@." src dst branch
+        (weight_label e.mw);
+      node e.mt
+    end
+  in
+  if medge_is_zero root then Fmt.pf ppf "  root -> t [label=\"0\"];@."
+  else begin
+    let dst = match root.mt with None -> "t" | Some m -> Fmt.str "m%d" m.mid in
+    Fmt.pf ppf "  root -> %s [label=\"%s\"];@." dst (weight_label root.mw);
+    node root.mt
+  end;
+  Fmt.pf ppf "}@."
 
-  let to_file path pp root =
-    let oc = open_out path in
-    let ppf = Format.formatter_of_out_channel oc in
-    pp ppf root;
-    Format.pp_print_flush ppf ();
-    close_out oc
+let to_file path pp root =
+  let oc = open_out path in
+  let ppf = Format.formatter_of_out_channel oc in
+  pp ppf root;
+  Format.pp_print_flush ppf ();
+  close_out oc
 
-  let vector_to_file p path e = to_file path (vector p) e
-  let matrix_to_file p path e = to_file path (matrix p) e
-end
-
-include Make (Classic)
+let vector_to_file path e = to_file path vector e
+let matrix_to_file path e = to_file path matrix e

@@ -1,26 +1,13 @@
-(** Graphviz export of decision diagrams, for debugging and documentation.
+(** Graphviz export of decision diagrams, for debugging and documentation. *)
 
-    Backend-generic: {!Make} renders any {!Backend.S} implementation via
-    its structural views.  The unfunctorized values are the {!Classic}
-    instance. *)
+(** [vector ppf e] prints a DOT digraph of the vector DD rooted at [e]. *)
+val vector : Format.formatter -> Types.vedge -> unit
 
-module Make (B : Backend.S) : sig
-  (** [vector p ppf e] prints a DOT digraph of the vector DD rooted at
-      [e]. *)
-  val vector : B.pkg -> Format.formatter -> B.vedge -> unit
+(** [matrix ppf e] prints a DOT digraph of the matrix DD rooted at [e]. *)
+val matrix : Format.formatter -> Types.medge -> unit
 
-  (** [matrix p ppf e] prints a DOT digraph of the matrix DD rooted at
-      [e]. *)
-  val matrix : B.pkg -> Format.formatter -> B.medge -> unit
+(** [vector_to_file path e] and [matrix_to_file path e] write the DOT text
+    to [path]. *)
+val vector_to_file : string -> Types.vedge -> unit
 
-  (** [vector_to_file p path e] and [matrix_to_file p path e] write the
-      DOT text to [path]. *)
-  val vector_to_file : B.pkg -> string -> B.vedge -> unit
-
-  val matrix_to_file : B.pkg -> string -> B.medge -> unit
-end
-
-val vector : Pkg.t -> Format.formatter -> Types.vedge -> unit
-val matrix : Pkg.t -> Format.formatter -> Types.medge -> unit
-val vector_to_file : Pkg.t -> string -> Types.vedge -> unit
-val matrix_to_file : Pkg.t -> string -> Types.medge -> unit
+val matrix_to_file : string -> Types.medge -> unit

@@ -19,10 +19,9 @@ let g_vnodes_peak = M.gauge "dd.unique.vec.peak"
 let g_mnodes_peak = M.gauge "dd.unique.mat.peak"
 let m_pkg_created = M.counter "dd.pkg.created"
 
-(* Per-cache capacities, GC config and the domain-ownership machinery are
-   shared across backends and live in {!Backend}; re-exported here so the
-   historical [Dd.Pkg.config] record syntax keeps working. *)
-type caps = Backend.caps =
+(* Per-cache capacities: negative means unbounded, 0 disables the cache
+   (every lookup misses), positive bounds the entry count. *)
+type caps =
   { vadd : int
   ; madd : int
   ; mv : int
@@ -32,20 +31,31 @@ type caps = Backend.caps =
   ; kernel : int
   }
 
-let caps_unbounded = Backend.caps_unbounded
-let caps_uniform = Backend.caps_uniform
+let caps_unbounded =
+  { vadd = -1; madd = -1; mv = -1; mm = -1; ip = -1; adj = -1; kernel = -1 }
 
-exception Cross_domain_use = Backend.Cross_domain_use
+let caps_uniform n =
+  { vadd = n; madd = n; mv = n; mm = n; ip = n; adj = n; kernel = n }
 
-let set_domain_guards = Backend.set_domain_guards
+(* A package is single-domain state: using one from a domain other than
+   its creator would corrupt its tables silently, so entry points carry a
+   cheap owner check that turns misuse into a loud [Cross_domain_use].
+   The kill switch is process-wide. *)
+exception Cross_domain_use of string
+
+let domain_guards = Atomic.make true
+let set_domain_guards b = Atomic.set domain_guards b
 let self_id () = (Domain.self () :> int)
 
-type config = Backend.config =
+type config =
   { caps : caps
   ; gc_threshold : int option
+        (* automatic compaction once the unique tables have grown by this
+           many nodes since the last sweep; [None] is the default growth
+           rule of [gc_due] *)
   }
 
-let default_config = Backend.default_config
+let default_config = { caps = caps_unbounded; gc_threshold = None }
 
 (* Registered roots.  A root is a mutable cell the package knows about:
    [compact] treats the edges held in live roots (plus the cached identity
@@ -122,7 +132,7 @@ type t =
   }
 
 let guard p =
-  if Backend.guards_enabled () then begin
+  if Atomic.get domain_guards then begin
     let d = self_id () in
     if d <> p.owner then
       raise
@@ -393,9 +403,52 @@ let gate p ~n ~controls ~target u =
 
 (* -- gate signatures --------------------------------------------------- *)
 
-(* The process-wide blueprint tier (derived, package-independent signature
-   parts shared across concurrent packages of any backend) lives in
-   {!Backend.shared_blueprint}. *)
+(* Process-wide tier for the derived, package-independent part of a gate
+   signature (wire extents and the control lookup array, plus the matrix
+   itself), keyed on raw float bits rather than interned weight ids, so
+   concurrent packages checking the same workload compute it once.
+   Blueprints are frozen after publish, which is what
+   {!Cache_store.Shared} requires and keeps the domain-ownership guard
+   intact: mutable package state never crosses domains, only these
+   immutable derivations do. *)
+type sig_blueprint =
+  { b_u : Cx.t array
+  ; b_hi : int
+  ; b_lo : int
+  ; b_cmin : int
+  ; b_control_at : bool option array
+  }
+
+let sig_share : (int * (int * bool) list * int64 list, sig_blueprint) Cache_store.Shared.t =
+  Cache_store.Shared.create ~metrics:"dd.sig.shared" ()
+
+let shared_sig_key ~controls ~target u =
+  let bits =
+    Array.to_list u
+    |> List.concat_map (fun (z : Cx.t) ->
+           [ Int64.bits_of_float z.re; Int64.bits_of_float z.im ])
+  in
+  (target, controls, bits)
+
+(* [controls] must already be sorted ([List.sort_uniq compare]). *)
+let shared_blueprint ~controls ~target u =
+  let skey = shared_sig_key ~controls ~target u in
+  match Cache_store.Shared.find sig_share skey with
+  | Some bp -> bp
+  | None ->
+    let involved = target :: List.map fst controls in
+    let hi = List.fold_left max target involved in
+    let lo = List.fold_left min target involved in
+    let cmin =
+      List.fold_left
+        (fun acc (q, _) -> if q < target then min acc q else acc)
+        max_int controls
+    in
+    let control_at = Array.make (hi + 1) None in
+    List.iter (fun (q, pos) -> control_at.(q) <- Some pos) controls;
+    let bp = { b_u = u; b_hi = hi; b_lo = lo; b_cmin = cmin; b_control_at = control_at } in
+    Cache_store.Shared.publish sig_share skey bp;
+    bp
 
 let build_sig p ~key ~u ~swap ~controls ~target ~target2 =
   let involved = target :: (if swap then [ target2 ] else List.map fst controls) in
@@ -437,17 +490,17 @@ let gate_sig p ~controls ~target u =
   match Hashtbl.find_opt p.sigs key with
   | Some s -> s
   | None ->
-    let bp = Backend.shared_blueprint ~controls ~target u in
+    let bp = shared_blueprint ~controls ~target u in
     let s =
       { gs_id = p.sig_next
-      ; gs_u = bp.Backend.b_u
+      ; gs_u = bp.b_u
       ; gs_swap = false
       ; gs_target = target
       ; gs_target2 = -1
-      ; gs_hi = bp.Backend.b_hi
-      ; gs_lo = bp.Backend.b_lo
-      ; gs_cmin = bp.Backend.b_cmin
-      ; gs_control_at = bp.Backend.b_control_at
+      ; gs_hi = bp.b_hi
+      ; gs_lo = bp.b_lo
+      ; gs_cmin = bp.b_cmin
+      ; gs_control_at = bp.b_control_at
       }
     in
     p.sig_next <- p.sig_next + 1;
@@ -606,6 +659,19 @@ let safepoint_hook : (t -> unit) option Domain.DLS.key =
 
 let set_safepoint_hook h = Domain.DLS.set safepoint_hook h
 
+(* The sweep rule [checkpoint] applies.  [live] counts the unique-table
+   entries, [baseline] the survivors of the last sweep (0 before the
+   first).  [Some n] sweeps after [n] nodes of growth.  [None] sweeps once
+   growth exceeds the survivors, or [gc_floor] while they are fewer: the
+   tables stay within about twice the live set plus the floor, and since
+   at least [baseline] inserts precede a sweep that costs O(survivors), a
+   large live DD is never swept quadratically. *)
+let gc_floor = 512
+
+let gc_due threshold ~live ~baseline =
+  live - baseline
+  > (match threshold with Some n -> n | None -> max gc_floor baseline)
+
 (* Growth policy: a cheap check consumers place at safepoints (between DD
    operations, when everything live is rooted).  Compaction must never run
    in the middle of a {!Vec}/{!Mat} operation — intermediate edges held in
@@ -617,13 +683,12 @@ let set_safepoint_hook h = Domain.DLS.set safepoint_hook h
    fidelity 1 by 2.8e-8 on a basis state, past the 1e-9 stimuli test). *)
 let checkpoint p =
   (match Domain.DLS.get safepoint_hook with None -> () | Some f -> f p);
-  if Backend.gc_due p.gc_threshold ~live:(live_nodes p) ~baseline:p.gc_baseline
-  then begin
+  if gc_due p.gc_threshold ~live:(live_nodes p) ~baseline:p.gc_baseline then begin
     M.incr m_gc_auto;
     sweep ~weights:false p
   end
 
-type stats = Backend.stats =
+type stats =
   { vector_nodes : int
   ; matrix_nodes : int
   ; weights : int

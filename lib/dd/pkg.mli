@@ -20,8 +20,7 @@ type t
 
 (** Raised when a package is used from a domain other than the one that
     created it — misuse that would otherwise corrupt the unique tables
-    silently.  The payload names both domain ids.  The exception is shared
-    by every backend (it is {!Backend.Cross_domain_use}). *)
+    silently.  The payload names both domain ids. *)
 exception Cross_domain_use of string
 
 (** [set_domain_guards b] enables or disables the owner check (default
@@ -36,10 +35,8 @@ val set_domain_guards : bool -> unit
     mean unbounded, [0] disables a cache (every lookup misses), positive
     values bound the entry count with second-chance eviction ({!Cache}).
     [kernel] bounds each of the two gate-kernel caches (vector and matrix;
-    see {!Mat.apply_gate}), which report jointly under [dd.kernel.*].
-    The record is {!Backend.caps}: one configuration type serves every
-    backend. *)
-type caps = Backend.caps =
+    see {!Mat.apply_gate}), which report jointly under [dd.kernel.*]. *)
+type caps =
   { vadd : int
   ; madd : int
   ; mv : int
@@ -54,7 +51,7 @@ val caps_unbounded : caps
 (** [caps_uniform n] applies the same capacity to every cache. *)
 val caps_uniform : int -> caps
 
-type config = Backend.config =
+type config =
   { caps : caps
   ; gc_threshold : int option
         (** when {!checkpoint} sweeps.  [Some n]: once the unique
@@ -269,6 +266,10 @@ val compact : t -> unit
     checkpoint.  A no-op (a few comparisons) otherwise. *)
 val checkpoint : t -> unit
 
+(** The default sweep rule's floor: 512 nodes of growth while fewer than
+    512 survived the last sweep (see {!checkpoint}). *)
+val gc_floor : int
+
 (** [set_safepoint_hook h] installs (or, with [None], removes) the calling
     domain's safepoint hook: a callback fired at every {!checkpoint} on
     any package used by this domain, before the auto-GC policy runs.
@@ -282,7 +283,7 @@ val set_safepoint_hook : (t -> unit) option -> unit
 
 (** {1 Statistics} *)
 
-type stats = Backend.stats =
+type stats =
   { vector_nodes : int  (** live vector nodes in the unique table *)
   ; matrix_nodes : int  (** live matrix nodes in the unique table *)
   ; weights : int  (** interned complex values *)

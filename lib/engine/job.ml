@@ -25,7 +25,6 @@ type spec =
   ; retries : int
   ; seed : int option
   ; cache : bool
-  ; backend : string
   ; portfolio : int option
   }
 
@@ -35,20 +34,18 @@ let default_label = function
   | Circuits { a; b } -> a.Circ.name ^ " vs " ^ b.Circ.name
 
 let files ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
-    ?timeout ?(retries = 0) ?seed ?(cache = true)
-    ?(backend = Dd.Registry.default) ?portfolio ~index file_a file_b =
+    ?timeout ?(retries = 0) ?seed ?(cache = true) ?portfolio ~index file_a file_b =
   let source = Files { file_a; file_b } in
   let label = Option.value label ~default:(default_label source) in
   { index; label; source; strategy; auto_scheme; perm; transform; timeout
-  ; retries; seed; cache; backend; portfolio }
+  ; retries; seed; cache; portfolio }
 
 let circuits ?label ?strategy ?(auto_scheme = false) ?perm ?(transform = true)
-    ?timeout ?(retries = 0) ?seed ?(cache = true)
-    ?(backend = Dd.Registry.default) ?portfolio ~index a b =
+    ?timeout ?(retries = 0) ?seed ?(cache = true) ?portfolio ~index a b =
   let source = Circuits { a; b } in
   let label = Option.value label ~default:(default_label source) in
   { index; label; source; strategy; auto_scheme; perm; transform; timeout
-  ; retries; seed; cache; backend; portfolio }
+  ; retries; seed; cache; portfolio }
 
 type verdict =
   { equivalent : bool
@@ -87,7 +84,6 @@ type result =
   ; attempts : int
   ; worker : int
   ; seed : int option
-  ; backend : string
   ; metrics : Obs.Metrics.snapshot
   }
 
@@ -177,7 +173,6 @@ let to_json r =
       ; ("attempts", Json.Int r.attempts)
       ; ("worker", Json.Int r.worker)
       ; ("seed", opt (fun s -> Json.Int s) r.seed)
-      ; ("backend", Json.String r.backend)
       ; ("metrics", Obs.Metrics.to_json r.metrics)
       ])
 
@@ -253,13 +248,6 @@ let of_json j =
     | Some Json.Null | None -> Ok None
     | _ -> Error "result: malformed \"seed\""
   in
-  (* absent in pre-backend result files: those ran the classic package *)
-  let* backend =
-    match field "backend" with
-    | Some (Json.String b) -> Ok b
-    | None -> Ok "classic"
-    | _ -> Error "result: malformed \"backend\""
-  in
   let* metrics =
     match field "metrics" with
     | Some (Json.Obj kvs) ->
@@ -276,7 +264,7 @@ let of_json j =
   in
   Ok
     { index; label; files_checked; outcome; duration; attempts; worker; seed
-    ; backend; metrics }
+    ; metrics }
 
 let of_string line =
   match Json.of_string_opt line with

@@ -36,10 +36,6 @@ type spec =
   ; cache : bool
         (** consult/populate the pool's verdict store (default; a no-op
             when the pool has none configured); [false] opts this job out *)
-  ; backend : string
-        (** DD backend registry name the job runs under (default
-            [Dd.Registry.default], i.e. ["classic"]); the pool resolves it
-            per job via {!Dd.Registry.find} *)
   ; portfolio : int option
         (** [Some w], [w >= 2]: race up to [w] candidate deciders for this
             job via [Qcec.Verify.portfolio] (extra domains are borrowed
@@ -64,7 +60,6 @@ val files :
   -> ?retries:int
   -> ?seed:int
   -> ?cache:bool
-  -> ?backend:string
   -> ?portfolio:int
   -> index:int
   -> string
@@ -81,7 +76,6 @@ val circuits :
   -> ?retries:int
   -> ?seed:int
   -> ?cache:bool
-  -> ?backend:string
   -> ?portfolio:int
   -> index:int
   -> Circuit.Circ.t
@@ -131,9 +125,6 @@ type result =
   ; attempts : int
   ; worker : int  (** pool worker id that ran the job *)
   ; seed : int option
-  ; backend : string
-        (** DD backend that ran (or would have run) the check; result
-            files predating the field parse as ["classic"] *)
   ; metrics : Obs.Metrics.snapshot
         (** per-job counter deltas from the worker's registry (all zeros
             unless collection is enabled) *)
@@ -168,7 +159,8 @@ val schema : string
 val to_json : result -> Obs.Json.t
 
 (** [of_json j] inverts {!to_json} exactly: for any [r],
-    [of_json (of_string (Json.to_string (to_json r)))] is [Ok r]. *)
+    [of_json (of_string (Json.to_string (to_json r)))] is [Ok r].  Keys it
+    does not know are ignored, such as the ["backend"] of older lines. *)
 val of_json : Obs.Json.t -> (result, string) Stdlib.result
 
 (** [of_string line] parses one JSONL line. *)

@@ -7,14 +7,12 @@ type defaults =
   ; retries : int
   ; transform : bool
   ; cache : bool
-  ; backend : string
   ; portfolio : int option
   }
 
 let no_defaults =
   { strategy = None; auto_scheme = false; timeout = None; retries = 0
-  ; transform = true; cache = true
-  ; backend = Dd.Registry.default; portfolio = None }
+  ; transform = true; cache = true; portfolio = None }
 
 type t =
   { seed : int option
@@ -63,21 +61,6 @@ let bool_field name j =
   | Some (Json.Bool b) -> Ok (Some b)
   | Some _ -> Error (Fmt.str "manifest: field %S must be a boolean" name)
   | None -> Ok None
-
-(* Backend names are validated against the runtime registry at parse
-   time, so a typo fails the whole manifest up front instead of surfacing
-   as N per-job crashes. *)
-let backend_field name j =
-  let* s = str_field name j in
-  match s with
-  | None -> Ok None
-  | Some b ->
-    (match Dd.Registry.find b with
-     | Some _ -> Ok (Some b)
-     | None ->
-       Error
-         (Fmt.str "manifest: unknown backend %S (expected one of: %s)" b
-            (String.concat ", " (Dd.Registry.names ()))))
 
 (* A portfolio width of 1 is legal (a degenerate race) but almost always a
    typo for "no portfolio"; the manifest insists on >= 2 to keep intent
@@ -141,7 +124,6 @@ let settings_of_json ~defaults j =
   let* retries = int_field "retries" j in
   let* transform = bool_field "transform" j in
   let* cache = bool_field "cache" j in
-  let* backend = backend_field "backend" j in
   let* portfolio = portfolio_field "portfolio" j in
   let strategy, auto_scheme =
     match scheme with
@@ -159,7 +141,6 @@ let settings_of_json ~defaults j =
     ; retries = Option.value retries ~default:defaults.retries
     ; transform = Option.value transform ~default:defaults.transform
     ; cache = Option.value cache ~default:defaults.cache
-    ; backend = Option.value backend ~default:defaults.backend
     ; portfolio =
         (match portfolio with
          | Some 0 -> None
@@ -196,7 +177,6 @@ let compile_job ?(defaults = no_defaults) ~index ~seed source j =
     ; retries = s.retries
     ; seed
     ; cache = s.cache
-    ; backend = s.backend
     ; portfolio = s.portfolio
     }
 
@@ -269,8 +249,7 @@ let of_pairs ?seed ?(defaults = no_defaults) pairs =
         Job.files ?strategy:defaults.strategy ~auto_scheme:defaults.auto_scheme
           ?timeout:defaults.timeout
           ~retries:defaults.retries ~transform:defaults.transform
-          ~cache:defaults.cache
-          ~backend:defaults.backend ?portfolio:defaults.portfolio
+          ~cache:defaults.cache ?portfolio:defaults.portfolio
           ?seed:(job_seed ~manifest_seed:seed ~index) ~index a b)
       pairs
   in

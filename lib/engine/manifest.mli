@@ -4,7 +4,7 @@
     { "schema": "qcec-manifest/v1",
       "seed": 42,
       "defaults": { "strategy": "proportional", "timeout": 30,
-                    "retries": 1, "transform": true, "backend": "classic" },
+                    "retries": 1, "transform": true },
       "jobs": [
         { "a": "bv6_dynamic.qasm", "b": "bv6_static.qasm",
           "label": "bv6", "strategy": "simulation:16",
@@ -44,10 +44,6 @@ type defaults =
   ; cache : bool
         (** default [true]; ["cache": false] (per job or in defaults)
             opts jobs out of the verdict store even when one is open *)
-  ; backend : string
-        (** default ["classic"]; ["backend"] (per job or in defaults)
-            selects the DD backend by {!Dd.Registry} name — unknown names
-            fail manifest compilation up front *)
   ; portfolio : int option
         (** ["portfolio": w] (per job or in defaults) races up to [w]
             candidate deciders per job, first verdict wins; [w] must be
@@ -78,8 +74,8 @@ val of_json : ?dir:string -> Obs.Json.t -> (t, string) result
 
 (** [compile_job ?defaults ~index ~seed source j] compiles the fields of
     one job object [j] — ["label"], ["strategy"]/["scheme"], ["perm"],
-    ["timeout"], ["retries"], ["transform"], ["cache"], ["backend"],
-    ["portfolio"] — onto [source] and [seed].  Fields [j] omits come from
+    ["timeout"], ["retries"], ["transform"], ["cache"], ["portfolio"] —
+    onto [source] and [seed].  Fields [j] omits come from
     [defaults] (default {!no_defaults}); the label defaults to
     {!Job.default_label}.  Manifest jobs compile through it with a [Files]
     source, the daemon's inline submissions with parsed [Circuits]. *)

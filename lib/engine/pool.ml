@@ -82,21 +82,20 @@ let check_budget ~control ~deadline ~node_limit ~live_nodes =
 (* The cooperative cancellation point: [Pkg.checkpoint] (called by every
    strategy / simulator / extraction loop after each gate) fires this hook,
    which runs [check_budget] against the package's live-node count.  The
-   hook is per backend (each keeps its own domain-local slot), so it is
-   installed on whichever backend the job resolved to.  The same hook
-   drives the daemon's heartbeat: at most one [on_progress] call per
+   hook is domain-local, so one worker's never fires in another.  The same
+   hook drives the daemon's heartbeat: at most one [on_progress] call per
    [progress_interval] seconds, carrying the live node count and elapsed
    wall clock. *)
-let with_guard (module B : Dd.Backend.S) ~deadline ~node_limit ~control f =
+let with_guard ~deadline ~node_limit ~control f =
   (match (deadline, node_limit, control) with
    | None, None, None -> ()
    | _ ->
      let t0 = now () in
      let last_beat = ref t0 in
-     B.Pkg.set_safepoint_hook
+     Dd.Pkg.set_safepoint_hook
        (Some
           (fun p ->
-            let live_nodes = B.Pkg.live_nodes p in
+            let live_nodes = Dd.Pkg.live_nodes p in
             check_budget ~control ~deadline ~node_limit ~live_nodes;
             match control with
             | Some { on_progress = Some beat; progress_interval; _ } ->
@@ -106,7 +105,7 @@ let with_guard (module B : Dd.Backend.S) ~deadline ~node_limit ~control f =
                 beat { phase = "check"; live_nodes; elapsed = t -. t0 }
               end
             | _ -> ())));
-  Fun.protect ~finally:(fun () -> B.Pkg.set_safepoint_hook None) f
+  Fun.protect ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None) f
 
 (* -- the worker-slot bank (portfolio admission) ------------------------ *)
 
@@ -184,7 +183,7 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
         | None -> composed
         | Some s -> take_at_most width (s :: List.filter (fun c -> c <> s) composed)
       in
-      let candidates = List.map (fun s -> (s, spec.backend)) strategies in
+      let candidates = List.map (fun s -> (s, Dd.Registry.default)) strategies in
       let t0 = now () in
       (* the throttle is shared by every candidate, hence the lock *)
       let beat_lock = Mutex.create () in
@@ -236,17 +235,6 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
    starts, which is where all the time goes). *)
 let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
   let deadline = Option.map (fun s -> now () +. s) spec.timeout in
-  (* resolved before any parsing so a bad registry name fails fast; the
-     manifest and the CLI both validate up front, this covers direct
-     programmatic [Job.spec]s *)
-  let backend =
-    match Dd.Registry.find spec.backend with
-    | Some b -> b
-    | None ->
-      failwith
-        (Fmt.str "unknown DD backend %S (expected one of: %s)" spec.backend
-           (String.concat ", " (Dd.Registry.names ())))
-  in
   let a, b, lint_inputs =
     match spec.source with
     | Job.Circuits { a; b } -> (a, b, [ (a, None); (b, None) ])
@@ -272,14 +260,10 @@ let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
   | Some w when w >= 2 ->
     race_attempt cfg ~bank ~dd_config ~deadline ~control ~width:w spec a b
   | _ ->
-  with_guard backend ~deadline ~node_limit:cfg.node_limit ~control (fun () ->
-    let module B = (val backend : Dd.Backend.S) in
-    let module V = Qcec.Verify.Make (B) in
+  with_guard ~deadline ~node_limit:cfg.node_limit ~control (fun () ->
     let on_dynamic = if spec.transform then `Transform else `Reject in
     (* the store is shared across workers by design: lookups are
-       lock-free and inserts serialize inside [Cache_store.Store]; the key
-       does not include the backend, so verdicts computed under one
-       backend serve warm under any other *)
+       lock-free and inserts serialize inside [Cache_store.Store] *)
     let cache = if spec.cache then cfg.cache else None in
     (* manifest [scheme = "auto"]: the analysis passes route the job now
        that both circuits are parsed; an explicitly pinned strategy always
@@ -299,7 +283,7 @@ let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
       | None -> None
     in
     let r =
-      V.functional ?strategy ?perm:spec.perm ~on_dynamic
+      Qcec.Verify.functional ?strategy ?perm:spec.perm ~on_dynamic
         ?dd_config ?seed:spec.seed ?cache a b
     in
     { Job.equivalent = r.Qcec.Verify.equivalent
@@ -350,7 +334,6 @@ let job_result (spec : Job.spec) ~worker ~attempts ~duration ~metrics outcome =
   ; attempts
   ; worker
   ; seed = spec.seed
-  ; backend = spec.backend
   ; metrics
   }
 

@@ -9,11 +9,7 @@
     outcome.  Resets that are not preceded by a measurement of the same
     qubit branch the same way, except that both branches contribute to the
     same classical assignment.  Branches whose accumulated probability falls
-    below the pruning cutoff are never simulated.
-
-    Backend-generic: {!Make} runs the walk on any {!Dd.Backend.S}; the
-    unfunctorized values are the {!Dd.Classic} instance.  Result and tree
-    types (and the [extract.*] metric totals) are shared across backends. *)
+    below the pruning cutoff are never simulated. *)
 
 type stats =
   { leaves : int  (** simulation paths reaching the end of the circuit *)
@@ -49,44 +45,26 @@ type tree =
     spirit of the paper's Fig. 4. *)
 val pp_tree : Format.formatter -> tree -> unit
 
-module Make (B : Dd.Backend.S) : sig
-  (** [run c] extracts the distribution of the dynamic circuit [c] starting
-      from |0...0>.
+(** [run c] extracts the distribution of the dynamic circuit [c] starting
+    from |0...0>.
 
-      [cutoff] prunes branches with accumulated probability at or below it
-      (default [1e-12]).  [domains] > 1 distributes the first branch points
-      over that many OCaml domains, the calling one included, each
-      re-simulating its forced prefix with a private DD package (the paper
-      notes the branches are embarrassingly parallel; its own evaluation is
-      sequential, and so is the default here).  The spawned domains'
-      metrics and spans are folded into the caller's at join.  [dd_config]
-      bounds the DD packages' operation caches and enables automatic
-      compaction; the walk roots the state of every pending branch, so
-      mid-walk sweeps are safe.
+    [cutoff] prunes branches with accumulated probability at or below it
+    (default [1e-12]).  [domains] > 1 distributes the first branch points
+    over that many OCaml domains, the calling one included, each
+    re-simulating its forced prefix with a private DD package (the paper
+    notes the branches are embarrassingly parallel; its own evaluation is
+    sequential, and so is the default here).  The spawned domains'
+    metrics and spans are folded into the caller's at join.  [dd_config]
+    bounds the DD packages' operation caches and enables automatic
+    compaction; the walk roots the state of every pending branch, so
+    mid-walk sweeps are safe.
 
-      Each package compiles [c] once ({!Dd_sim.Make.compile}) before its
-      walk, so a branch pays only for DD work, not for resolving gate
-      signatures.  The program belongs to that package and stays valid
-      across its checkpoint sweeps and [compact]: signature ids are never
-      reused.  The leaves are collected in a list and summed into the
-      distribution by one sort. *)
-  val run :
-       ?cutoff:float
-    -> ?domains:int
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> result
-
-  (** [tree c] materializes the whole branching structure; only sensible
-      for small numbers of measurements.  It walks a compiled program,
-      like {!run}. *)
-  val tree :
-       ?cutoff:float
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> tree
-end
-
+    Each package compiles [c] once ({!Dd_sim.compile}) before its
+    walk, so a branch pays only for DD work, not for resolving gate
+    signatures.  The program belongs to that package and stays valid
+    across its checkpoint sweeps and [compact]: signature ids are never
+    reused.  The leaves are collected in a list and summed into the
+    distribution by one sort. *)
 val run :
      ?cutoff:float
   -> ?domains:int
@@ -94,6 +72,9 @@ val run :
   -> Circuit.Circ.t
   -> result
 
+(** [tree c] materializes the whole branching structure; only sensible
+    for small numbers of measurements.  It walks a compiled program,
+    like {!run}. *)
 val tree :
      ?cutoff:float
   -> ?dd_config:Dd.Pkg.config

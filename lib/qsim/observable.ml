@@ -36,36 +36,32 @@ let validate_term term =
   if List.length (List.sort_uniq compare qs) <> List.length qs then
     invalid_arg "Observable: duplicate qubit in a Pauli string"
 
-module Make (B : Dd.Backend.S) = struct
-  module Pkg = B.Pkg
-  module Vec = B.Vec
-  module Mat = B.Mat
+module Pkg = Dd.Pkg
+module Vec = Dd.Vec
+module Mat = Dd.Mat
 
-  let expectation p state ~n obs =
-    (* root the input and the per-term transformed state so the loop can
-       pass through auto-GC safepoints between Pauli applications *)
-    Pkg.with_root_v p state (fun rs ->
-        let term_value term =
-          validate_term term;
-          Pkg.with_root_v p (Pkg.vroot_edge rs) (fun rt ->
-              List.iter
-                (fun (q, pauli) ->
-                  match pauli with
-                  | I -> ()
-                  | _ ->
-                    Pkg.set_vroot rt
-                      (Mat.apply_gate p ~n ~controls:[] ~target:q
-                         (matrix_of_pauli pauli) (Pkg.vroot_edge rt));
-                    Pkg.checkpoint p)
-                term.paulis;
-              term.coefficient
-              *. (Vec.inner_product p (Pkg.vroot_edge rs) (Pkg.vroot_edge rt))
-                   .Cx.re)
-        in
-        List.fold_left (fun acc term -> acc +. term_value term) 0.0 obs)
-end
-
-include Make (Dd.Classic)
+let expectation p state ~n obs =
+  (* root the input and the per-term transformed state so the loop can
+     pass through auto-GC safepoints between Pauli applications *)
+  Pkg.with_root_v p state (fun rs ->
+      let term_value term =
+        validate_term term;
+        Pkg.with_root_v p (Pkg.vroot_edge rs) (fun rt ->
+            List.iter
+              (fun (q, pauli) ->
+                match pauli with
+                | I -> ()
+                | _ ->
+                  Pkg.set_vroot rt
+                    (Mat.apply_gate p ~n ~controls:[] ~target:q
+                       (matrix_of_pauli pauli) (Pkg.vroot_edge rt));
+                  Pkg.checkpoint p)
+              term.paulis;
+            term.coefficient
+            *. (Vec.inner_product p (Pkg.vroot_edge rs) (Pkg.vroot_edge rt))
+                 .Cx.re)
+      in
+      List.fold_left (fun acc term -> acc +. term_value term) 0.0 obs)
 
 let expectation_dense (sv : Statevector.t) obs =
   let term_value term =

@@ -34,14 +34,7 @@ val add : t -> t -> t
 
 (** {1 Evaluation} *)
 
-module Make (B : Dd.Backend.S) : sig
-  (** [expectation p state ~n obs] is [<state| obs |state>] on the DD
-      backend [B]. *)
-  val expectation : B.pkg -> B.vedge -> n:int -> t -> float
-end
-
-(** [expectation p state ~n obs] is [<state| obs |state>] on the classic DD
-    backend. *)
+(** [expectation p state ~n obs] is [<state| obs |state>] on a DD state. *)
 val expectation : Dd.Pkg.t -> Dd.Types.vedge -> n:int -> t -> float
 
 (** [expectation_dense sv obs] is the dense-backend evaluation, used as the

@@ -6,10 +6,7 @@
     Implemented over the decision-diagram backend; useful as yet another
     oracle (empirical distributions must converge to {!Extraction.run}'s
     exact ones at the usual [O(1/sqrt shots)] rate) and for the ablation
-    benchmark quantifying the paper's argument.
-
-    Backend-generic: {!Make} samples over any {!Dd.Backend.S}; the
-    unfunctorized values are the {!Dd.Classic} instance. *)
+    benchmark quantifying the paper's argument. *)
 
 type result =
   { counts : (string * int) list
@@ -21,21 +18,12 @@ type result =
     {!Extraction.run}. *)
 val empirical : result -> (string * float) list
 
-module Make (B : Dd.Backend.S) : sig
-  (** [run ~seed ~shots c] performs [shots] independent end-to-end
-      simulations, sampling every measurement and reset outcome.  The
-      circuit is compiled once for the shared package
-      ({!Dd_sim.Make.compile}) and every shot runs the program.
-      [dd_config] bounds the shared DD package's caches and enables
-      automatic compaction between operations. *)
-  val run :
-       seed:int
-    -> shots:int
-    -> ?dd_config:Dd.Backend.config
-    -> Circuit.Circ.t
-    -> result
-end
-
+(** [run ~seed ~shots c] performs [shots] independent end-to-end
+    simulations, sampling every measurement and reset outcome.  The
+    circuit is compiled once for the shared package
+    ({!Dd_sim.compile}) and every shot runs the program.
+    [dd_config] bounds the shared DD package's caches and enables
+    automatic compaction between operations. *)
 val run :
      seed:int
   -> shots:int

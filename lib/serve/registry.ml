@@ -41,7 +41,7 @@ let add t ~label ~control =
     Queue.add id t.order;
     j)
 
-let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.jobs id)
+let lookup t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.jobs id)
 
 let emit t j ~event data =
   Mutex.protect t.lock (fun () ->

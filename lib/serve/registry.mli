@@ -34,7 +34,7 @@ val create : unit -> t
     assigns it the next id ([job-000001], ...). *)
 val add : t -> label:string -> control:Engine.Pool.control -> job
 
-val find : t -> string -> job option
+val lookup : t -> string -> job option
 val state : t -> job -> state
 val state_string : state -> string
 val set_state : t -> job -> state -> unit

@@ -371,7 +371,7 @@ let metrics_json t =
 let split_path p = List.filter (fun s -> s <> "") (String.split_on_char '/' p)
 
 let find_job t id =
-  match Registry.find t.registry id with
+  match Registry.lookup t.registry id with
   | Some j -> j
   | None -> reject 404 "not_found" (Printf.sprintf "no such job %S" id)
 

@@ -299,12 +299,12 @@ let prop_inner_product_unitary_invariant =
 let test_dot_export () =
   let p = Dd.Pkg.create () in
   let s = Dd.Pkg.basis_state p 2 (fun _ -> true) in
-  let text = Fmt.str "%a" (Dd.Dot.vector p) s in
+  let text = Fmt.str "%a" Dd.Dot.vector s in
   Alcotest.(check bool) "dot has digraph" true
     (String.length text > 0
      && String.sub text 0 7 = "digraph");
   let m = Dd.Pkg.ident p 2 in
-  let text = Fmt.str "%a" (Dd.Dot.matrix p) m in
+  let text = Fmt.str "%a" Dd.Dot.matrix m in
   Alcotest.(check bool) "matrix dot nonempty" true (String.length text > 20)
 
 let test_repeated_apply_hits_cache () =

@@ -174,13 +174,17 @@ let test_bad_jobs_do_not_abort () =
   let lint_broken =
     "OPENQASM 3.0;\nqubit[1] q;\nbit[1] c;\nif (c[0] == 1) { x q[0]; }\n"
   in
+  (* parses, but a CX cannot control its own target *)
+  let malformed = "OPENQASM 2.0;\nqreg q[2];\nCX q[0],q[0];\n" in
   with_temp_qasm lint_broken (fun bad_lint ->
+  with_temp_qasm malformed (fun bad_op ->
     let good = bv_pair 1 in
     let specs =
       [ Job.files ~index:0 "no/such/file.qasm" "nor/this/one.qasm"
       ; Job.files ~index:1 bad_lint bad_lint
       ; Job.circuits ~index:2 ~perm:good.Pair.dyn_to_static
           good.Pair.static_circuit good.Pair.dynamic_circuit
+      ; Job.files ~index:3 bad_op bad_op
       ]
     in
     let batch = run ~workers:2 specs in
@@ -188,12 +192,13 @@ let test_bad_jobs_do_not_abort () =
     check_class "lint pre-flight failure is structured" "lint_error"
       (exit_of batch 1);
     check_class "the healthy job still verifies" "equivalent" (exit_of batch 2);
+    check_class "an invalid op is a parse_error" "parse_error" (exit_of batch 3);
     (* with the pre-flight off the same job runs into the transformation,
        which cannot handle a condition no measurement writes: the failure
        is still contained, it just surfaces later and less precisely *)
     let unchecked = run ~workers:1 ~lint:false [ List.nth specs 1 ] in
     check_class "lint off: failure still contained" "crash" (Job.exit_class
-      (List.hd unchecked.Pool.results).Job.outcome))
+      (List.hd unchecked.Pool.results).Job.outcome)))
 
 let test_reject_dynamic () =
   let file = Filename.concat "fixtures" "dynamic_teleport.qasm" in
@@ -312,8 +317,7 @@ let test_manifest_errors () =
 let test_inline_compiles_like_manifest () =
   let fields =
     {|"label": "same", "scheme": "lookahead", "perm": [1, 0], "timeout": 5,
-      "retries": 2, "transform": false, "cache": false, "backend": "packed",
-      "portfolio": 3|}
+      "retries": 2, "transform": false, "cache": false, "portfolio": 3|}
   in
   let from_manifest =
     match
@@ -343,16 +347,16 @@ let test_inline_compiles_like_manifest () =
   Alcotest.(check bool) "same spec fields" true (fields_of from_manifest = fields_of inline);
   Alcotest.(check bool) "fields were compiled, not defaulted" true
     (inline.Job.strategy = Some Qcec.Strategy.Lookahead
-    && inline.Job.backend = "packed"
     && inline.Job.portfolio = Some 3
     && inline.Job.perm = Some [| 1; 0 |])
 
-(* The retired ["kernels"] flag may linger in old manifests: it must still
-   compile, change nothing, and every gate must still go through the
-   direct kernels. *)
+(* The retired ["kernels"] and ["backend"] keys may linger in old
+   manifests: they must still compile, change nothing, and every gate must
+   still go through the direct kernels.  A result line written while the
+   ["backend"] field existed must still load. *)
 let test_manifest_legacy_kernels_key () =
   let compile ~legacy =
-    let key = if legacy then {|, "kernels": false|} else "" in
+    let key = if legacy then {|, "kernels": false, "backend": "packed"|} else "" in
     let doc =
       Obs.Json.of_string
         (Printf.sprintf
@@ -385,7 +389,16 @@ let test_manifest_legacy_kernels_key () =
             (Job.same_outcome a.Job.outcome b.Job.outcome))
         legacy.Pool.results plain.Pool.results;
       Alcotest.(check bool) "gates still go through the kernels" true
-        (Obs.Metrics.find legacy.Pool.metrics "dd.kernel.calls" > 0))
+        (Obs.Metrics.find legacy.Pool.metrics "dd.kernel.calls" > 0));
+  let old_line =
+    {|{"schema":"qcec-result/v1","index":0,"label":"ghz.qasm vs ghz.qasm","files":["ghz.qasm","ghz.qasm"],"exit":"equivalent","equivalent":true,"exactly_equal":true,"strategy":"proportional","t_transform":1e-05,"t_check":0.0003,"transformed_qubits":4,"peak_nodes":5,"cached":false,"error":null,"duration_seconds":0.0006,"attempts":1,"worker":0,"seed":null,"backend":"packed","metrics":{"dd.kernel.calls":8}}|}
+  in
+  match Job.of_string old_line with
+  | Error e -> Alcotest.failf "a result line with \"backend\" must load: %s" e
+  | Ok r ->
+    check_class "old line keeps its verdict" "equivalent" (Job.exit_class r.Job.outcome);
+    Alcotest.(check int) "old line keeps its metrics" 8
+      (Obs.Metrics.find r.Job.metrics "dd.kernel.calls")
 
 (* -- qcec-result/v1 round trip ------------------------------------------ *)
 
@@ -434,9 +447,8 @@ let gen_result =
       ; outcome
       ; duration
       ; attempts
-      ; worker = fst worker
+      ; worker
       ; seed
-      ; backend = snd worker
       ; metrics
       })
     (pair
@@ -447,7 +459,7 @@ let gen_result =
           (oneof [ verdict; failure ]))
        (pair
           (pair (pair small_float small_nat)
-             (pair (pair small_nat (oneofl [ "classic"; "packed" ])) (opt small_int)))
+             (pair small_nat (opt small_int)))
           metrics))
 
 let prop_result_roundtrip =

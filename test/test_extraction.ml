@@ -170,24 +170,10 @@ let all_op_kinds =
     ; Op.Measure { qubit = 0; cbit = 3 }
     ]
 
-module Extraction_packed = Qsim.Extraction.Make (Dd.Packed)
-module Sampler_packed = Qsim.Sampler.Make (Dd.Packed)
-
 let rec tree_leaves = function
   | Qsim.Extraction.Leaf { cvals; probability } -> [ (cvals, probability) ]
   | Branch { zero; one; _ } ->
     List.concat_map (function None -> [] | Some t -> tree_leaves t) [ zero; one ]
-
-let check_all_op_kinds backend ~run ~tree ~sample =
-  let dense = Qsim.Statevector.extract_distribution all_op_kinds in
-  let check what d =
-    Util.check_distributions (Fmt.str "%s %s = dense oracle" backend what) dense d
-  in
-  check "run" (run 1).Qsim.Extraction.distribution;
-  check "run ~domains:2" (run 2).Qsim.Extraction.distribution;
-  check "tree leaves" (tree_leaves (tree ()));
-  let tv = Qcec.Distribution.total_variation dense (Qsim.Sampler.empirical (sample ())) in
-  Alcotest.(check bool) (Fmt.str "%s sampler TVD %.4f < 0.1" backend tv) true (tv < 0.1)
 
 let test_all_op_kinds () =
   (* the dense oracle shares [cond_holds], so pin its bit order here *)
@@ -196,14 +182,15 @@ let test_all_op_kinds () =
   in
   Alcotest.(check (list bool)) "value 2 over [c0; c1]" [ false; true; false; false ]
     (List.map holds [ "00"; "01"; "10"; "11" ]);
-  check_all_op_kinds "classic"
-    ~run:(fun domains -> Qsim.Extraction.run ~domains all_op_kinds)
-    ~tree:(fun () -> Qsim.Extraction.tree all_op_kinds)
-    ~sample:(fun () -> Qsim.Sampler.run ~seed:5 ~shots:4000 all_op_kinds);
-  check_all_op_kinds "packed"
-    ~run:(fun domains -> Extraction_packed.run ~domains all_op_kinds)
-    ~tree:(fun () -> Extraction_packed.tree all_op_kinds)
-    ~sample:(fun () -> Sampler_packed.run ~seed:5 ~shots:4000 all_op_kinds)
+  let dense = Qsim.Statevector.extract_distribution all_op_kinds in
+  let check what d = Util.check_distributions (what ^ " = dense oracle") dense d in
+  let run domains = (Qsim.Extraction.run ~domains all_op_kinds).Qsim.Extraction.distribution in
+  check "run" (run 1);
+  check "run ~domains:2" (run 2);
+  check "tree leaves" (tree_leaves (Qsim.Extraction.tree all_op_kinds));
+  let sample = Qsim.Sampler.run ~seed:5 ~shots:4000 all_op_kinds in
+  let tv = Qcec.Distribution.total_variation dense (Qsim.Sampler.empirical sample) in
+  Alcotest.(check bool) (Fmt.str "sampler TVD %.4f < 0.1" tv) true (tv < 0.1)
 
 let prop_extraction_matches_dense =
   QCheck.Test.make ~name:"DD extraction = dense extraction (random dynamic)"
@@ -252,7 +239,8 @@ let suite =
   ; Alcotest.test_case "branching tree structure" `Quick test_tree_structure
   ; Alcotest.test_case "parallel driver" `Quick test_parallel_matches_sequential
   ; Alcotest.test_case "sweeping walk" `Quick test_extraction_sweeps
-  ; Alcotest.test_case "every op kind, both backends" `Quick test_all_op_kinds
+  ; Alcotest.test_case "every op kind, both by walk and by sampler" `Quick
+      test_all_op_kinds
   ; Util.qtest prop_extraction_matches_dense
   ; Util.qtest prop_mass_is_one
   ; Util.qtest prop_parallel_matches_sequential

@@ -1,6 +1,5 @@
 (* The cost-aware lookahead application scheme: scheduling must never
-   change verdicts (bit-identical to proportional alternation, on every
-   DD backend), it must pay for itself in peak intermediate nodes where
+   change verdicts (bit-identical to proportional alternation), it must pay for itself in peak intermediate nodes where
    the cost curves diverge, and the manifest/engine plumbing around
    ["scheme"] (auto routing included) must resolve as documented. *)
 
@@ -8,9 +7,6 @@ module Circ = Circuit.Circ
 module Pair = Algorithms.Pair
 module Job = Engine.Job
 module Manifest = Engine.Manifest
-
-module Vc = Qcec.Verify.Make (Dd.Classic)
-module Vp = Qcec.Verify.Make (Dd.Packed)
 
 let table1_pairs =
   [ Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:9 9)
@@ -23,30 +19,21 @@ let table1_pairs =
 let fingerprint (r : Qcec.Verify.functional_result) =
   (r.Qcec.Verify.equivalent, r.Qcec.Verify.exactly_equal)
 
-(* lookahead and proportional agree on every Table 1 pair, under both the
-   hash-consed and the packed-array backend *)
+(* lookahead and proportional agree on every Table 1 pair *)
 let test_verdicts_identical () =
   List.iter
     (fun (pair : Pair.t) ->
-      let classic strategy =
-        Vc.functional ~strategy ~perm:pair.Pair.dyn_to_static
-          pair.Pair.static_circuit pair.Pair.dynamic_circuit
-      in
-      let packed strategy =
-        Vp.functional ~strategy ~perm:pair.Pair.dyn_to_static
+      let run strategy =
+        Qcec.Verify.functional ~strategy ~perm:pair.Pair.dyn_to_static
           pair.Pair.static_circuit pair.Pair.dynamic_circuit
       in
       let name = pair.Pair.static_circuit.Circ.name in
       Alcotest.(check (pair bool bool))
-        (name ^ ": classic verdicts agree")
-        (fingerprint (classic Qcec.Strategy.Proportional))
-        (fingerprint (classic Qcec.Strategy.Lookahead));
-      Alcotest.(check (pair bool bool))
-        (name ^ ": packed verdicts agree")
-        (fingerprint (packed Qcec.Strategy.Proportional))
-        (fingerprint (packed Qcec.Strategy.Lookahead));
+        (name ^ ": verdicts agree")
+        (fingerprint (run Qcec.Strategy.Proportional))
+        (fingerprint (run Qcec.Strategy.Lookahead));
       Alcotest.(check bool) (name ^ ": equivalent") true
-        (classic Qcec.Strategy.Lookahead).Qcec.Verify.equivalent)
+        (run Qcec.Strategy.Lookahead).Qcec.Verify.equivalent)
     table1_pairs
 
 (* an inequivalent pair must stay inequivalent under lookahead — the
@@ -154,7 +141,7 @@ let test_pool_auto_scheme () =
     batch.Engine.Pool.results
 
 let suite =
-  [ Alcotest.test_case "verdicts identical across schemes and backends" `Quick
+  [ Alcotest.test_case "verdicts identical across schemes" `Quick
       test_verdicts_identical
   ; Alcotest.test_case "inequivalent pair stays inequivalent" `Quick
       test_inequivalent_pair

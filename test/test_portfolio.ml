@@ -97,7 +97,7 @@ let test_stimuli_check_reproducible () =
 
 let race_candidates =
   [ (Qcec.Strategy.Proportional, "classic")
-  ; (Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Entangled; shots = 4 }, "packed")
+  ; (Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Entangled; shots = 4 }, "classic")
   ; (Qcec.Strategy.Lookahead, "classic")
   ]
 
@@ -362,7 +362,7 @@ let test_all_simulative_race_is_probabilistic () =
           , "classic" )
         ; ( Qcec.Strategy.Random_stimuli
               { kind = Qcec.Strategy.Basis; shots = 8 }
-          , "packed" )
+          , "classic" )
         ]
       ~seed:7 s id
   in
@@ -431,21 +431,19 @@ let test_pool_portfolio_job () =
   | Job.Failed { message; _ } -> Alcotest.failf "portfolio job failed: %s" message
 
 (* seeds derive via [Verify.candidate_seed], and portfolio verdict
-   flags are independent of worker count and backend (the winning
+   flags are independent of worker count (the winning
    candidate may differ run to run; the verdict may not).  An
    all-simulative race on an equivalent pair settles on the flagged
    probabilistic fallback — no candidate may claim it. *)
 let prop_portfolio_determinism =
   QCheck.Test.make ~count:4
     ~name:"portfolio: derived seeds and worker-count-independent verdicts"
-    QCheck.(
-      make
-        Gen.(pair (int_bound 999) (oneofl [ "classic"; "packed" ])))
-    (fun (seed, backend) ->
+    QCheck.(int_bound 999)
+    (fun seed ->
       let pair = bv_pair (seed mod 5) in
       let candidates =
         List.map
-          (fun s -> (s, backend))
+          (fun s -> (s, Dd.Registry.default))
           [ Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Basis; shots = 3 }
           ; Qcec.Strategy.Random_stimuli
               { kind = Qcec.Strategy.Entangled; shots = 3 }
@@ -468,7 +466,7 @@ let prop_portfolio_determinism =
       let specs =
         List.init 3 (fun index ->
           let p = bv_pair index in
-          Job.circuits ~perm:p.Pair.dyn_to_static ~backend ~portfolio:2
+          Job.circuits ~perm:p.Pair.dyn_to_static ~portfolio:2
             ~seed:(seed + index) ~index p.Pair.static_circuit
             p.Pair.dynamic_circuit)
       in

@@ -93,7 +93,17 @@ let test_parse_errors () =
   expect_error "qreg q[1]; h q[5];";
   expect_error "qreg q[1]; h p[0];";
   expect_error "qreg q[1]; rx() q[0];";
-  expect_error "h q[0];" (* undeclared register *)
+  expect_error "h q[0];" (* undeclared register *);
+  (* statements that parse but build an invalid op fail on their own line,
+     not with [Invalid_argument] from [Circ.make] *)
+  let expect_error_at line body =
+    Util.check_parse_error_at ~parse ~line
+      ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n" ^ body)
+  in
+  expect_error_at 5 "cx q[0],q[0];";
+  expect_error_at 6 "h q[0];\nif(c==7) x q[1];" (* value needs 3 bits *);
+  expect_error_at 5 "if(c==1) measure q[1] -> c[0];";
+  expect_error_at 5 "u3(1/0,0,0) q[0];\nmeasure q[0] -> c[0];"
 
 let test_roundtrip_static () =
   let original = Algorithms.Qft.static 5 in

@@ -89,7 +89,15 @@ let test_parse_errors_v3 () =
   in
   expect_error {|OPENQASM 3.0; qubit[1] q; c[0] = measure q[0];|} (* undeclared bit *);
   expect_error {|OPENQASM 3.0; qubit[1] q; bit[1] c; c[0] = x q[0];|};
-  expect_error {|OPENQASM 3.0; qubit[1] q; if (q[0]) x q[0];|} (* qubit as condition *)
+  expect_error {|OPENQASM 3.0; qubit[1] q; if (q[0]) x q[0];|} (* qubit as condition *);
+  (* statements that parse but build an invalid op fail on their own line *)
+  let expect_error_at line body =
+    Util.check_parse_error_at ~parse ~line
+      ("OPENQASM 3.0;\ninclude \"stdgates.inc\";\nqubit[2] q;\nbit[2] c;\n" ^ body)
+  in
+  expect_error_at 6 "c[0] = measure q[0];\nif (c[0] == 2) x q[1];";
+  expect_error_at 5 "cx q[0], q[0];";
+  expect_error_at 5 "U(1/0, 0, 0) q[0];"
 
 let suite =
   [ Alcotest.test_case "parse dynamic program" `Quick test_parse_dynamic_program

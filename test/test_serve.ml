@@ -302,8 +302,7 @@ let test_e2e_submit_poll_verdict () =
             (Printf.sprintf "message %S names %s" message field)
             true
             (Util.contains ~sub:field message))
-        [ ("backend", Json.String "no-such-backend")
-        ; ("portfolio", Json.Int 1)
+        [ ("portfolio", Json.Int 1)
         ; ("retries", Json.String "x")
         ];
       Alcotest.(check string) "missing job is 404" "not_found"

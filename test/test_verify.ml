@@ -210,26 +210,25 @@ let test_default_gc_bounds_tables () =
     ; ("QFT-40 S-mutant", (with_ops qft "qft+s" [ Op.apply Gates.S 0 ], qft'))
     ]
   in
-  let check (module B : Dd.Backend.S) (name, (g, g')) =
-    let module St = Qcec.Strategy.Make (B) in
+  let check (name, (g, g')) =
     let run gc_threshold =
-      let p = B.Pkg.create ~config:{ Dd.Pkg.default_config with gc_threshold } () in
+      let p = Dd.Pkg.create ~config:{ Dd.Pkg.default_config with gc_threshold } () in
       let most = ref 0 in
-      B.Pkg.set_safepoint_hook (Some (fun p -> most := max !most (B.Pkg.live_nodes p)));
+      Dd.Pkg.set_safepoint_hook (Some (fun p -> most := max !most (Dd.Pkg.live_nodes p)));
       let o =
         Fun.protect
-          ~finally:(fun () -> B.Pkg.set_safepoint_hook None)
-          (fun () -> St.check p Qcec.Strategy.Proportional g g')
+          ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None)
+          (fun () -> Qcec.Strategy.check p Qcec.Strategy.Proportional g g')
       in
-      (o, max !most (B.Pkg.live_nodes p))
+      (o, max !most (Dd.Pkg.live_nodes p))
     in
     let before = Obs.Metrics.snapshot () in
     let o, most = run None in
     let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
     let reference, _ = run (Some max_int) in
-    let label = Fmt.str "%s %s: " B.name name in
+    let label = name ^ ": " in
     Alcotest.(check bool) (label ^ "swept") true (Obs.Metrics.find d "dd.gc.runs" > 0);
-    let bound = 2 * (Dd.Backend.gc_floor + o.Qcec.Strategy.peak_nodes) in
+    let bound = 2 * (Dd.Pkg.gc_floor + o.Qcec.Strategy.peak_nodes) in
     Alcotest.(check bool)
       (Fmt.str "%s%d nodes at a safepoint <= %d" label most bound)
       true (most <= bound);
@@ -241,10 +240,7 @@ let test_default_gc_bounds_tables () =
   Obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.set_enabled false)
-    (fun () ->
-      List.iter
-        (fun b -> List.iter (check b) cases)
-        [ (module Dd.Classic : Dd.Backend.S); (module Dd.Packed : Dd.Backend.S) ])
+    (fun () -> List.iter check cases)
 
 (* property: random unitary circuit is equivalent to itself composed with
    identity-preserving rewrites, and inequivalent to a mutated version *)
@@ -268,6 +264,51 @@ let prop_transform_then_check_random_dynamic =
       (* the functional flow transforms [dyn] internally; compare to the
          pre-transformed version *)
       (Qcec.Verify.functional static dyn).Qcec.Verify.equivalent)
+
+let prop_measure_terminal_matches_dense =
+  QCheck.Test.make
+    ~name:"functional verdicts match dense unitaries on measure-terminal pairs"
+    ~count:40
+    QCheck.(pair (int_range 1 4) (int_range 0 100000))
+    (fun (n, seed) ->
+      let u = Algorithms.Random_circuit.unitary ~seed ~qubits:n ~gates:10 in
+      let measured c =
+        Circ.make ~name:(c.Circ.name ^ "+measure") ~qubits:n ~cbits:n
+          (c.Circ.ops @ List.init n (fun q -> Op.Measure { qubit = q; cbit = q }))
+      in
+      let a = measured u in
+      (* half of the pairs differ by an X, so [false] verdicts meet the
+         oracle too *)
+      let b =
+        if seed mod 2 = 0 then a
+        else measured (with_ops u "x+u" [ Op.apply Gates.X 0 ])
+      in
+      let r = Qcec.Verify.functional a b in
+      let dense c = Qsim.Statevector.unitary_matrix (Circ.strip_measurements c) in
+      let ua = dense a and ub = dense b in
+      r.Qcec.Verify.equivalent = Util.matrices_equal_up_to_phase ua ub
+      && r.Qcec.Verify.exactly_equal = Util.matrices_equal ua ub)
+
+let prop_distribution_matches_dense =
+  QCheck.Test.make
+    ~name:"distribution verdicts match dense extraction on dynamic-vs-transformed pairs"
+    ~count:30
+    QCheck.(pair (int_range 2 4) (int_range 0 100000))
+    (fun (n, seed) ->
+      let dyn = Algorithms.Random_circuit.dynamic ~seed ~qubits:n ~cbits:2 ~ops:10 in
+      let static = Transform.Dynamic.transform dyn in
+      let static =
+        if seed mod 2 = 0 then static
+        else (* an X up front skews the outcome statistics *)
+          with_ops static "x+static" [ Op.apply Gates.X 0 ]
+      in
+      let r = Qcec.Verify.distribution dyn static in
+      let dense_dyn = Qsim.Statevector.extract_distribution dyn in
+      let dense_static = Qsim.Statevector.extract_distribution static in
+      let tv = Qcec.Distribution.total_variation in
+      tv r.Qcec.Verify.dynamic_distribution dense_dyn <= 1e-9
+      && tv r.Qcec.Verify.static_distribution dense_static <= 1e-9
+      && r.Qcec.Verify.distributions_equal = (tv dense_dyn dense_static <= 1e-9))
 
 (* Unsorted lists over eight 3-bit assignments, so keys repeat. *)
 let arb_distribution =
@@ -314,4 +355,6 @@ let suite =
   ; Util.qtest prop_total_variation_matches_reference
   ; Util.qtest prop_self_equivalence
   ; Util.qtest prop_transform_then_check_random_dynamic
+  ; Util.qtest prop_measure_terminal_matches_dense
+  ; Util.qtest prop_distribution_matches_dense
   ]

@@ -68,6 +68,13 @@ let check_circuit_unitary ?(tol = 1e-8) msg (c : Circuit.Circ.t) =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* [parse src] must fail with a [Parse_error] located at [line]. *)
+let check_parse_error_at ~parse ~line src =
+  match parse src with
+  | exception Circuit.Qasm_parser.Parse_error (msg, l) ->
+    Alcotest.(check int) (Fmt.str "%S fails on line %d (%s)" src line msg) line l
+  | _ -> Alcotest.failf "expected a parse error for %S" src
+
 (* [contains ~sub s]: [sub] occurs in [s]. *)
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
