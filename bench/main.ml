@@ -29,11 +29,6 @@ let report_failure fmt =
   incr failures;
   Fmt.epr fmt
 
-(* DD memory-manager knobs (--cache-cap, --gc-threshold): [None] keeps the
-   default package, with unbounded caches and a sweep once the unique
-   tables outgrow twice their live set. *)
-let dd_config : Dd.Pkg.config option ref = ref None
-
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -81,8 +76,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   let t_trans, t_ver, equivalent =
     if verify then begin
       let r =
-        Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static ?dd_config:!dd_config
-          static dyn
+        Qcec.Verify.functional ~perm:pair.Pair.dyn_to_static static dyn
       in
       if not r.Qcec.Verify.equivalent then
         report_failure "%s: NOT equivalent!@." static.Circ.name;
@@ -99,7 +93,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   in
   let t_extract, t_sim, distributions_equal =
     if extract then begin
-      let r = Qcec.Verify.distribution ?dd_config:!dd_config dyn static in
+      let r = Qcec.Verify.distribution dyn static in
       if not r.Qcec.Verify.distributions_equal then
         report_failure "%s: distributions differ!@." static.Circ.name;
       ( Some r.Qcec.Verify.t_extract
@@ -107,7 +101,7 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
       , Some r.Qcec.Verify.distributions_equal )
     end
     else begin
-      let p = Dd.Pkg.create ?config:!dd_config () in
+      let p = Dd.Pkg.create () in
       let t0 = Qcec.Verify.now () in
       ignore (Qsim.Dd_sim.simulate p static);
       (None, Some (Qcec.Verify.now () -. t0), None)
@@ -482,31 +476,12 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
   let quick = List.mem "--quick" args in
-  let set_dd_config f =
-    let cfg = Option.value ~default:Dd.Pkg.default_config !dd_config in
-    dd_config := Some (f cfg)
-  in
-  let int_opt flag v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None ->
-      Fmt.epr "%s expects an integer, got %S@." flag v;
-      exit 2
-  in
   let rec extract_opts acc = function
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
       extract_opts acc rest
     | "--json" :: path :: rest ->
       json_path := Some path;
-      extract_opts acc rest
-    | "--cache-cap" :: n :: rest ->
-      let n = int_opt "--cache-cap" n in
-      set_dd_config (fun cfg -> { cfg with Dd.Pkg.caps = Dd.Pkg.caps_uniform n });
-      extract_opts acc rest
-    | "--gc-threshold" :: n :: rest ->
-      let n = int_opt "--gc-threshold" n in
-      set_dd_config (fun cfg -> { cfg with Dd.Pkg.gc_threshold = Some n });
       extract_opts acc rest
     | x :: rest -> extract_opts (x :: acc) rest
     | [] -> List.rev acc

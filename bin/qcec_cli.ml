@@ -161,40 +161,6 @@ let perm_conv =
   Arg.conv (parse, fun ppf p ->
     Fmt.pf ppf "%a" Fmt.(array ~sep:(any ",") int) p)
 
-(* -- DD memory management --------------------------------------------- *)
-
-let cache_cap_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cache-cap" ] ~docv:"N"
-        ~doc:
-          "Bound every DD operation cache to $(docv) entries (second-chance \
-           eviction; 0 disables caching, default unbounded)")
-
-let gc_threshold_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gc-threshold" ] ~docv:"N"
-        ~doc:
-          "Compact the DD package automatically once its unique tables grow \
-           by more than $(docv) nodes since the last sweep (default: once \
-           they grow by more than the nodes that survived it, or by 512 \
-           while fewer survived, which keeps them within about twice the \
-           live set)")
-
-let dd_config_of cache_cap gc_threshold : Dd.Pkg.config option =
-  match (cache_cap, gc_threshold) with
-  | None, None -> None
-  | _ ->
-    let caps =
-      match cache_cap with
-      | None -> Dd.Pkg.caps_unbounded
-      | Some n -> Dd.Pkg.caps_uniform n
-    in
-    Some { Dd.Pkg.caps; gc_threshold }
-
 (* exit code 2 = usage/input error, matching the parser failures above *)
 let report_non_unitary op =
   Fmt.epr
@@ -276,11 +242,10 @@ let open_store ~cache_dir ~no_result_cache =
 (* -- distribution ------------------------------------------------------ *)
 
 let distribution_cmd =
-  let run dyn_file static_file cutoff domains eps stats_json cache_cap gc_threshold =
+  let run dyn_file static_file cutoff domains eps stats_json =
     enable_stats stats_json;
-    let dd_config = dd_config_of cache_cap gc_threshold in
     let dyn = load dyn_file and static = load static_file in
-    let r = Qcec.Verify.distribution ~eps ~cutoff ~domains ?dd_config dyn static in
+    let r = Qcec.Verify.distribution ~eps ~cutoff ~domains dyn static in
     Fmt.pr "%a@." Qcec.Verify.pp_distribution r;
     maybe_write_stats stats_json ~command:"distribution"
       ~files:[ dyn_file; static_file ]
@@ -321,22 +286,19 @@ let distribution_cmd =
          "Compare the measurement-outcome distribution of a dynamic circuit \
           (extracted with the Section 5 scheme) against a static reference")
     Term.(
-      const run $ dyn $ static $ cutoff $ domains $ eps $ stats_json_arg
-      $ cache_cap_arg $ gc_threshold_arg)
+      const run $ dyn $ static $ cutoff $ domains $ eps $ stats_json_arg)
 
 (* -- extract ------------------------------------------------------------ *)
 
 let extract_cmd =
-  let run file cutoff tree top stats_json cache_cap gc_threshold =
+  let run file cutoff tree top stats_json =
     enable_stats stats_json;
-    let dd_config = dd_config_of cache_cap gc_threshold in
     let c = load file in
     if tree then begin
-      Fmt.pr "%a@." Qsim.Extraction.pp_tree
-        (Qsim.Extraction.tree ~cutoff ?dd_config c)
+      Fmt.pr "%a@." Qsim.Extraction.pp_tree (Qsim.Extraction.tree ~cutoff c)
     end
     else begin
-      let r = Qsim.Extraction.run ~cutoff ?dd_config c in
+      let r = Qsim.Extraction.run ~cutoff c in
       Fmt.pr "%a@." Qcec.Distribution.pp
         (Qcec.Distribution.most_probable ~count:top r.Qsim.Extraction.distribution);
       Fmt.pr "(%d leaves, %d branch points, %d pruned, mass %.6f)@."
@@ -368,8 +330,7 @@ let extract_cmd =
     (Cmd.info "extract"
        ~doc:"Extract the measurement-outcome distribution of a dynamic circuit")
     Term.(
-      const run $ file $ cutoff $ tree $ top $ stats_json_arg $ cache_cap_arg
-      $ gc_threshold_arg)
+      const run $ file $ cutoff $ tree $ top $ stats_json_arg)
 
 (* -- transform ------------------------------------------------------------ *)
 
@@ -584,10 +545,8 @@ let analyze_cmd =
    [check] skips the pre-flight, always transforms dynamic inputs with the
    Section 4 scheme, and opens no verdict store. *)
 let functional_run ~command ~preflight file_a file_b strategy scheme perm
-    transform quiet stats_json cache_cap gc_threshold cache_dir
-    no_result_cache width =
+    transform quiet stats_json cache_dir no_result_cache width =
   enable_stats stats_json;
-  let dd_config = dd_config_of cache_cap gc_threshold in
   let store = open_store ~cache_dir ~no_result_cache in
   let a, b, profiles =
     if not preflight then (load file_a, load file_b, None)
@@ -647,8 +606,7 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
       let candidates = portfolio_candidates ~width a b in
       let pr =
         guarded (fun () ->
-          Qcec.Verify.portfolio ~candidates ?perm ~on_dynamic ?dd_config
-            ?cache:store a b)
+          Qcec.Verify.portfolio ~candidates ?perm ~on_dynamic ?cache:store a b)
       in
       if not quiet then Fmt.pr "%a@." pp_portfolio_report pr;
       (pr.Qcec.Verify.winner, Some pr)
@@ -663,8 +621,7 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
     | Strat strategy, _ ->
       let strategy = resolve_scheme ~strategy ~scheme a b in
       ( guarded (fun () ->
-          Qcec.Verify.functional ~strategy ?perm ~on_dynamic ?dd_config ?cache:store
-            a b)
+          Qcec.Verify.functional ~strategy ?perm ~on_dynamic ?cache:store a b)
       , None )
   in
   Option.iter Cache_store.Store.close store;
@@ -733,8 +690,7 @@ let functional_cmd ~preflight name ~doc ~transform ~cache_dir ~no_result_cache =
     Term.(
       const run
       $ file_a $ file_b $ strategy $ scheme_arg $ perm $ transform $ quiet
-      $ stats_json_arg $ cache_cap_arg $ gc_threshold_arg $ cache_dir
-      $ no_result_cache $ portfolio_width_arg)
+      $ stats_json_arg $ cache_dir $ no_result_cache $ portfolio_width_arg)
 
 let check_cmd =
   functional_cmd ~preflight:false "check"
@@ -770,7 +726,7 @@ let verify_cmd =
    out.  Per-job failures are structured results, never batch aborts. *)
 let batch_cmd =
   let run inputs workers out summary strategy timeout retries seed node_limit
-      no_lint quiet cache_cap gc_threshold cache_dir no_result_cache portfolio =
+      no_lint quiet cache_dir no_result_cache portfolio =
     (* per-job metric deltas are part of the result schema, so collection
        is on for batch runs (flipped before any worker spawns) *)
     Obs.Metrics.set_enabled true;
@@ -782,7 +738,6 @@ let batch_cmd =
      | Some w when w <> 0 && w < 2 ->
        usage (Fmt.str "--portfolio must be a width >= 2 (or 0 to disable), got %d" w)
      | _ -> ());
-    let dd_config = dd_config_of cache_cap gc_threshold in
     let manifest =
       match inputs with
       | [ path ] when Filename.check_suffix path ".json" ->
@@ -838,7 +793,6 @@ let batch_cmd =
     in
     let cfg =
       { Engine.Pool.workers
-      ; dd_config
       ; node_limit
       ; lint = not no_lint
       ; on_result =
@@ -938,8 +892,7 @@ let batch_cmd =
       & opt (some int) None
       & info [ "retries" ] ~docv:"K"
           ~doc:
-            "Extra attempts for timed-out jobs, each with a 4x relaxed \
-             auto-GC threshold; overrides manifest retries")
+            "Extra attempts for timed-out jobs; overrides manifest retries")
   in
   let seed =
     Arg.(
@@ -992,9 +945,8 @@ let batch_cmd =
           verified equivalent")
     Term.(
       const run $ inputs $ workers $ out $ summary $ strategy $ timeout
-      $ retries $ seed $ node_limit $ no_lint $ quiet $ cache_cap_arg
-      $ gc_threshold_arg $ cache_dir_arg $ no_result_cache_arg
-      $ portfolio)
+      $ retries $ seed $ node_limit $ no_lint $ quiet $ cache_dir_arg
+      $ no_result_cache_arg $ portfolio)
 
 (* -- stats ------------------------------------------------------------ *)
 

@@ -100,6 +100,24 @@ let equalize_widths g g' =
   else if n' < n then (g, pad g' n)
   else (g, g')
 
+(* Bring both sides to unitary form on one register: transform dynamic
+   inputs with the Section 4 scheme, pad the narrower one, then line [g']'s
+   wires up with [g]'s — by [perm] if given, else, under [auto_align], by
+   the correspondence the measurements imply. *)
+let align ?perm ~auto_align g g' =
+  let static_of c = if Circ.is_dynamic c then Transform.Dynamic.transform c else c in
+  let g = static_of g in
+  let g' = static_of g' in
+  let g, g' = equalize_widths g g' in
+  let perm =
+    match perm with
+    | Some _ as p -> p
+    | None ->
+      if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
+      else None
+  in
+  (g, match perm with None -> g' | Some perm -> Circ.remap g' ~perm)
+
 (* The static pre-flight: classify both inputs and, under [`Reject],
    refuse dynamic ones with a located QA008 *before* any transformation or
    DD package construction.  This turns what used to surface mid-run as
@@ -122,16 +140,15 @@ let preflight ~on_dynamic g g' =
 (* The verdict cache is keyed on both circuit digests plus everything else
    that can change the outcome: strategy (shot counts included via
    {!Strategy.name}), transform-vs-reject mode, any explicit permutation,
-   the stimuli seed, and the weight-interning tolerance ([Pkg.create]'s
-   default — [functional] never overrides it).  [dd_config] is
-   deliberately absent: it changes performance, never verdicts. *)
+   the stimuli seed, and the weight-interning tolerance
+   ({!Dd.Pkg.tolerance}). *)
 let cache_key ~strategy ~perm ~on_dynamic ~seed ~digest_a ~digest_b =
   Cache_store.Key.make ~digest_a ~digest_b
     { Cache_store.Key.strategy = Strategy.name strategy
     ; transform = (match on_dynamic with `Transform -> true | `Reject -> false)
     ; perm
     ; seed
-    ; tol = 1e-10
+    ; tol = Dd.Pkg.tolerance
     }
 
 let pp_functional ppf r =
@@ -152,7 +169,7 @@ let pp_distribution ppf r =
     r.extraction_stats.Qsim.Extraction.pruned
 
 let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
-    ?(on_dynamic = `Transform) ?dd_config ?seed ?cache g g' =
+    ?(on_dynamic = `Transform) ?seed ?cache g g' =
   preflight ~on_dynamic g g';
   (* consult the verdict store before any transformation or DD package
      construction — a warm run allocates no DD state at all *)
@@ -183,26 +200,10 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
   let t0 = now () in
   let g, g' =
     Obs.Span.with_ "verify.functional.transform" (fun () ->
-      let static_of c =
-        match (Analysis.classify c).Analysis.Classify.kind with
-        | Analysis.Classify.Dynamic -> Transform.Dynamic.transform c
-        | Analysis.Classify.Unitary | Analysis.Classify.Measure_terminal -> c
-      in
-      let g = static_of g in
-      let g' = static_of g' in
-      let g, g' = equalize_widths g g' in
-      let perm =
-        match perm with
-        | Some _ as p -> p
-        | None ->
-          if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
-          else None
-      in
-      let g' = match perm with None -> g' | Some perm -> Circ.remap g' ~perm in
-      (g, g'))
+      align ?perm ~auto_align g g')
   in
   let t1 = now () in
-  let p = Dd.Pkg.create ?config:dd_config () in
+  let p = Dd.Pkg.create () in
   let outcome =
     Obs.Span.with_ "verify.functional.check" (fun () ->
       Strategy.check ?seed p strategy g g')
@@ -237,13 +238,12 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
        });
   r
 
-let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config dyn
-    static =
+let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) dyn static =
   let m0 = Obs.Metrics.snapshot () in
   let t0 = now () in
   let extraction =
     Obs.Span.with_ "verify.distribution.extract" (fun () ->
-      Qsim.Extraction.run ~cutoff ~domains ?dd_config dyn)
+      Qsim.Extraction.run ~cutoff ~domains dyn)
   in
   let t1 = now () in
   (* a dynamic reference is extracted as well; a static one is simulated
@@ -251,11 +251,11 @@ let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config dyn
   let static_dist, t2 =
     Obs.Span.with_ "verify.distribution.simulate" (fun () ->
       if Circ.is_dynamic static then begin
-        let r = Qsim.Extraction.run ~cutoff ~domains ?dd_config static in
+        let r = Qsim.Extraction.run ~cutoff ~domains static in
         (r.Qsim.Extraction.distribution, now ())
       end
       else begin
-        let p = Dd.Pkg.create ?config:dd_config () in
+        let p = Dd.Pkg.create () in
         let final = Qsim.Dd_sim.simulate p static in
         let t2 = now () in
         ( Qsim.Dd_sim.measured_distribution p final ~n:static.Circ.num_qubits
@@ -275,23 +275,11 @@ let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) ?dd_config dyn
   ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
   }
 
-let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) ?dd_config
-    g g' =
+let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) g g' =
   let t0 = now () in
-  let static_of c = if Circ.is_dynamic c then Transform.Dynamic.transform c else c in
-  let g = static_of g in
-  let g' = static_of g' in
-  let g, g' = equalize_widths g g' in
-  let perm =
-    match perm with
-    | Some _ as p -> p
-    | None ->
-      if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
-      else None
-  in
-  let g' = match perm with None -> g' | Some perm -> Circ.remap g' ~perm in
+  let g, g' = align ?perm ~auto_align g g' in
   let t1 = now () in
-  let p = Dd.Pkg.create ?config:dd_config () in
+  let p = Dd.Pkg.create () in
   let fidelity =
     Obs.Span.with_ "verify.approximate.check" (fun () ->
       (* [u] stays rooted while [u'] is built (auto-GC safepoints) *)
@@ -373,8 +361,8 @@ let candidate_seed ~seed ~candidate =
   let h = h lxor (h lsr 27) in
   h land max_int
 
-let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
-    ?safepoint g g' =
+let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint g
+    g' =
   if candidates = [] then invalid_arg "Verify.portfolio: no candidates";
   let t0 = now () in
   (* -1 = undecided; the first candidate whose compare-and-set lands owns
@@ -405,8 +393,8 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?dd_config ?seed ?cache
             let t = now () in
             let r =
               match
-                functional ~strategy ?perm ?auto_align ?on_dynamic ?dd_config
-                  ?seed ?cache g g'
+                functional ~strategy ?perm ?auto_align ?on_dynamic ?seed ?cache
+                  g g'
               with
               | r -> Ok r
               | exception e -> Error e

@@ -76,8 +76,6 @@ type approximate_result =
     [`Transform] (the default) applies the Section 4 transformation as
     before, [`Reject] raises {!Rejected} with a located diagnostic instead
     — before any DD package is constructed.
-    [dd_config] bounds the DD package's operation caches and enables
-    automatic compaction (see {!Dd.Pkg.config}).
     [seed] perturbs the random-stimuli stream of the simulative
     strategies (see {!Strategy.check}); batch runs derive one per job.
     [cache], when given, short-circuits the whole check from the verdict
@@ -92,7 +90,6 @@ val functional :
   -> ?perm:int array
   -> ?auto_align:bool
   -> ?on_dynamic:[ `Transform | `Reject ]
-  -> ?dd_config:Dd.Pkg.config
   -> ?seed:int
   -> ?cache:Cache_store.Store.t
   -> Circuit.Circ.t
@@ -111,7 +108,6 @@ val approximate :
      ?threshold:float
   -> ?perm:int array
   -> ?auto_align:bool
-  -> ?dd_config:Dd.Pkg.config
   -> Circuit.Circ.t
   -> Circuit.Circ.t
   -> approximate_result
@@ -126,7 +122,6 @@ val distribution :
      ?eps:float
   -> ?cutoff:float
   -> ?domains:int
-  -> ?dd_config:Dd.Pkg.config
   -> Circuit.Circ.t
   -> Circuit.Circ.t
   -> distribution_result
@@ -240,7 +235,6 @@ val portfolio :
   -> ?perm:int array
   -> ?auto_align:bool
   -> ?on_dynamic:[ `Transform | `Reject ]
-  -> ?dd_config:Dd.Pkg.config
   -> ?seed:int
   -> ?cache:Cache_store.Store.t
   -> ?safepoint:(candidate:string -> live_nodes:int -> unit)

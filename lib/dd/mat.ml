@@ -4,7 +4,7 @@ module Ct = Cxnum.Cx_table
 
 let wcx (w : weight) = Ct.to_cx w
 
-(* compute-cache hit/miss/eviction counters live in {!Cache} *)
+(* compute-cache hit/miss/peak metrics live in {!Cache} *)
 
 (* Same ratio-normalized caching scheme as Vec.add. *)
 let rec add p (a : medge) (b : medge) =
@@ -18,7 +18,7 @@ let rec add p (a : medge) (b : medge) =
       (* cancellation residue is tiny relative to the operands, not in
          absolute terms — test at the operands' scale *)
       let s = Cx.add wa wb in
-      if Cx.abs s <= Pkg.tol p *. Float.max (Cx.abs wa) (Cx.abs wb) then Pkg.mzero
+      if Cx.abs s <= Pkg.tolerance *. Float.max (Cx.abs wa) (Cx.abs wb) then Pkg.mzero
       else Pkg.mterminal p s
     | Some na, Some nb ->
       let ratio = Pkg.weight p (Cx.div wb wa) in
@@ -768,12 +768,12 @@ let same_target (a : medge) (b : medge) =
   | Some na, Some nb -> na == nb
   | _ -> false
 
-let equal p (a : medge) (b : medge) =
-  same_target a b && Cx.approx_eq ~tol:(Pkg.tol p) (wcx a.mw) (wcx b.mw)
+let equal (_ : Pkg.t) (a : medge) (b : medge) =
+  same_target a b && Cx.approx_eq ~tol:Pkg.tolerance (wcx a.mw) (wcx b.mw)
 
-let equal_up_to_phase p (a : medge) (b : medge) =
+let equal_up_to_phase (_ : Pkg.t) (a : medge) (b : medge) =
   same_target a b
-  && Float.abs (Cx.abs (wcx a.mw) -. Cx.abs (wcx b.mw)) <= Pkg.tol p
+  && Float.abs (Cx.abs (wcx a.mw) -. Cx.abs (wcx b.mw)) <= Pkg.tolerance
 
 let is_identity p (a : medge) ~n ~up_to_phase =
   let id = Pkg.ident p n in

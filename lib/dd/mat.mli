@@ -23,7 +23,7 @@ val adjoint : Pkg.t -> medge -> medge
     pass-through, and subtrees below it are returned untouched.  Results
     are bit-identical (same node, same interned weight) to the generic
     path thanks to canonical normalization.  Memoized in the package's
-    kernel caches ([dd.kernel.*] metrics, [caps.kernel] capacity). *)
+    kernel caches ([dd.kernel.*] metrics). *)
 
 (** [apply_gate p ~n ~controls ~target u v] is [G * v] where [G] is the
     [n]-qubit operator applying the 2x2 matrix [u] (row-major) to [target]

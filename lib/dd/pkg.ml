@@ -19,43 +19,15 @@ let g_vnodes_peak = M.gauge "dd.unique.vec.peak"
 let g_mnodes_peak = M.gauge "dd.unique.mat.peak"
 let m_pkg_created = M.counter "dd.pkg.created"
 
-(* Per-cache capacities: negative means unbounded, 0 disables the cache
-   (every lookup misses), positive bounds the entry count. *)
-type caps =
-  { vadd : int
-  ; madd : int
-  ; mv : int
-  ; mm : int
-  ; ip : int
-  ; adj : int
-  ; kernel : int
-  }
-
-let caps_unbounded =
-  { vadd = -1; madd = -1; mv = -1; mm = -1; ip = -1; adj = -1; kernel = -1 }
-
-let caps_uniform n =
-  { vadd = n; madd = n; mv = n; mm = n; ip = n; adj = n; kernel = n }
-
 (* A package is single-domain state: using one from a domain other than
    its creator would corrupt its tables silently, so entry points carry a
-   cheap owner check that turns misuse into a loud [Cross_domain_use].
-   The kill switch is process-wide. *)
+   cheap owner check that turns misuse into a loud [Cross_domain_use]. *)
 exception Cross_domain_use of string
 
-let domain_guards = Atomic.make true
-let set_domain_guards b = Atomic.set domain_guards b
 let self_id () = (Domain.self () :> int)
 
-type config =
-  { caps : caps
-  ; gc_threshold : int option
-        (* automatic compaction once the unique tables have grown by this
-           many nodes since the last sweep; [None] is the default growth
-           rule of [gc_due] *)
-  }
-
-let default_config = { caps = caps_unbounded; gc_threshold = None }
+(* The interning tolerance of every package's complex table. *)
+let tolerance = 1e-10
 
 (* Registered roots.  A root is a mutable cell the package knows about:
    [compact] treats the edges held in live roots (plus the cached identity
@@ -126,52 +98,46 @@ type t =
   ; vroots : (int, vroot) Hashtbl.t
   ; mroots : (int, mroot) Hashtbl.t
   ; mutable root_next : int
-  ; gc_threshold : int option
   ; mutable gc_baseline : int (* live nodes right after the last sweep *)
   ; owner : int (* id of the domain that created the package *)
   }
 
 let guard p =
-  if Atomic.get domain_guards then begin
-    let d = self_id () in
-    if d <> p.owner then
-      raise
-        (Cross_domain_use
-           (Printf.sprintf
-              "Dd.Pkg: package owned by domain %d used from domain %d" p.owner d))
-  end
+  let d = self_id () in
+  if d <> p.owner then
+    raise
+      (Cross_domain_use
+         (Printf.sprintf "Dd.Pkg: package owned by domain %d used from domain %d"
+            p.owner d))
 
-let create ?(tol = 1e-10) ?(config = default_config) () =
+let create () =
   M.incr m_pkg_created;
-  let caps = config.caps in
-  { ctab = Ct.create ~tol ()
+  { ctab = Ct.create ~tol:tolerance ()
   ; vtab = Hashtbl.create 4096
   ; mtab = Hashtbl.create 4096
   ; vnext = 0
   ; mnext = 0
   ; idents = [||]
   ; nidents = 0
-  ; vadd = Cache.create ~capacity:caps.vadd "vadd"
-  ; madd = Cache.create ~capacity:caps.madd "madd"
-  ; mv = Cache.create ~capacity:caps.mv "mv"
-  ; mm = Cache.create ~capacity:caps.mm "mm"
-  ; ip = Cache.create ~capacity:caps.ip "ip"
-  ; adj = Cache.create ~capacity:caps.adj "adj"
+  ; vadd = Cache.create "vadd"
+  ; madd = Cache.create "madd"
+  ; mv = Cache.create "mv"
+  ; mm = Cache.create "mm"
+  ; ip = Cache.create "ip"
+  ; adj = Cache.create "adj"
     (* both kernel caches publish under the same [dd.kernel.*] names:
        {!Obs.Metrics.register} de-duplicates, so their counters sum *)
-  ; kv = Cache.create ~capacity:caps.kernel ~prefix:"dd." "kernel"
-  ; km = Cache.create ~capacity:caps.kernel ~prefix:"dd." "kernel"
+  ; kv = Cache.create ~prefix:"dd." "kernel"
+  ; km = Cache.create ~prefix:"dd." "kernel"
   ; sigs = Hashtbl.create 64
   ; sig_next = 0
   ; vroots = Hashtbl.create 16
   ; mroots = Hashtbl.create 16
   ; root_next = 0
-  ; gc_threshold = config.gc_threshold
   ; gc_baseline = 0
   ; owner = self_id ()
   }
 
-let tol p = Ct.tol p.ctab
 let ctab p = p.ctab
 let weight p z =
   guard p;
@@ -235,7 +201,7 @@ let make_vnode p var e0 e1 =
     let norm = Float.sqrt (Cx.abs2 w0 +. Cx.abs2 w1) in
     (* the phase reference must be a weight that survives normalization, so
        pick w0 only when it is non-negligible at the node's scale *)
-    let lead = if Cx.abs w0 > tol p *. norm then w0 else w1 in
+    let lead = if Cx.abs w0 > tolerance *. norm then w0 else w1 in
     let phase = Cx.scale (1.0 /. Cx.abs lead) lead in
     let factor = Cx.scale norm phase in
     let renorm w e =
@@ -244,7 +210,7 @@ let make_vnode p var e0 e1 =
         let w' = Cx.div w factor in
         (* normalized weights live at scale 1, so an absolute test cleans up
            relative cancellation noise *)
-        if Cx.abs w' <= tol p then vzero else { vw = weight p w'; vt = e.vt }
+        if Cx.abs w' <= tolerance then vzero else { vw = weight p w'; vt = e.vt }
       end
     in
     let e0' = renorm w0 e0 and e1' = renorm w1 e1 in
@@ -278,7 +244,7 @@ let make_mnode p var e00 e01 e10 e11 =
       else if idx = k then { mw = w_one; mt = e.mt }
       else begin
         let w' = Cx.div (wcx e.mw) factor in
-        if Cx.abs w' <= tol p then mzero else { mw = weight p w'; mt = e.mt }
+        if Cx.abs w' <= tolerance then mzero else { mw = weight p w'; mt = e.mt }
       end
     in
     let n =
@@ -661,16 +627,14 @@ let set_safepoint_hook h = Domain.DLS.set safepoint_hook h
 
 (* The sweep rule [checkpoint] applies.  [live] counts the unique-table
    entries, [baseline] the survivors of the last sweep (0 before the
-   first).  [Some n] sweeps after [n] nodes of growth.  [None] sweeps once
-   growth exceeds the survivors, or [gc_floor] while they are fewer: the
-   tables stay within about twice the live set plus the floor, and since
-   at least [baseline] inserts precede a sweep that costs O(survivors), a
-   large live DD is never swept quadratically. *)
+   first).  A sweep is due once growth exceeds the survivors, or
+   [gc_floor] while they are fewer: the tables stay within about twice the
+   live set plus the floor, and since at least [baseline] inserts precede
+   a sweep that costs O(survivors), a large live DD is never swept
+   quadratically. *)
 let gc_floor = 512
 
-let gc_due threshold ~live ~baseline =
-  live - baseline
-  > (match threshold with Some n -> n | None -> max gc_floor baseline)
+let gc_due ~live ~baseline = live - baseline > max gc_floor baseline
 
 (* Growth policy: a cheap check consumers place at safepoints (between DD
    operations, when everything live is rooted).  Compaction must never run
@@ -683,7 +647,7 @@ let gc_due threshold ~live ~baseline =
    fidelity 1 by 2.8e-8 on a basis state, past the 1e-9 stimuli test). *)
 let checkpoint p =
   (match Domain.DLS.get safepoint_hook with None -> () | Some f -> f p);
-  if gc_due p.gc_threshold ~live:(live_nodes p) ~baseline:p.gc_baseline then begin
+  if gc_due ~live:(live_nodes p) ~baseline:p.gc_baseline then begin
     M.incr m_gc_auto;
     sweep ~weights:false p
   end

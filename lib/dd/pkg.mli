@@ -23,57 +23,18 @@ type t
     silently.  The payload names both domain ids. *)
 exception Cross_domain_use of string
 
-(** [set_domain_guards b] enables or disables the owner check (default
-    enabled; the check costs one atomic load and an integer compare on the
-    node-construction path, so disabling it is a last-resort
-    micro-optimization, not a way to share packages). *)
-val set_domain_guards : bool -> unit
+(** {1 Creation} *)
 
-(** {1 Memory configuration} *)
+(** The interning tolerance of every package's complex table: [1e-10].
+    Weights within it of an interned value snap to that value. *)
+val tolerance : float
 
-(** Per-cache capacities for the operation caches.  Negative values
-    mean unbounded, [0] disables a cache (every lookup misses), positive
-    values bound the entry count with second-chance eviction ({!Cache}).
-    [kernel] bounds each of the two gate-kernel caches (vector and matrix;
-    see {!Mat.apply_gate}), which report jointly under [dd.kernel.*]. *)
-type caps =
-  { vadd : int
-  ; madd : int
-  ; mv : int
-  ; mm : int
-  ; ip : int
-  ; adj : int
-  ; kernel : int
-  }
-
-val caps_unbounded : caps
-
-(** [caps_uniform n] applies the same capacity to every cache. *)
-val caps_uniform : int -> caps
-
-type config =
-  { caps : caps
-  ; gc_threshold : int option
-        (** when {!checkpoint} sweeps.  [Some n]: once the unique
-            tables have grown by more than [n] nodes since the last sweep
-            ([Some max_int] never sweeps).  [None], the default: once they
-            have grown by more than the survivors of the last sweep, or by
-            more than 512 nodes while fewer survived — see {!checkpoint} *)
-  }
-
-(** Unbounded caches; {!checkpoint} sweeps once the unique tables outgrow
-    twice their live set ([gc_threshold = None]). *)
-val default_config : config
-
-(** [create ?tol ?config ()] makes a fresh, empty package.  [tol] is the
-    numerical tolerance used for interning complex weights (default
-    [1e-10]); [config] bounds the operation caches and enables automatic
-    compaction (default {!default_config}).  Every creation counts under
+(** [create ()] makes a fresh, empty package: unbounded operation caches,
+    swept by {!checkpoint}'s growth rule.  Every creation counts under
     [dd.pkg.created] — the verdict cache's warm-path acceptance check
     asserts this stays flat across cached runs. *)
-val create : ?tol:float -> ?config:config -> unit -> t
+val create : unit -> t
 
-val tol : t -> float
 val ctab : t -> Cxnum.Cx_table.t
 
 (** {1 Weights} *)
@@ -252,21 +213,20 @@ val live_nodes : t -> int
 val compact : t -> unit
 
 (** [checkpoint p] fires the domain's safepoint hook (if any), then
-    sweeps if the growth policy asks for it.  Let [b] be the number of
-    nodes that survived the last sweep (0 before the first).  With the
-    default [config.gc_threshold = None] the package sweeps once
-    [live_nodes p - b > max 512 b], so the tables stay within about twice
-    the live set plus 512 nodes, and every sweep, which costs O([b]), is
-    preceded by at least [b] inserts.  [Some n] sweeps once
-    [live_nodes p - b > n].  A sweep is {!compact} minus the complex-table
-    rebuild: interned weights survive, so values computed after a sweep
-    snap to the representatives interned before it.  Consumers call this
-    at safepoints — between DD operations, when everything live is rooted:
-    any edge not reachable from a root may be swept by the next
-    checkpoint.  A no-op (a few comparisons) otherwise. *)
+    sweeps if the growth rule asks for it.  Let [b] be the number of
+    nodes that survived the last sweep (0 before the first).  The package
+    sweeps once [live_nodes p - b > max 512 b], so the tables stay within
+    about twice the live set plus 512 nodes, and every sweep, which costs
+    O([b]), is preceded by at least [b] inserts.  A sweep is {!compact}
+    minus the complex-table rebuild: interned weights survive, so values
+    computed after a sweep snap to the representatives interned before
+    it.  Consumers call this at safepoints — between DD operations, when
+    everything live is rooted: any edge not reachable from a root may be
+    swept by the next checkpoint.  A no-op (a few comparisons)
+    otherwise. *)
 val checkpoint : t -> unit
 
-(** The default sweep rule's floor: 512 nodes of growth while fewer than
+(** The sweep rule's floor: 512 nodes of growth while fewer than
     512 survived the last sweep (see {!checkpoint}). *)
 val gc_floor : int
 

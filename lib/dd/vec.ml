@@ -4,7 +4,7 @@ module Ct = Cxnum.Cx_table
 
 let wcx (w : weight) = Ct.to_cx w
 
-(* compute-cache hit/miss/eviction counters live in {!Cache} *)
+(* compute-cache hit/miss/peak metrics live in {!Cache} *)
 
 (* Addition is cached on (node a, node b, interned ratio w_b / w_a): the sum
    w_a * A + w_b * B equals w_a * (A + (w_b / w_a) * B), and the inner sum
@@ -21,7 +21,7 @@ let rec add p (a : vedge) (b : vedge) =
       (* cancellation residue is tiny relative to the operands, not in
          absolute terms — test at the operands' scale *)
       let s = Cx.add wa wb in
-      if Cx.abs s <= Pkg.tol p *. Float.max (Cx.abs wa) (Cx.abs wb) then Pkg.vzero
+      if Cx.abs s <= Pkg.tolerance *. Float.max (Cx.abs wa) (Cx.abs wb) then Pkg.vzero
       else Pkg.vterminal p s
     | Some na, Some nb ->
       let ratio = Pkg.weight p (Cx.div wb wa) in
@@ -78,7 +78,7 @@ let norm p a = Cx.abs (inner_product p a a) |> Float.sqrt
 
 let normalize p (a : vedge) =
   let nrm = norm p a in
-  if nrm <= Pkg.tol p then invalid_arg "Vec.normalize: zero vector"
+  if nrm <= Pkg.tolerance then invalid_arg "Vec.normalize: zero vector"
   else Pkg.vscale p (Cx.of_float (1.0 /. nrm)) a
 
 (* Because every node is normalized to unit weight norm, the probability mass
@@ -149,7 +149,7 @@ let project p (a : vedge) q outcome =
   else begin
     let projected = Pkg.vscale p (wcx a.vw) (go a.vt) in
     let nrm = norm p projected in
-    if nrm <= Pkg.tol p then invalid_arg "Vec.project: outcome has zero probability"
+    if nrm <= Pkg.tolerance then invalid_arg "Vec.project: outcome has zero probability"
     else Pkg.vscale p (Cx.of_float (1.0 /. nrm)) projected
   end
 

@@ -17,7 +17,6 @@ exception Lint_failed of string
 
 type config =
   { workers : int
-  ; dd_config : Dd.Pkg.config option
   ; node_limit : int option
   ; lint : bool
   ; on_result : (Job.result -> unit) option
@@ -26,7 +25,6 @@ type config =
 
 let default_config =
   { workers = Domain.recommended_domain_count ()
-  ; dd_config = None
   ; node_limit = None
   ; lint = true
   ; on_result = None
@@ -163,7 +161,7 @@ let rec take_at_most k = function
    where the DD safepoints actually fire, and reports progress under a
    ["race:<candidate>"] phase so SSE consumers see who is currently leading
    the pack. *)
-let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec) a b =
+let race_attempt cfg ~bank ~deadline ~control ~width (spec : Job.spec) a b =
   let granted = match bank with None -> width - 1 | Some bk -> bank_try_borrow bk (width - 1) in
   Fun.protect
     ~finally:(fun () -> Option.iter (fun bk -> bank_release bk granted) bank)
@@ -209,7 +207,7 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
       let on_dynamic = if spec.transform then `Transform else `Reject in
       let cache = if spec.cache then cfg.cache else None in
       let r =
-        Qcec.Verify.portfolio ~candidates ?perm:spec.perm ~on_dynamic ?dd_config
+        Qcec.Verify.portfolio ~candidates ?perm:spec.perm ~on_dynamic
           ?seed:spec.seed ?cache ~safepoint a b
       in
       let w = r.Qcec.Verify.winner in
@@ -233,7 +231,7 @@ let race_attempt cfg ~bank ~dd_config ~deadline ~control ~width (spec : Job.spec
    so their failures are classified per job, and so the wall-clock deadline
    covers them too (cancellation between gates only triggers once DD work
    starts, which is where all the time goes). *)
-let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
+let attempt cfg ?bank ~control (spec : Job.spec) =
   let deadline = Option.map (fun s -> now () +. s) spec.timeout in
   let a, b, lint_inputs =
     match spec.source with
@@ -258,7 +256,7 @@ let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
   end;
   match spec.portfolio with
   | Some w when w >= 2 ->
-    race_attempt cfg ~bank ~dd_config ~deadline ~control ~width:w spec a b
+    race_attempt cfg ~bank ~deadline ~control ~width:w spec a b
   | _ ->
   with_guard ~deadline ~node_limit:cfg.node_limit ~control (fun () ->
     let on_dynamic = if spec.transform then `Transform else `Reject in
@@ -284,7 +282,7 @@ let attempt cfg ?bank ~dd_config ~control (spec : Job.spec) =
     in
     let r =
       Qcec.Verify.functional ?strategy ?perm:spec.perm ~on_dynamic
-        ?dd_config ?seed:spec.seed ?cache a b
+        ?seed:spec.seed ?cache a b
     in
     { Job.equivalent = r.Qcec.Verify.equivalent
     ; exactly_equal = r.Qcec.Verify.exactly_equal
@@ -309,16 +307,6 @@ let classify = function
     (Job.Non_unitary, Fmt.str "non-unitary operation %a" Circuit.Op.pp op)
   | Qcec.Verify.Rejected d -> (Job.Rejected, Analysis.Diagnostic.to_string d)
   | e -> (Job.Crash, Printexc.to_string e)
-
-(* Timed-out attempts may retry with an explicit auto-GC threshold relaxed
-   4x: a job that spent its budget collecting garbage gets to trade memory
-   for time on the next try.  The default rule ([None]) already scales
-   with the live set and stays as it is. *)
-let relax dd_config =
-  Option.map
-    (fun c ->
-      { c with Dd.Pkg.gc_threshold = Option.map (fun t -> t * 4) c.Dd.Pkg.gc_threshold })
-    dd_config
 
 (* Every [Job.result] is built here: by [run_job] for a job that ran, and
    by [unstarted] for one that never did. *)
@@ -350,9 +338,9 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
   (match control with
    | Some { on_start = Some f; _ } -> f ()
    | _ -> ());
-  let rec go ~attempts dd_config =
+  let rec go ~attempts =
     let outcome =
-      match attempt cfg ?bank ~dd_config ~control spec with
+      match attempt cfg ?bank ~control spec with
       | v -> Job.Verdict v
       | exception e ->
         let reason, message = classify e in
@@ -361,10 +349,10 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
     match outcome with
     | Job.Failed { reason = Job.Timeout; _ } when attempts <= spec.retries ->
       M.incr m_retried;
-      go ~attempts:(attempts + 1) (relax dd_config)
+      go ~attempts:(attempts + 1)
     | outcome -> (outcome, attempts)
   in
-  let outcome, attempts = go ~attempts:1 cfg.dd_config in
+  let outcome, attempts = go ~attempts:1 in
   (match outcome with
    | Job.Verdict _ -> M.incr m_completed
    | Job.Failed { reason; _ } ->

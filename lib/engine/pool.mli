@@ -23,8 +23,8 @@
     exceeded — a tiny job may finish before its first safepoint even with
     a zero budget.  The node limit counts the unique tables at the
     safepoint: the live nodes plus the garbage since the last sweep.
-    Timed-out jobs retry (up to [spec.retries] extra attempts) with an
-    explicit auto-GC threshold scaled by 4, trading memory for time. *)
+    A timed-out job runs again, up to [spec.retries] extra attempts,
+    each with a fresh deadline. *)
 
 (** Raised inside a worker at a DD safepoint to unwind a cancelled
     attempt; classified into [Job.Timeout] / [Job.Node_limit] /
@@ -74,7 +74,6 @@ val cancel_requested : control -> bool
 
 type config =
   { workers : int  (** domain count; clamped to [1 .. max 1 (#jobs)] *)
-  ; dd_config : Dd.Pkg.config option  (** per-job DD package bounds *)
   ; node_limit : int option  (** unique-table node budget, checked at safepoints *)
   ; lint : bool  (** run the lint pre-flight before each verification *)
   ; on_result : (Job.result -> unit) option
@@ -87,8 +86,8 @@ type config =
             [spec.cache = false] bypass it *)
   }
 
-(** [workers = Domain.recommended_domain_count ()], no DD bounds, no node
-    limit, lint on, no callback, no verdict store. *)
+(** [workers = Domain.recommended_domain_count ()], no node limit, lint
+    on, no callback, no verdict store. *)
 val default_config : config
 
 type batch =

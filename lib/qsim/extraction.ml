@@ -158,8 +158,8 @@ let result leaves counters =
       }
   }
 
-let run_sequential ~cutoff ?dd_config (c : Circ.t) =
-  let p = Pkg.create ?config:dd_config () in
+let run_sequential ~cutoff (c : Circ.t) =
+  let p = Pkg.create () in
   let counters = new_counters () in
   let leaves =
     Obs.Span.with_ "extract.walk" (fun () ->
@@ -172,11 +172,11 @@ let run_sequential ~cutoff ?dd_config (c : Circ.t) =
    so the 2^depth tasks partition the branching tree; each re-simulates
    its prefix in a private package (DD nodes cannot be shared across
    domains). *)
-let run_parallel ~cutoff ~domains ?dd_config (c : Circ.t) =
+let run_parallel ~cutoff ~domains (c : Circ.t) =
   let branchy =
     List.exists (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops
   in
-  if not branchy then run_sequential ~cutoff ?dd_config c
+  if not branchy then run_sequential ~cutoff c
   else begin
     let rec depth_for d = if 1 lsl d >= domains then d else depth_for (d + 1) in
     let n_branches =
@@ -186,7 +186,7 @@ let run_parallel ~cutoff ~domains ?dd_config (c : Circ.t) =
     let depth = min (depth_for 0) n_branches in
     let tasks = 1 lsl depth in
     let task_of idx () =
-      let p = Pkg.create ?config:dd_config () in
+      let p = Pkg.create () in
       let counters = new_counters () in
       let forced = Array.init depth (fun k -> (idx lsr k) land 1) in
       let leaves =
@@ -247,13 +247,12 @@ let run_parallel ~cutoff ~domains ?dd_config (c : Circ.t) =
     result leaves counters
   end
 
-let run ?(cutoff = 1e-12) ?(domains = 1) ?dd_config c =
+let run ?(cutoff = 1e-12) ?(domains = 1) c =
   M.incr m_runs;
-  if domains <= 1 then run_sequential ~cutoff ?dd_config c
-  else run_parallel ~cutoff ~domains ?dd_config c
+  if domains <= 1 then run_sequential ~cutoff c else run_parallel ~cutoff ~domains c
 
-let tree ?(cutoff = 1e-12) ?dd_config (c : Circ.t) =
-  let p = Pkg.create ?config:dd_config () in
+let tree ?(cutoff = 1e-12) (c : Circ.t) =
+  let p = Pkg.create () in
   let n = c.Circ.num_qubits in
   let prog = Dd_sim.compile p c.Circ.ops in
   let apply r s =

@@ -54,10 +54,9 @@ val pp_tree : Format.formatter -> tree -> unit
     re-simulating its forced prefix with a private DD package (the paper
     notes the branches are embarrassingly parallel; its own evaluation is
     sequential, and so is the default here).  The spawned domains'
-    metrics and spans are folded into the caller's at join.  [dd_config]
-    bounds the DD packages' operation caches and enables automatic
-    compaction; the walk roots the state of every pending branch, so
-    mid-walk sweeps are safe.
+    metrics and spans are folded into the caller's at join.  The walk
+    roots the state of every pending branch, so the packages' checkpoint
+    sweeps are safe mid-walk.
 
     Each package compiles [c] once ({!Dd_sim.compile}) before its
     walk, so a branch pays only for DD work, not for resolving gate
@@ -65,18 +64,9 @@ val pp_tree : Format.formatter -> tree -> unit
     across its checkpoint sweeps and [compact]: signature ids are never
     reused.  The leaves are collected in a list and summed into the
     distribution by one sort. *)
-val run :
-     ?cutoff:float
-  -> ?domains:int
-  -> ?dd_config:Dd.Pkg.config
-  -> Circuit.Circ.t
-  -> result
+val run : ?cutoff:float -> ?domains:int -> Circuit.Circ.t -> result
 
 (** [tree c] materializes the whole branching structure; only sensible
     for small numbers of measurements.  It walks a compiled program,
     like {!run}. *)
-val tree :
-     ?cutoff:float
-  -> ?dd_config:Dd.Pkg.config
-  -> Circuit.Circ.t
-  -> tree
+val tree : ?cutoff:float -> Circuit.Circ.t -> tree

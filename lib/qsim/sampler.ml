@@ -39,13 +39,13 @@ let one_shot ~rng p ~n prog num_cbits =
   Pkg.with_root_v p (Pkg.zero_state p n) (fun r -> Array.iter (step r) prog);
   Bytes.to_string cvals
 
-let run ~seed ~shots ?dd_config (c : Circ.t) =
+let run ~seed ~shots (c : Circ.t) =
   let rng = Random.State.make [| seed; shots; 0x5a0d |] in
   let n = c.Circ.num_qubits in
   let counts = Hashtbl.create 64 in
   (* one package for all shots: states from different shots share nodes,
      which is exactly what makes repeated runs affordable *)
-  let p = Pkg.create ?config:dd_config () in
+  let p = Pkg.create () in
   let prog = Dd_sim.compile p c.Circ.ops in
   for _ = 1 to shots do
     let key = one_shot ~rng p ~n prog c.Circ.num_cbits in

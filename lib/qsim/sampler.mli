@@ -21,12 +21,6 @@ val empirical : result -> (string * float) list
 (** [run ~seed ~shots c] performs [shots] independent end-to-end
     simulations, sampling every measurement and reset outcome.  The
     circuit is compiled once for the shared package
-    ({!Dd_sim.compile}) and every shot runs the program.
-    [dd_config] bounds the shared DD package's caches and enables
-    automatic compaction between operations. *)
-val run :
-     seed:int
-  -> shots:int
-  -> ?dd_config:Dd.Pkg.config
-  -> Circuit.Circ.t
-  -> result
+    ({!Dd_sim.compile}) and every shot runs the program; the package
+    may sweep between operations ({!Dd.Pkg.checkpoint}). *)
+val run : seed:int -> shots:int -> Circuit.Circ.t -> result

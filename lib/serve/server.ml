@@ -15,7 +15,6 @@ type config =
   ; heartbeat_interval : float
   ; default_timeout : float option
   ; node_limit : int option
-  ; dd_config : Dd.Pkg.config option
   ; cache : Cache_store.Store.t option
   ; lint : bool
   ; max_connections : int
@@ -34,7 +33,6 @@ let default_config =
   ; heartbeat_interval = 0.25
   ; default_timeout = None
   ; node_limit = None
-  ; dd_config = None
   ; cache = None
   ; lint = true
   ; max_connections = 64
@@ -494,7 +492,6 @@ let start cfg =
   let pool =
     Pool.create
       { Pool.workers = cfg.workers
-      ; dd_config = cfg.dd_config
       ; node_limit = cfg.node_limit
       ; lint = cfg.lint
       ; cache = cfg.cache

@@ -38,7 +38,6 @@ type config =
             keep-alive comment interval *)
   ; default_timeout : float option  (** applied to jobs that set none *)
   ; node_limit : int option  (** pool-wide live-node budget *)
-  ; dd_config : Dd.Pkg.config option
   ; cache : Cache_store.Store.t option
         (** verdict store shared across all requests; the caller owns it
             (the server never closes it) *)

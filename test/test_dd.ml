@@ -327,33 +327,15 @@ let test_repeated_apply_hits_cache () =
       Alcotest.(check bool) "repeated mat-vec multiply reports cache hits" true
         (Obs.Metrics.find d "dd.cache.mv.hits" > 0))
 
-let test_cache_replace_and_eviction () =
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.set_enabled false)
-    (fun () ->
-      let c : (int, string) Dd.Cache.t = Dd.Cache.create ~capacity:2 "testcache" in
-      Dd.Cache.add c 1 "a";
-      Dd.Cache.add c 1 "b";
-      (* re-computed keys must shadow, not pile up as duplicate bindings *)
-      Alcotest.(check int) "replace keeps one binding" 1 (Dd.Cache.length c);
-      Alcotest.(check (option string)) "latest value wins" (Some "b") (Dd.Cache.find c 1);
-      let before = Obs.Metrics.snapshot () in
-      Dd.Cache.add c 2 "c";
-      Dd.Cache.add c 3 "d";
-      Dd.Cache.add c 4 "e";
-      let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
-      Alcotest.(check bool) "capacity bound holds" true (Dd.Cache.length c <= 2);
-      Alcotest.(check bool) "evictions are counted" true
-        (Obs.Metrics.find d "dd.cache.testcache.evictions" > 0);
-      Dd.Cache.clear c;
-      Alcotest.(check int) "clear empties" 0 (Dd.Cache.length c))
-
-let test_zero_capacity_cache_disabled () =
-  let c : (int, int) Dd.Cache.t = Dd.Cache.create ~capacity:0 "testcache0" in
-  Dd.Cache.add c 1 10;
-  Alcotest.(check (option int)) "capacity 0 stores nothing" None (Dd.Cache.find c 1);
-  Alcotest.(check int) "stays empty" 0 (Dd.Cache.length c)
+let test_cache_replace () =
+  let c : (int, string) Dd.Cache.t = Dd.Cache.create "testcache" in
+  Dd.Cache.add c 1 "a";
+  Dd.Cache.add c 1 "b";
+  (* re-computed keys must shadow, not pile up as duplicate bindings *)
+  Alcotest.(check int) "replace keeps one binding" 1 (Dd.Cache.length c);
+  Alcotest.(check (option string)) "latest value wins" (Some "b") (Dd.Cache.find c 1);
+  Dd.Cache.clear c;
+  Alcotest.(check int) "clear empties" 0 (Dd.Cache.length c)
 
 (* distinct non-canonical weight ids reachable from a rooted vector *)
 let reachable_weight_count (e : Dd.Types.vedge) =
@@ -429,38 +411,23 @@ let prop_compact_preserves_root_amplitudes =
       && Array.for_all2 (fun r1 r2 -> Array.for_all2 cx_identical r1 r2) m_before
            m_after)
 
-let prop_cache_capacity_invariance =
-  QCheck.Test.make
-    ~name:"identical results at cache capacity 0 / tiny / unbounded (+ auto-GC)"
-    ~count:20
+let prop_compacting_checkpoints =
+  QCheck.Test.make ~name:"same amplitudes when every checkpoint compacts" ~count:20
     QCheck.(pair (int_range 1 4) (int_range 0 10000))
     (fun (qubits, seed) ->
       let c = Algorithms.Random_circuit.unitary ~seed ~qubits ~gates:20 in
-      let run config =
-        let p = Dd.Pkg.create ?config () in
+      let run () =
+        let p = Dd.Pkg.create () in
         Dd.Vec.to_array p (Qsim.Dd_sim.simulate p c) ~n:qubits
       in
-      let reference = run None in
-      let cfg caps gc_threshold = Some { Dd.Pkg.caps; gc_threshold } in
-      (* capacity only changes what is recomputed, never the float ops, so
-         the amplitudes are bit-identical; a node a sweep dropped comes
-         back under a new id, which can reorder the operands of an
-         addition and move a result within the interning tolerance, so
-         auto-GC runs are compared numerically *)
-      List.for_all
-        (fun config -> Array.for_all2 cx_identical reference (run config))
-        [ cfg (Dd.Pkg.caps_uniform 0) None; cfg (Dd.Pkg.caps_uniform 3) None ]
-      && List.for_all
-           (fun config ->
-             Array.for_all2 (fun a b -> Util.cx_close ~tol:1e-8 a b) reference
-               (run config))
-           [ cfg Dd.Pkg.caps_unbounded (Some 8); cfg (Dd.Pkg.caps_uniform 3) (Some 8) ])
+      (* a compaction rebuilds the complex table, so a later value may
+         snap to another representative within the interning tolerance *)
+      Array.for_all2 (fun a b -> Util.cx_close ~tol:1e-8 a b) (run ())
+        (Util.compacting run))
 
 let suite =
   [ Alcotest.test_case "basis states" `Quick test_basis_states
-  ; Alcotest.test_case "cache replace + eviction" `Quick test_cache_replace_and_eviction
-  ; Alcotest.test_case "capacity-0 cache disabled" `Quick
-      test_zero_capacity_cache_disabled
+  ; Alcotest.test_case "cache replace" `Quick test_cache_replace
   ; Alcotest.test_case "compact rebuilds the weight table" `Quick
       test_compact_rebuilds_weight_table
   ; Alcotest.test_case "repeated apply hits the mv cache" `Quick
@@ -493,5 +460,5 @@ let suite =
   ; Util.qtest prop_adjoint_reverses_products
   ; Util.qtest prop_inner_product_unitary_invariant
   ; Util.qtest prop_compact_preserves_root_amplitudes
-  ; Util.qtest prop_cache_capacity_invariance
+  ; Util.qtest prop_compacting_checkpoints
   ]

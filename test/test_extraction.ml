@@ -123,7 +123,8 @@ let test_parallel_matches_sequential () =
     par.Qsim.Extraction.stats.Qsim.Extraction.leaves
 
 (* Branches of this circuit outgrow the sweep floor, so the default
-   package sweeps mid-walk; the distribution must not change. *)
+   package sweeps mid-walk; the distribution must still be the dense
+   oracle's. *)
 let test_extraction_sweeps () =
   let dyn = Algorithms.Random_circuit.dynamic ~seed:4 ~qubits:7 ~cbits:7 ~ops:90 in
   Obs.Metrics.set_enabled true;
@@ -134,12 +135,8 @@ let test_extraction_sweeps () =
       let swept = Qsim.Extraction.run dyn in
       let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
       Alcotest.(check bool) "the walk swept" true (Obs.Metrics.find d "dd.gc.runs" > 0);
-      let never =
-        Qsim.Extraction.run
-          ~dd_config:{ Dd.Pkg.default_config with gc_threshold = Some max_int }
-          dyn
-      in
-      Util.check_distributions "as without sweeps" never.Qsim.Extraction.distribution
+      Util.check_distributions "= dense oracle"
+        (Qsim.Statevector.extract_distribution dyn)
         swept.Qsim.Extraction.distribution)
 
 (* Every kind of op a compiled program holds, including those
@@ -226,6 +223,21 @@ let prop_parallel_matches_sequential =
         p.Qsim.Extraction.distribution
       < 1e-9)
 
+(* The walk roots every pending branch: with a compaction at every
+   checkpoint, on one domain or two, it still meets the dense oracle. *)
+let prop_compacting_extraction =
+  QCheck.Test.make ~name:"DD extraction = dense extraction when every checkpoint compacts"
+    ~count:30
+    QCheck.(int_range 0 1000000)
+    (fun seed ->
+      let dyn = Algorithms.Random_circuit.dynamic ~seed ~qubits:3 ~cbits:3 ~ops:15 in
+      let dense = Qsim.Statevector.extract_distribution dyn in
+      List.for_all
+        (fun domains ->
+          let r = Util.compacting (fun () -> Qsim.Extraction.run ~domains dyn) in
+          Qcec.Distribution.total_variation r.Qsim.Extraction.distribution dense < 1e-8)
+        [ 1; 2 ])
+
 let suite =
   [ Alcotest.test_case "paper Fig. 4 checkpoints" `Quick test_paper_fig4_numbers
   ; Alcotest.test_case "exact phase is deterministic" `Quick
@@ -244,4 +256,5 @@ let suite =
   ; Util.qtest prop_extraction_matches_dense
   ; Util.qtest prop_mass_is_one
   ; Util.qtest prop_parallel_matches_sequential
+  ; Util.qtest prop_compacting_extraction
   ]

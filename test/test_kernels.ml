@@ -3,7 +3,6 @@
    generic [Pkg.gate] + [Mat.apply]/[Mat.mul] path — canonical
    normalization makes the results bit-identical, not merely close. *)
 
-module Cx = Cxnum.Cx
 module Gates = Circuit.Gates
 module T = Dd.Types
 
@@ -181,68 +180,10 @@ let test_kernel_cache_hits () =
       Alcotest.(check bool) "repeat application reports kernel hits" true
         (Obs.Metrics.find d "dd.kernel.hits" > 0))
 
-let test_kernel_cache_eviction () =
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.set_enabled false)
-    (fun () ->
-      let config =
-        { Dd.Pkg.caps = { Dd.Pkg.caps_unbounded with Dd.Pkg.kernel = 2 }
-        ; gc_threshold = None
-        }
-      in
-      let p = Dd.Pkg.create ~config () in
-      let n = 5 in
-      let before = Obs.Metrics.snapshot () in
-      let s = ref (random_state p ~n ~seed:7) in
-      for t = 0 to n - 1 do
-        s := Dd.Mat.apply_gate p ~n ~controls:[] ~target:t (Gates.matrix Gates.H) !s
-      done;
-      let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
-      Alcotest.(check bool) "tiny kernel cache evicts" true
-        (Obs.Metrics.find d "dd.kernel.evictions" > 0);
-      Alcotest.(check bool) "peak stays within capacity" true
-        (Obs.Metrics.find d "dd.kernel.peak" <= 2))
-
-let test_kernel_cache_zero_capacity () =
-  (* capacity 0 disables storage entirely; results must still be
-     bit-identical to an unbounded run because the unique tables, not the
-     compute caches, define the numbers *)
-  let n = 4 in
-  let run config =
-    let p = Dd.Pkg.create ?config () in
-    let s = ref (Dd.Pkg.zero_state p n) in
-    for t = 0 to n - 1 do
-      s := Dd.Mat.apply_gate p ~n ~controls:[] ~target:t (Gates.matrix Gates.H) !s;
-      s :=
-        Dd.Mat.apply_gate p ~n
-          ~controls:[ (t, true) ]
-          ~target:((t + 1) mod n)
-          (Gates.matrix (Gates.RY 0.4))
-          !s
-    done;
-    Dd.Vec.to_array p !s ~n
-  in
-  let zero_cap =
-    Some
-      { Dd.Pkg.caps = { Dd.Pkg.caps_unbounded with Dd.Pkg.kernel = 0 }
-      ; gc_threshold = None
-      }
-  in
-  let reference = run None
-  and disabled = run zero_cap in
-  Alcotest.(check bool) "capacity-0 kernel cache changes nothing" true
-    (Array.for_all2
-       (fun (a : Cx.t) (b : Cx.t) -> a.Cx.re = b.Cx.re && a.Cx.im = b.Cx.im)
-       reference disabled)
-
 let suite =
   [ Alcotest.test_case "boundary wires and control layouts" `Quick
       test_boundary_wires
   ; Alcotest.test_case "kernel cache hits" `Quick test_kernel_cache_hits
-  ; Alcotest.test_case "kernel cache eviction" `Quick test_kernel_cache_eviction
-  ; Alcotest.test_case "kernel cache capacity 0" `Quick
-      test_kernel_cache_zero_capacity
   ; Util.qtest prop_apply_gate_matches_generic
   ; Util.qtest prop_mul_gate_left_matches_generic
   ; Util.qtest prop_mul_gate_right_matches_generic

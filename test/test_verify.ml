@@ -202,45 +202,68 @@ let unitary_pair (pair : Pair.t) =
 (* By default a package sweeps at checkpoints once its unique tables
    outgrow twice their live set, so the alternating check holds a few
    hundred nodes where a package that never sweeps keeps every node it
-   built (about 17,000 on BV-64).  The verdict must not change. *)
+   built (about 17,000 on BV-64).  The expected verdicts are those of a
+   run without sweeps. *)
 let test_default_gc_bounds_tables () =
   let qft, qft' = unitary_pair (Algorithms.Qft.make 40) in
   let cases =
-    [ ("BV-64", unitary_pair (Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:5 63)))
-    ; ("QFT-40 S-mutant", (with_ops qft "qft+s" [ Op.apply Gates.S 0 ], qft'))
+    [ ( "BV-64"
+      , unitary_pair (Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:5 63))
+      , (true, true) )
+    ; ("QFT-40 S-mutant", (with_ops qft "qft+s" [ Op.apply Gates.S 0 ], qft'), (false, false))
     ]
   in
-  let check (name, (g, g')) =
-    let run gc_threshold =
-      let p = Dd.Pkg.create ~config:{ Dd.Pkg.default_config with gc_threshold } () in
-      let most = ref 0 in
-      Dd.Pkg.set_safepoint_hook (Some (fun p -> most := max !most (Dd.Pkg.live_nodes p)));
-      let o =
-        Fun.protect
-          ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None)
-          (fun () -> Qcec.Strategy.check p Qcec.Strategy.Proportional g g')
-      in
-      (o, max !most (Dd.Pkg.live_nodes p))
-    in
+  let check (name, (g, g'), expected) =
+    let p = Dd.Pkg.create () in
+    let most = ref 0 in
     let before = Obs.Metrics.snapshot () in
-    let o, most = run None in
+    Dd.Pkg.set_safepoint_hook (Some (fun p -> most := max !most (Dd.Pkg.live_nodes p)));
+    let o =
+      Fun.protect
+        ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None)
+        (fun () -> Qcec.Strategy.check p Qcec.Strategy.Proportional g g')
+    in
     let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
-    let reference, _ = run (Some max_int) in
+    let most = max !most (Dd.Pkg.live_nodes p) in
     let label = name ^ ": " in
     Alcotest.(check bool) (label ^ "swept") true (Obs.Metrics.find d "dd.gc.runs" > 0);
     let bound = 2 * (Dd.Pkg.gc_floor + o.Qcec.Strategy.peak_nodes) in
     Alcotest.(check bool)
       (Fmt.str "%s%d nodes at a safepoint <= %d" label most bound)
       true (most <= bound);
-    Alcotest.(check (pair bool bool))
-      (label ^ "verdict as without sweeps")
-      (reference.Qcec.Strategy.equivalent, reference.Qcec.Strategy.equivalent_up_to_phase)
+    Alcotest.(check (pair bool bool)) (label ^ "verdict") expected
       (o.Qcec.Strategy.equivalent, o.Qcec.Strategy.equivalent_up_to_phase)
   in
   Obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.set_enabled false)
     (fun () -> List.iter check cases)
+
+(* Compacting at every checkpoint: a strategy that holds an edge unrooted
+   across a checkpoint sees it lose canonicity there, which shows as a
+   changed verdict. *)
+let prop_compacting_strategies =
+  QCheck.Test.make ~name:"same verdicts when every checkpoint compacts (all strategies)"
+    ~count:20
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let c = Algorithms.Random_circuit.unitary ~seed ~qubits:3 ~gates:14 in
+      let c' = with_ops c "ry+c" [ Op.apply (Gates.RY 0.17) 0 ] in
+      let strategies =
+        Qcec.Strategy.Random_stimuli { kind = Qcec.Strategy.Entangled; shots = 4 }
+        :: exact_strategies
+      in
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun (g, g') ->
+              let verdict () =
+                let o = Qcec.Strategy.check ~seed (Dd.Pkg.create ()) strategy g g' in
+                (o.Qcec.Strategy.equivalent, o.Qcec.Strategy.equivalent_up_to_phase)
+              in
+              verdict () = Util.compacting verdict)
+            [ (c, c); (c, c') ])
+        strategies)
 
 (* property: random unitary circuit is equivalent to itself composed with
    identity-preserving rewrites, and inequivalent to a mutated version *)
@@ -357,4 +380,5 @@ let suite =
   ; Util.qtest prop_transform_then_check_random_dynamic
   ; Util.qtest prop_measure_terminal_matches_dense
   ; Util.qtest prop_distribution_matches_dense
+  ; Util.qtest prop_compacting_strategies
   ]

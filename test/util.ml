@@ -68,6 +68,13 @@ let check_circuit_unitary ?(tol = 1e-8) msg (c : Circuit.Circ.t) =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* [compacting f] runs [f ()] with a safepoint hook that compacts the
+   package at every checkpoint: the most aggressive sweep schedule, under
+   which an edge held unrooted across a checkpoint loses canonicity. *)
+let compacting f =
+  Dd.Pkg.set_safepoint_hook (Some Dd.Pkg.compact);
+  Fun.protect ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None) f
+
 (* [parse src] must fail with a [Parse_error] located at [line]. *)
 let check_parse_error_at ~parse ~line src =
   match parse src with
