@@ -53,9 +53,12 @@ let initial_slots = 4096
 
 let magnitude (z : Cx.t) = Float.max (Float.abs z.Cx.re) (Float.abs z.Cx.im)
 
+(* [snd (Float.frexp m)], read from the float's bits when [m] is normal:
+   a biased exponent field [b] in 1..2046 means [m = f * 2^(b - 1022)]
+   with [0.5 <= f < 1]. *)
 let exponent_of m =
-  let _, e = Float.frexp m in
-  e
+  let b = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float m) 52) land 0x7ff in
+  if b > 0 && b < 0x7ff then b - 1022 else snd (Float.frexp m)
 
 (* Grid positions are at most 2/tol in size, so rounding moves each of the
    two compared ones by under epsilon/tol cells; the 1e-4 dominates at the

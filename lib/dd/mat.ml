@@ -22,10 +22,9 @@ let rec add p (a : medge) (b : medge) =
       else Pkg.mterminal p s
     | Some na, Some nb ->
       let ratio = Pkg.weight p (Cx.div wb wa) in
-      let key = (na.mid, nb.mid, ratio.id) in
       let cache = Pkg.madd_cache p in
       let inner =
-        match Cache.find cache key with
+        match Cache.find cache na.mid nb.mid ratio.id 0 with
         | Some e -> e
         | None ->
           let rb = wcx ratio in
@@ -34,7 +33,7 @@ let rec add p (a : medge) (b : medge) =
             Pkg.make_mnode p na.mvar (sum na.m00 nb.m00) (sum na.m01 nb.m01)
               (sum na.m10 nb.m10) (sum na.m11 nb.m11)
           in
-          Cache.add cache key e;
+          Cache.add cache na.mid nb.mid ratio.id 0 e;
           e
       in
       Pkg.mscale p wa inner
@@ -51,16 +50,15 @@ let rec apply p (m : medge) (v : vedge) =
     match (m.mt, v.vt) with
     | None, None -> Pkg.vterminal p w
     | Some mn, Some vn ->
-      let key = (mn.mid, vn.vid) in
       let cache = Pkg.mv_cache p in
       let inner =
-        match Cache.find cache key with
+        match Cache.find cache mn.mid vn.vid 0 0 with
         | Some e -> e
         | None ->
           let r0 = Vec.add p (apply p mn.m00 vn.v0) (apply p mn.m01 vn.v1) in
           let r1 = Vec.add p (apply p mn.m10 vn.v0) (apply p mn.m11 vn.v1) in
           let e = Pkg.make_vnode p mn.mvar r0 r1 in
-          Cache.add cache key e;
+          Cache.add cache mn.mid vn.vid 0 0 e;
           e
       in
       Pkg.vscale p w inner
@@ -74,10 +72,9 @@ let rec mul p (a : medge) (b : medge) =
     match (a.mt, b.mt) with
     | None, None -> Pkg.mterminal p w
     | Some na, Some nb ->
-      let key = (na.mid, nb.mid) in
       let cache = Pkg.mm_cache p in
       let inner =
-        match Cache.find cache key with
+        match Cache.find cache na.mid nb.mid 0 0 with
         | Some e -> e
         | None ->
           let entry i j =
@@ -94,7 +91,7 @@ let rec mul p (a : medge) (b : medge) =
           let e =
             Pkg.make_mnode p na.mvar (entry 0 0) (entry 0 1) (entry 1 0) (entry 1 1)
           in
-          Cache.add cache key e;
+          Cache.add cache na.mid nb.mid 0 0 e;
           e
       in
       Pkg.mscale p w inner
@@ -110,14 +107,14 @@ let rec adjoint p (a : medge) =
     | Some n ->
       let cache = Pkg.adj_cache p in
       let inner =
-        match Cache.find cache n.mid with
+        match Cache.find cache n.mid 0 0 0 with
         | Some e -> e
         | None ->
           let e =
             Pkg.make_mnode p n.mvar (adjoint p n.m00) (adjoint p n.m10)
               (adjoint p n.m01) (adjoint p n.m11)
           in
-          Cache.add cache n.mid e;
+          Cache.add cache n.mid 0 0 0 e;
           e
       in
       Pkg.mscale p w inner
@@ -130,8 +127,11 @@ let rec adjoint p (a : medge) =
    both: they descend the operand only to the deepest involved qubit,
    treating every level above the gate's span as pure pass-through and
    leaving subtrees below it untouched.  Memoization lives in the package's
-   two kernel caches, keyed on [((signature id lsl 4) lor opcode, operand
-   ids)] where the opcode names the kernel's internal recursion:
+   two kernel caches.  A key is four ints: [(signature id lsl 4) lor
+   opcode], then up to three operand ids, with [unused] positions padded
+   by [-2] (node ids are >= -1; the combine marks a zero operand with
+   [-3]).  The opcode names the kernel's internal recursion, so one cache
+   serves them all:
 
      0 / 1    top-level descent (left / right side)
      2 / 3    controls-below combine (left rows / right columns)
@@ -146,9 +146,11 @@ let rec adjoint p (a : medge) =
    result slices, so one descent computes — and one entry stores — both;
    descent entries duplicate their single edge. *)
 
+let unused = -2
+
 let m_kernel_calls = Obs.Metrics.counter "dd.kernel.calls"
 
-let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
+let apply_sig p ~n (s : Pkg.gate_sig) (v : vedge) =
   let sid = s.Pkg.gs_id
   and target = s.Pkg.gs_target
   and hi = s.Pkg.gs_hi
@@ -195,9 +197,8 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
       (* [-3] marks a zero [x] — [vnode_id] cannot tell it apart from a
          weight-one terminal (both have no node) *)
       let xi = if vedge_is_zero x then -3 else vnode_id x.vt in
-      let key = ((sid lsl 4) lor 2, xi, vnode_id y.vt, y.vw.id) in
       let r0, r1 =
-        match Cache.find kv key with
+        match Cache.find kv ((sid lsl 4) lor 2) xi (vnode_id y.vt) y.vw.id with
         | Some rs -> rs
         | None ->
           let q =
@@ -225,7 +226,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
                 (node q a0 x1, node q a1 y1)
             end
           in
-          Cache.add kv key (r0, r1);
+          Cache.add kv ((sid lsl 4) lor 2) xi (vnode_id y.vt) y.vw.id (r0, r1);
           (r0, r1)
       in
       (Pkg.vscale p lead r0, Pkg.vscale p lead r1)
@@ -248,9 +249,8 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
       | Some nd ->
         if nd.vvar < cmin then Pkg.vscale p u.(3 * row) e
         else begin
-          let key = ((sid lsl 4) lor (8 + row), nd.vid, -2, -2) in
           let inner =
-            match Cache.find kv key with
+            match Cache.find kv ((sid lsl 4) lor (8 + row)) nd.vid unused unused with
             | Some (r, _) -> r
             | None ->
               let q = nd.vvar in
@@ -261,7 +261,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
                 | Some true -> node q nd.v0 (below_diag ~row nd.v1)
                 | Some false -> node q (below_diag ~row nd.v0) nd.v1
               in
-              Cache.add kv key (r, r);
+              Cache.add kv ((sid lsl 4) lor (8 + row)) nd.vid unused unused (r, r);
               r
           in
           Pkg.vscale p (wcx e.vw) inner
@@ -273,9 +273,8 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
       match e.vt with
       | None -> invalid_arg "Mat.apply_gate: state too shallow"
       | Some nd ->
-        let key = (sid lsl 4, nd.vid, -2, -2) in
         let inner =
-          match Cache.find kv key with
+          match Cache.find kv (sid lsl 4) nd.vid unused unused with
           | Some (r, _) -> r
           | None ->
             let q = nd.vvar in
@@ -300,7 +299,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
                 node q r0 r1
               end
             in
-            Cache.add kv key (r, r);
+            Cache.add kv (sid lsl 4) nd.vid unused unused (r, r);
             r
         in
         Pkg.vscale p (wcx e.vw) inner
@@ -315,9 +314,8 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
       match e.vt with
       | None -> invalid_arg "Mat.apply_swap: state too shallow"
       | Some nd ->
-        let key = ((sid lsl 4) lor (4 + put), nd.vid, -2, -2) in
         let r0, r1 =
-          match Cache.find kv key with
+          match Cache.find kv ((sid lsl 4) lor (4 + put)) nd.vid unused unused with
           | Some rs -> rs
           | None ->
             let q = nd.vvar in
@@ -334,7 +332,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
                 (emit nd.v0, emit nd.v1)
               end
             in
-            Cache.add kv key (r0, r1);
+            Cache.add kv ((sid lsl 4) lor (4 + put)) nd.vid unused unused (r0, r1);
             (r0, r1)
         in
         let w = wcx e.vw in
@@ -346,9 +344,8 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
       match e.vt with
       | None -> invalid_arg "Mat.apply_swap: state too shallow"
       | Some nd ->
-        let key = (sid lsl 4, nd.vid, -2, -2) in
         let inner =
-          match Cache.find kv key with
+          match Cache.find kv (sid lsl 4) nd.vid unused unused with
           | Some (r, _) -> r
           | None ->
             let q = nd.vvar in
@@ -360,7 +357,7 @@ let kernel_apply_sig p (s : Pkg.gate_sig) ~n (v : vedge) =
                 node q (Vec.add p a0 b0) (Vec.add p a1 b1)
               end
             in
-            Cache.add kv key (r, r);
+            Cache.add kv (sid lsl 4) nd.vid unused unused (r, r);
             r
         in
         Pkg.vscale p (wcx e.vw) inner
@@ -424,9 +421,8 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
          weight-one terminal (both have no node) *)
       let xi = if medge_is_zero x then -3 else mnode_id x.mt in
       let opcode = if left then 2 else 3 in
-      let key = ((sid lsl 4) lor opcode, xi, mnode_id y.mt, y.mw.id) in
       let r0, r1 =
-        match Cache.find km key with
+        match Cache.find km ((sid lsl 4) lor opcode) xi (mnode_id y.mt) y.mw.id with
         | Some rs -> rs
         | None ->
           let q =
@@ -473,7 +469,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
                 end
             end
           in
-          Cache.add km key (r0, r1);
+          Cache.add km ((sid lsl 4) lor opcode) xi (mnode_id y.mt) y.mw.id (r0, r1);
           (r0, r1)
       in
       (Pkg.mscale p lead r0, Pkg.mscale p lead r1)
@@ -496,9 +492,8 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
         if nd.mvar < cmin then Pkg.mscale p (coef k k) e
         else begin
           let opcode = (if left then 8 else 10) + k in
-          let key = ((sid lsl 4) lor opcode, nd.mid, -2, -2) in
           let inner =
-            match Cache.find km key with
+            match Cache.find km ((sid lsl 4) lor opcode) nd.mid unused unused with
             | Some (r, _) -> r
             | None ->
               let q = nd.mvar in
@@ -522,7 +517,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
                     node q (below_diag ~k nd.m00) nd.m01 (below_diag ~k nd.m10)
                       nd.m11
               in
-              Cache.add km key (r, r);
+              Cache.add km ((sid lsl 4) lor opcode) nd.mid unused unused (r, r);
               r
           in
           Pkg.mscale p (wcx e.mw) inner
@@ -534,9 +529,8 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
       match e.mt with
       | None -> invalid_arg "Mat.mul_gate: operand too shallow"
       | Some nd ->
-        let key = ((sid lsl 4) lor side, nd.mid, -2, -2) in
         let inner =
-          match Cache.find km key with
+          match Cache.find km ((sid lsl 4) lor side) nd.mid unused unused with
           | Some (r, _) -> r
           | None ->
             let q = nd.mvar in
@@ -577,7 +571,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
                 end
               end
             in
-            Cache.add km key (r, r);
+            Cache.add km ((sid lsl 4) lor side) nd.mid unused unused (r, r);
             r
         in
         Pkg.mscale p (wcx e.mw) inner
@@ -593,9 +587,8 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
       | None -> invalid_arg "Mat.mul_swap: operand too shallow"
       | Some nd ->
         let base = if left then 4 else 6 in
-        let key = ((sid lsl 4) lor (base + put), nd.mid, -2, -2) in
         let r0, r1 =
-          match Cache.find km key with
+          match Cache.find km ((sid lsl 4) lor (base + put)) nd.mid unused unused with
           | Some rs -> rs
           | None ->
             let q = nd.mvar in
@@ -622,7 +615,7 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
                 (emit nd.m00 nd.m10, emit nd.m01 nd.m11)
               end
             in
-            Cache.add km key (r0, r1);
+            Cache.add km ((sid lsl 4) lor (base + put)) nd.mid unused unused (r0, r1);
             (r0, r1)
         in
         let w = wcx e.mw in
@@ -634,9 +627,8 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
       match e.mt with
       | None -> invalid_arg "Mat.mul_swap: operand too shallow"
       | Some nd ->
-        let key = ((sid lsl 4) lor side, nd.mid, -2, -2) in
         let inner =
-          match Cache.find km key with
+          match Cache.find km ((sid lsl 4) lor side) nd.mid unused unused with
           | Some (r, _) -> r
           | None ->
             let q = nd.mvar in
@@ -659,15 +651,12 @@ let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
                 node q (add p a0 b0) (add p a1 b1) (add p c0 d0) (add p c1 d1)
               end
             in
-            Cache.add km key (r, r);
+            Cache.add km ((sid lsl 4) lor side) nd.mid unused unused (r, r);
             r
         in
         Pkg.mscale p (wcx e.mw) inner
   in
   if s.Pkg.gs_swap then swap_go m else go m
-
-let apply_sig p ~n s v =
-  Obs.Span.with_ "apply.kernel.vec" (fun () -> kernel_apply_sig p s ~n v)
 
 let apply_gate p ~n ~controls ~target u v =
   apply_sig p ~n (Pkg.gate_sig p ~controls ~target u) v
@@ -675,24 +664,13 @@ let apply_gate p ~n ~controls ~target u v =
 let apply_swap p ~n a b v = apply_sig p ~n (Pkg.swap_sig p a b) v
 
 let mul_gate_left p ~n ~controls ~target u m =
-  let s = Pkg.gate_sig p ~controls ~target u in
-  Obs.Span.with_ "apply.kernel.left" (fun () ->
-    kernel_mul_sig p s ~n ~left:true m)
+  kernel_mul_sig p (Pkg.gate_sig p ~controls ~target u) ~n ~left:true m
 
 let mul_gate_right p ~n ~controls ~target u m =
-  let s = Pkg.gate_sig p ~controls ~target u in
-  Obs.Span.with_ "apply.kernel.right" (fun () ->
-    kernel_mul_sig p s ~n ~left:false m)
+  kernel_mul_sig p (Pkg.gate_sig p ~controls ~target u) ~n ~left:false m
 
-let mul_swap_left p ~n a b m =
-  let s = Pkg.swap_sig p a b in
-  Obs.Span.with_ "apply.kernel.left" (fun () ->
-    kernel_mul_sig p s ~n ~left:true m)
-
-let mul_swap_right p ~n a b m =
-  let s = Pkg.swap_sig p a b in
-  Obs.Span.with_ "apply.kernel.right" (fun () ->
-    kernel_mul_sig p s ~n ~left:false m)
+let mul_swap_left p ~n a b m = kernel_mul_sig p (Pkg.swap_sig p a b) ~n ~left:true m
+let mul_swap_right p ~n a b m = kernel_mul_sig p (Pkg.swap_sig p a b) ~n ~left:false m
 
 let trace _p (a : medge) ~n =
   let memo : (int, Cx.t) Hashtbl.t = Hashtbl.create 64 in
@@ -785,18 +763,14 @@ let process_fidelity p (a : medge) (b : medge) ~n =
   Cx.abs tr /. Float.ldexp 1.0 n
 
 let node_count (a : medge) =
-  let seen = Hashtbl.create 64 in
-  let rec go = function
-    | None -> ()
-    | Some n ->
-      if not (Hashtbl.mem seen n.mid) then begin
-        Hashtbl.add seen n.mid ();
-        let follow (e : medge) = if not (medge_is_zero e) then go e.mt in
-        follow n.m00;
-        follow n.m01;
-        follow n.m10;
-        follow n.m11
-      end
+  let stamp = fresh_stamp () in
+  let rec go (e : medge) =
+    if medge_is_zero e then 0
+    else
+      match e.mt with
+      | Some n when n.mmark <> stamp ->
+        n.mmark <- stamp;
+        1 + go n.m00 + go n.m01 + go n.m10 + go n.m11
+      | _ -> 0
   in
-  if not (medge_is_zero a) then go a.mt;
-  Hashtbl.length seen
+  go a

@@ -66,33 +66,69 @@ type gate_sig =
    target, second target *)
 type sig_key = int * (int * bool) list * int list * int * int
 
-(* Kernel cache keys: [(sid lsl 3) lor opcode] packed into the head slot
-   plus up to three operand ids, where the opcode distinguishes the
-   kernel's internal recursions (pass-through descent, the
-   controls-below combine, swap block moves) so one cache serves them
-   all.  Unused positions are padded with [-2] (node ids are >= -1; the
-   combine uses [-3] to mark a zero operand).  Values are edge pairs:
-   the combine and swap-move recursions emit both result slices of one
-   shared descent, and the single-valued descent entries just duplicate
-   their edge. *)
-type kkey = int * int * int * int
+(* A unique table: chains of nodes, hashed and compared on the node's
+   own fields (variable, successor weight ids, successor node ids), so a
+   probe allocates no key.  A sweep empties the bucket array in place and
+   re-adds the survivors. *)
+type 'n utable =
+  { mutable buckets : 'n list array (* power-of-two length *)
+  ; mutable count : int
+  }
+
+let utable () = { buckets = Array.make 4096 []; count = 0 }
+
+let uslot (t : _ utable) h = (h lxor (h lsr 29)) land (Array.length t.buckets - 1)
+
+let mix h x = (h * 0x5851f42d) + x
+
+let vhash var w0 n0 w1 n1 = mix (mix (mix (mix (var * 0x2545f491) w0) n0) w1) n1 * 0x4f6cdd1d
+
+let mhash var w00 n00 w01 n01 w10 n10 w11 n11 =
+  let h = mix (mix (mix (mix (var * 0x2545f491) w00) n00) w01) n01 in
+  mix (mix (mix (mix h w10) n10) w11) n11 * 0x4f6cdd1d
+
+let vhash_node n = vhash n.vvar n.v0.vw.id (vnode_id n.v0.vt) n.v1.vw.id (vnode_id n.v1.vt)
+
+let mhash_node n =
+  mhash n.mvar n.m00.mw.id (mnode_id n.m00.mt) n.m01.mw.id (mnode_id n.m01.mt) n.m10.mw.id
+    (mnode_id n.m10.mt) n.m11.mw.id (mnode_id n.m11.mt)
+
+(* [add_node t hash n] puts [n] at the head of its chain, doubling the
+   bucket array once the table holds twice as many nodes as buckets. *)
+let add_node t hash n =
+  let i = uslot t (hash n) in
+  t.buckets.(i) <- n :: t.buckets.(i);
+  t.count <- t.count + 1;
+  if t.count > 2 * Array.length t.buckets then begin
+    let old = t.buckets in
+    t.buckets <- Array.make (2 * Array.length old) [];
+    Array.iter
+      (List.iter (fun n ->
+           let i = uslot t (hash n) in
+           t.buckets.(i) <- n :: t.buckets.(i)))
+      old
+  end
+
+let empty_utable t =
+  Array.fill t.buckets 0 (Array.length t.buckets) [];
+  t.count <- 0
 
 type t =
   { ctab : Ct.t
-  ; vtab : (vkey, vnode) Hashtbl.t
-  ; mtab : (mkey, mnode) Hashtbl.t
+  ; vtab : vnode utable
+  ; mtab : mnode utable
   ; mutable vnext : int
   ; mutable mnext : int
   ; mutable idents : medge array (* idents.(i) = identity on i qubits, i < nidents *)
   ; mutable nidents : int
-  ; vadd : (int * int * int, vedge) Cache.t
-  ; madd : (int * int * int, medge) Cache.t
-  ; mv : (int * int, vedge) Cache.t
-  ; mm : (int * int, medge) Cache.t
-  ; ip : (int * int, Cx.t) Cache.t
-  ; adj : (int, medge) Cache.t
-  ; kv : (kkey, vedge * vedge) Cache.t (* vector gate-kernel cache *)
-  ; km : (kkey, medge * medge) Cache.t (* matrix gate-kernel cache *)
+  ; vadd : vedge Cache.t
+  ; madd : medge Cache.t
+  ; mv : vedge Cache.t
+  ; mm : medge Cache.t
+  ; ip : Cx.t Cache.t
+  ; adj : medge Cache.t
+  ; kv : (vedge * vedge) Cache.t (* vector gate-kernel cache *)
+  ; km : (medge * medge) Cache.t (* matrix gate-kernel cache *)
   ; sigs : (sig_key, gate_sig) Hashtbl.t
   ; mutable sig_next : int
   ; vroots : (int, vroot) Hashtbl.t
@@ -113,8 +149,8 @@ let guard p =
 let create () =
   M.incr m_pkg_created;
   { ctab = Ct.create ~tol:tolerance ()
-  ; vtab = Hashtbl.create 4096
-  ; mtab = Hashtbl.create 4096
+  ; vtab = utable ()
+  ; mtab = utable ()
   ; vnext = 0
   ; mnext = 0
   ; idents = [||]
@@ -158,35 +194,72 @@ let mterminal p z =
 let wcx (w : weight) = Ct.to_cx w
 
 (* Unique-table lookups.  Successor edges are already canonical, so a node is
-   identified by its variable, weight ids and target ids. *)
+   identified by its variable, weight ids and target ids.  A miss returns
+   the [absent_*] sentinel rather than allocating an option. *)
 
-let hashcons_vnode p var e0 e1 =
-  let key = vkey_of var e0 e1 in
-  match Hashtbl.find_opt p.vtab key with
-  | Some n ->
+let absent_v = { vid = -1; vvar = -1; v0 = vzero; v1 = vzero; vmark = 0 }
+
+let absent_m =
+  { mid = -1; mvar = -1; m00 = mzero; m01 = mzero; m10 = mzero; m11 = mzero; mmark = 0 }
+
+let rec find_vnode var w0 n0 w1 n1 = function
+  | [] -> absent_v
+  | n :: rest ->
+    if
+      n.vvar = var && n.v0.vw.id = w0 && vnode_id n.v0.vt = n0 && n.v1.vw.id = w1
+      && vnode_id n.v1.vt = n1
+    then n
+    else find_vnode var w0 n0 w1 n1 rest
+
+let rec find_mnode var w00 n00 w01 n01 w10 n10 w11 n11 = function
+  | [] -> absent_m
+  | n :: rest ->
+    if
+      n.mvar = var && n.m00.mw.id = w00 && mnode_id n.m00.mt = n00 && n.m01.mw.id = w01
+      && mnode_id n.m01.mt = n01 && n.m10.mw.id = w10 && mnode_id n.m10.mt = n10
+      && n.m11.mw.id = w11 && mnode_id n.m11.mt = n11
+    then n
+    else find_mnode var w00 n00 w01 n01 w10 n10 w11 n11 rest
+
+let hashcons_vnode p var (e0 : vedge) (e1 : vedge) =
+  let w0 = e0.vw.id and n0 = vnode_id e0.vt and w1 = e1.vw.id and n1 = vnode_id e1.vt in
+  let t = p.vtab in
+  let found = find_vnode var w0 n0 w1 n1 t.buckets.(uslot t (vhash var w0 n0 w1 n1)) in
+  if found != absent_v then begin
     M.incr m_vuniq_hits;
-    n
-  | None ->
-    let n = { vid = p.vnext; vvar = var; v0 = e0; v1 = e1 } in
+    found
+  end
+  else begin
+    let n = { vid = p.vnext; vvar = var; v0 = e0; v1 = e1; vmark = 0 } in
     p.vnext <- p.vnext + 1;
-    Hashtbl.add p.vtab key n;
+    add_node t vhash_node n;
     M.incr m_vuniq_inserts;
-    M.observe g_vnodes_peak (Hashtbl.length p.vtab);
+    M.observe g_vnodes_peak t.count;
     n
+  end
 
-let hashcons_mnode p var e00 e01 e10 e11 =
-  let key = mkey_of var e00 e01 e10 e11 in
-  match Hashtbl.find_opt p.mtab key with
-  | Some n ->
+let hashcons_mnode p var (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) =
+  let w00 = e00.mw.id and n00 = mnode_id e00.mt
+  and w01 = e01.mw.id and n01 = mnode_id e01.mt
+  and w10 = e10.mw.id and n10 = mnode_id e10.mt
+  and w11 = e11.mw.id and n11 = mnode_id e11.mt in
+  let t = p.mtab in
+  let h = mhash var w00 n00 w01 n01 w10 n10 w11 n11 in
+  let found = find_mnode var w00 n00 w01 n01 w10 n10 w11 n11 t.buckets.(uslot t h) in
+  if found != absent_m then begin
     M.incr m_muniq_hits;
-    n
-  | None ->
-    let n = { mid = p.mnext; mvar = var; m00 = e00; m01 = e01; m10 = e10; m11 = e11 } in
+    found
+  end
+  else begin
+    let n =
+      { mid = p.mnext; mvar = var; m00 = e00; m01 = e01; m10 = e10; m11 = e11; mmark = 0 }
+    in
     p.mnext <- p.mnext + 1;
-    Hashtbl.add p.mtab key n;
+    add_node t mhash_node n;
     M.incr m_muniq_inserts;
-    M.observe g_mnodes_peak (Hashtbl.length p.mtab);
+    M.observe g_mnodes_peak t.count;
     n
+  end
 
 (* Vector normalization: divide successor weights by their 2-norm and by the
    phase of the first non-zero weight.  The resulting node has unit-norm
@@ -222,35 +295,48 @@ let make_vnode p var e0 e1 =
   end
 
 (* Matrix normalization: divide by the largest-magnitude weight, lowest index
-   winning near-ties, so the dominant weight becomes exactly 1. *)
+   winning near-ties, so the dominant weight becomes exactly 1.  The float
+   operations are those of [Cx.abs] and [Cx.div], written out on the
+   weights' fields so no complex number is boxed on the way; the package
+   is checked once, and interning goes straight to the complex table. *)
+let wabs (w : weight) = Float.sqrt ((w.re *. w.re) +. (w.im *. w.im))
+
+(* [e]'s weight divided by the factor [fre + i fim], unless [e] is the
+   lead [k], which becomes exactly 1 *)
+let renorm_m p ~k idx fre fim (e : medge) =
+  if medge_is_zero e then mzero
+  else if idx = k then { mw = w_one; mt = e.mt }
+  else begin
+    let d = (fre *. fre) +. (fim *. fim) in
+    let re = ((e.mw.re *. fre) +. (e.mw.im *. fim)) /. d
+    and im = ((e.mw.im *. fre) -. (e.mw.re *. fim)) /. d in
+    if Float.sqrt ((re *. re) +. (im *. im)) <= tolerance then mzero
+    else { mw = Ct.lookup p.ctab (Cx.make re im); mt = e.mt }
+  end
+
 let make_mnode p var e00 e01 e10 e11 =
   guard p;
-  let edges = [| e00; e01; e10; e11 |] in
-  let mags = Array.map (fun e -> Cx.abs (wcx e.mw)) edges in
-  let mmax = Array.fold_left Float.max 0.0 mags in
-  if Array.for_all medge_is_zero edges then mzero
-  else if not (Float.is_finite mmax) then
-    invalid_arg "Dd.Pkg.make_mnode: non-finite edge weight (check gate angles)"
+  if medge_is_zero e00 && medge_is_zero e01 && medge_is_zero e10 && medge_is_zero e11
+  then mzero
   else begin
+    let m0 = wabs e00.mw and m1 = wabs e01.mw and m2 = wabs e10.mw and m3 = wabs e11.mw in
+    let mmax = Float.max (Float.max (Float.max (Float.max 0.0 m0) m1) m2) m3 in
+    if not (Float.is_finite mmax) then
+      invalid_arg "Dd.Pkg.make_mnode: non-finite edge weight (check gate angles)";
     (* ties on the leading magnitude are broken towards the lowest index,
        with a relative margin so drift cannot flip the choice *)
-    let rec lead_index k =
-      if mags.(k) >= mmax *. (1.0 -. 1e-9) then k else lead_index (k + 1)
-    in
-    let k = lead_index 0 in
-    let factor = wcx edges.(k).mw in
-    let renorm idx e =
-      if medge_is_zero e then mzero
-      else if idx = k then { mw = w_one; mt = e.mt }
-      else begin
-        let w' = Cx.div (wcx e.mw) factor in
-        if Cx.abs w' <= tolerance then mzero else { mw = weight p w'; mt = e.mt }
-      end
-    in
-    let n =
-      hashcons_mnode p var (renorm 0 e00) (renorm 1 e01) (renorm 2 e10) (renorm 3 e11)
-    in
-    { mw = weight p factor; mt = Some n }
+    let lead = mmax *. (1.0 -. 1e-9) in
+    let k = if m0 >= lead then 0 else if m1 >= lead then 1 else if m2 >= lead then 2 else 3 in
+    let f = match k with 0 -> e00.mw | 1 -> e01.mw | 2 -> e10.mw | _ -> e11.mw in
+    let fre = f.re and fim = f.im in
+    (* entries are interned last to first, as they always were: the order
+       decides which representative a near value snaps to *)
+    let r11 = renorm_m p ~k 3 fre fim e11 in
+    let r10 = renorm_m p ~k 2 fre fim e10 in
+    let r01 = renorm_m p ~k 1 fre fim e01 in
+    let r00 = renorm_m p ~k 0 fre fim e00 in
+    let n = hashcons_mnode p var r00 r01 r10 r11 in
+    { mw = Ct.lookup p.ctab (Cx.make fre fim); mt = Some n }
   end
 
 let vscale p z e =
@@ -536,7 +622,7 @@ let with_root_m p e f =
   Fun.protect ~finally:(fun () -> release_m p r) (fun () -> f r)
 
 let live_roots p = Hashtbl.length p.vroots + Hashtbl.length p.mroots
-let live_nodes p = Hashtbl.length p.vtab + Hashtbl.length p.mtab
+let live_nodes p = p.vtab.count + p.mtab.count
 
 (* -- compaction ------------------------------------------------------- *)
 
@@ -553,17 +639,17 @@ let sweep ~weights:rebuild p =
   M.incr m_gc_runs;
   let nodes_before = live_nodes p and weights_before = Ct.size p.ctab in
   clear_caches p;
-  Hashtbl.reset p.vtab;
-  Hashtbl.reset p.mtab;
-  let vseen = Hashtbl.create 256 and mseen = Hashtbl.create 256 in
+  empty_utable p.vtab;
+  empty_utable p.mtab;
+  let stamp = fresh_stamp () in
   let weights : (int, weight) Hashtbl.t = Hashtbl.create 256 in
   let keep_w (w : weight) = if rebuild && w.id > 1 then Hashtbl.replace weights w.id w in
   let rec revisit_v = function
     | None -> ()
     | Some n ->
-      if not (Hashtbl.mem vseen n.vid) then begin
-        Hashtbl.add vseen n.vid ();
-        Hashtbl.replace p.vtab (vkey_of n.vvar n.v0 n.v1) n;
+      if n.vmark <> stamp then begin
+        n.vmark <- stamp;
+        add_node p.vtab vhash_node n;
         keep_w n.v0.vw;
         keep_w n.v1.vw;
         if not (vedge_is_zero n.v0) then revisit_v n.v0.vt;
@@ -573,9 +659,9 @@ let sweep ~weights:rebuild p =
   let rec revisit_m = function
     | None -> ()
     | Some n ->
-      if not (Hashtbl.mem mseen n.mid) then begin
-        Hashtbl.add mseen n.mid ();
-        Hashtbl.replace p.mtab (mkey_of n.mvar n.m00 n.m01 n.m10 n.m11) n;
+      if n.mmark <> stamp then begin
+        n.mmark <- stamp;
+        add_node p.mtab mhash_node n;
         let follow (e : medge) =
           keep_w e.mw;
           if not (medge_is_zero e) then revisit_m e.mt
@@ -659,7 +745,7 @@ type stats =
   }
 
 let stats p =
-  { vector_nodes = Hashtbl.length p.vtab
-  ; matrix_nodes = Hashtbl.length p.mtab
+  { vector_nodes = p.vtab.count
+  ; matrix_nodes = p.mtab.count
   ; weights = Ct.size p.ctab
   }

@@ -145,21 +145,18 @@ val sig_control_at : gate_sig -> int -> bool option
 
     Operation caches used by {!Vec} and {!Mat}; exposed for them only. *)
 
-(** Kernel cache keys: signature id and an opcode naming the kernel's
-    internal recursion packed as [(sid lsl 3) lor opcode], then operand
-    node/weight ids (padded with [-2]).  Values are edge pairs — paired
-    recursions store both result slices of one shared descent,
-    single-valued ones duplicate their edge. *)
-type kkey = int * int * int * int
+val vadd_cache : t -> vedge Cache.t
+val madd_cache : t -> medge Cache.t
+val mv_cache : t -> vedge Cache.t
+val mm_cache : t -> medge Cache.t
+val ip_cache : t -> Cxnum.Cx.t Cache.t
+val adj_cache : t -> medge Cache.t
 
-val vadd_cache : t -> (int * int * int, vedge) Cache.t
-val madd_cache : t -> (int * int * int, medge) Cache.t
-val mv_cache : t -> (int * int, vedge) Cache.t
-val mm_cache : t -> (int * int, medge) Cache.t
-val ip_cache : t -> (int * int, Cxnum.Cx.t) Cache.t
-val adj_cache : t -> (int, medge) Cache.t
-val kernel_v_cache : t -> (kkey, vedge * vedge) Cache.t
-val kernel_m_cache : t -> (kkey, medge * medge) Cache.t
+(** The gate kernels' caches; {!Mat} documents their keys.  Values are
+    edge pairs. *)
+val kernel_v_cache : t -> (vedge * vedge) Cache.t
+
+val kernel_m_cache : t -> (medge * medge) Cache.t
 
 (** Drop all operation caches (keeps the unique tables). *)
 val clear_caches : t -> unit

@@ -10,12 +10,15 @@
 type weight = Cxnum.Cx_table.value
 
 (* Vector DDs: a node at variable [vvar] splits on qubit [vvar]; [v0] is the
-   |0>-successor, [v1] the |1>-successor.  [vt = None] is the terminal. *)
+   |0>-successor, [v1] the |1>-successor.  [vt = None] is the terminal.
+   [vmark] belongs to graph walks: a walk takes a {!fresh_stamp} and
+   marks each node it reaches with it, so "seen" is one comparison. *)
 type vnode =
   { vid : int
   ; vvar : int
   ; v0 : vedge
   ; v1 : vedge
+  ; mutable vmark : int
   }
 
 and vedge =
@@ -32,6 +35,7 @@ type mnode =
   ; m01 : medge
   ; m10 : medge
   ; m11 : medge
+  ; mutable mmark : int
   }
 
 and medge =
@@ -44,17 +48,10 @@ let medge_is_zero e = Cxnum.Cx_table.is_zero e.mw
 let vnode_id = function None -> -1 | Some n -> n.vid
 let mnode_id = function None -> -1 | Some n -> n.mid
 
-(* Keys for the unique tables: variable index plus the weight ids and target
-   node ids of all successors. *)
-type vkey = int * (int * int) * (int * int)
-type mkey = int * (int * int) * (int * int) * (int * int) * (int * int)
-
-let vkey_of var (e0 : vedge) (e1 : vedge) : vkey =
-  (var, (e0.vw.id, vnode_id e0.vt), (e1.vw.id, vnode_id e1.vt))
-
-let mkey_of var (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) : mkey =
-  ( var
-  , (e00.mw.id, mnode_id e00.mt)
-  , (e01.mw.id, mnode_id e01.mt)
-  , (e10.mw.id, mnode_id e10.mt)
-  , (e11.mw.id, mnode_id e11.mt) )
+(* Walk stamps, process-wide so that no two walks share one, whichever
+   package or domain they run in.  A node carries the stamp of the last
+   walk that reached it; fresh nodes carry 0, which no walk uses.  Only
+   the domain that owns a node's package walks it, so the marks never
+   race. *)
+let stamps = Atomic.make 0
+let fresh_stamp () = 1 + Atomic.fetch_and_add stamps 1

@@ -25,17 +25,16 @@ let rec add p (a : vedge) (b : vedge) =
       else Pkg.vterminal p s
     | Some na, Some nb ->
       let ratio = Pkg.weight p (Cx.div wb wa) in
-      let key = (na.vid, nb.vid, ratio.id) in
       let cache = Pkg.vadd_cache p in
       let inner =
-        match Cache.find cache key with
+        match Cache.find cache na.vid nb.vid ratio.id 0 with
         | Some e -> e
         | None ->
           let rb = wcx ratio in
           let e0 = add p na.v0 (Pkg.vscale p rb nb.v0) in
           let e1 = add p na.v1 (Pkg.vscale p rb nb.v1) in
           let e = Pkg.make_vnode p na.vvar e0 e1 in
-          Cache.add cache key e;
+          Cache.add cache na.vid nb.vid ratio.id 0 e;
           e
       in
       Pkg.vscale p wa inner
@@ -46,9 +45,8 @@ let rec inner_product_nodes p na nb =
   match (na, nb) with
   | None, None -> Cx.one
   | Some a, Some b ->
-    let key = (a.vid, b.vid) in
     let cache = Pkg.ip_cache p in
-    (match Cache.find cache key with
+    (match Cache.find cache a.vid b.vid 0 0 with
      | Some z -> z
      | None ->
        let part (ea : vedge) (eb : vedge) =
@@ -59,7 +57,7 @@ let rec inner_product_nodes p na nb =
          end
        in
        let z = Cx.add (part a.v0 b.v0) (part a.v1 b.v1) in
-       Cache.add cache key z;
+       Cache.add cache a.vid b.vid 0 0 z;
        z)
   | _ -> invalid_arg "Vec.inner_product: operands of different dimension"
 
@@ -217,15 +215,14 @@ let nonzero_paths p (a : vedge) ~n ?(cutoff = 1e-12) ~limit () =
   List.rev !results
 
 let node_count (a : vedge) =
-  let seen = Hashtbl.create 64 in
-  let rec go = function
-    | None -> ()
-    | Some n ->
-      if not (Hashtbl.mem seen n.vid) then begin
-        Hashtbl.add seen n.vid ();
-        if not (vedge_is_zero n.v0) then go n.v0.vt;
-        if not (vedge_is_zero n.v1) then go n.v1.vt
-      end
+  let stamp = fresh_stamp () in
+  let rec go (e : vedge) =
+    if vedge_is_zero e then 0
+    else
+      match e.vt with
+      | Some n when n.vmark <> stamp ->
+        n.vmark <- stamp;
+        1 + go n.v0 + go n.v1
+      | _ -> 0
   in
-  if not (vedge_is_zero a) then go a.vt;
-  Hashtbl.length seen
+  go a

@@ -7,9 +7,10 @@
     [Qcec.Verify.functional]) on the worker domain that runs it, so
     packages never cross domains — [Dd.Pkg]'s owner guard enforces the
     contract.  Metric and span registries are domain-local; the pool
-    harvests every worker's readings at join time, folds them into the
-    calling domain ({!Obs.Metrics.absorb} / {!Obs.Span.absorb}) and
-    exposes the merged batch-attributable reading in {!batch.metrics}.
+    harvests what every worker loop recorded (a diff over the loop) when
+    it ends, folds it into the calling domain ({!Obs.Metrics.absorb} /
+    {!Obs.Span.absorb}) and exposes the merged batch-attributable reading
+    in {!batch.metrics}.
 
     {2 Robustness}
 
@@ -95,20 +96,23 @@ type batch =
   ; wall_seconds : float
   ; workers : int  (** domains actually used *)
   ; metrics : Obs.Metrics.snapshot
-        (** merged worker registries — exactly the batch's work; the
-            calling domain contributes its diff over the run *)
+        (** merged diffs of every worker loop and of the calling domain
+            over the run — exactly the batch's work *)
   ; spans : Obs.Span.entry list
-        (** merged worker span reports, the calling domain's as a diff *)
+        (** merged span diffs, taken the same way *)
   }
 
 (** [run config specs] executes the batch and returns once every job has
     a result: one {!submit} per spec and a draining stop, with [workers]
     clamped to the job count.  The calling domain runs the last worker
-    itself and spawns only the other [workers - 1] domains, so
-    [workers = 1] spawns none; every spawned domain is joined before [run]
-    returns or raises.  If [config.on_result] raises, the jobs still
-    queued are dropped and [run] re-raises that exception once the
-    workers have exited.
+    itself and the other [workers - 1] run on helper domains, so
+    [workers = 1] uses none.  Helpers are parked when their loop ends,
+    and later [run]s in the process borrow them again instead of
+    spawning new domains: a process that has called [run] keeps as many
+    idle domains as its runs ever borrowed at once.  Every borrowed helper has
+    finished its loop before [run] returns or raises.  If
+    [config.on_result] raises, the jobs still queued are dropped and
+    [run] re-raises that exception once the helpers are done.
 
     Jobs with [spec.portfolio = Some w] ([w >= 2]) race candidate deciders
     via [Qcec.Verify.portfolio]: the job's worker runs candidate 0 and

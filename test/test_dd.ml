@@ -328,14 +328,144 @@ let test_repeated_apply_hits_cache () =
         (Obs.Metrics.find d "dd.cache.mv.hits" > 0))
 
 let test_cache_replace () =
-  let c : (int, string) Dd.Cache.t = Dd.Cache.create "testcache" in
-  Dd.Cache.add c 1 "a";
-  Dd.Cache.add c 1 "b";
+  let c : string Dd.Cache.t = Dd.Cache.create "testcache" in
+  Dd.Cache.add c 1 0 0 0 "a";
+  Dd.Cache.add c 1 0 0 0 "b";
   (* re-computed keys must shadow, not pile up as duplicate bindings *)
   Alcotest.(check int) "replace keeps one binding" 1 (Dd.Cache.length c);
-  Alcotest.(check (option string)) "latest value wins" (Some "b") (Dd.Cache.find c 1);
+  Alcotest.(check (option string)) "latest value wins" (Some "b")
+    (Dd.Cache.find c 1 0 0 0);
   Dd.Cache.clear c;
   Alcotest.(check int) "clear empties" 0 (Dd.Cache.length c)
+
+(* Keys that differ in one position only must not alias.  Thousands of
+   such keys per position fill more entries than the table has buckets,
+   so many of them share a chain, where only the key comparison tells
+   them apart. *)
+let test_cache_keys_and_clear () =
+  let c : int Dd.Cache.t = Dd.Cache.create "testcache" in
+  let keys = 5000 in
+  let key pos x = Array.init 4 (fun i -> if i = pos then x else 7 * (i + 1)) in
+  let add k v = Dd.Cache.add c k.(0) k.(1) k.(2) k.(3) v in
+  let find k = Dd.Cache.find c k.(0) k.(1) k.(2) k.(3) in
+  let check_all () =
+    for pos = 0 to 3 do
+      for x = 0 to keys - 1 do
+        let expected = if x = 7 * (pos + 1) then 0 else (pos * keys) + x in
+        if find (key pos x) <> Some expected then
+          Alcotest.failf "key %d at position %d: wrong binding" x pos
+      done
+    done
+  in
+  for pos = 0 to 3 do
+    for x = 0 to keys - 1 do
+      (* every position's run passes through the shared base key *)
+      add (key pos x) (if x = 7 * (pos + 1) then 0 else (pos * keys) + x)
+    done
+  done;
+  check_all ();
+  Alcotest.(check int) "one entry per distinct key" ((4 * keys) - 3) (Dd.Cache.length c);
+  Dd.Cache.clear c;
+  Alcotest.(check int) "clear after growth empties" 0 (Dd.Cache.length c);
+  for x = 0 to keys - 1 do
+    if find (key 0 x) <> None then Alcotest.failf "key %d survived the clear" x
+  done;
+  (* the cleared table is usable again *)
+  add (key 2 3) 42;
+  Alcotest.(check (option int)) "a new binding after clear" (Some 42) (find (key 2 3));
+  Alcotest.(check int) "and only that one" 1 (Dd.Cache.length c)
+
+(* Reference node counts: a walk that remembers node ids in a [Hashtbl],
+   as the counts did before nodes carried walk stamps. *)
+let ref_count_v (e : Dd.Types.vedge) =
+  let seen = Hashtbl.create 64 in
+  let rec go (e : Dd.Types.vedge) =
+    match e.Dd.Types.vt with
+    | Some n when not (Dd.Types.vedge_is_zero e || Hashtbl.mem seen n.Dd.Types.vid) ->
+      Hashtbl.add seen n.Dd.Types.vid ();
+      go n.Dd.Types.v0;
+      go n.Dd.Types.v1
+    | _ -> ()
+  in
+  go e;
+  Hashtbl.length seen
+
+let ref_count_m (e : Dd.Types.medge) =
+  let seen = Hashtbl.create 64 in
+  let rec go (e : Dd.Types.medge) =
+    match e.Dd.Types.mt with
+    | Some n when not (Dd.Types.medge_is_zero e || Hashtbl.mem seen n.Dd.Types.mid) ->
+      Hashtbl.add seen n.Dd.Types.mid ();
+      List.iter go [ n.Dd.Types.m00; n.Dd.Types.m01; n.Dd.Types.m10; n.Dd.Types.m11 ]
+    | _ -> ()
+  in
+  go e;
+  Hashtbl.length seen
+
+(* A gate on the top qubit leaves the subgraphs below it shared, so
+   counting the two DDs in turn revisits nodes an earlier walk marked. *)
+let prop_node_counts_match_reference =
+  QCheck.Test.make ~name:"node counts = Hashtbl reference (shared, alternating, compacted)"
+    ~count:40
+    QCheck.(pair (int_range 2 5) (int_range 0 10000))
+    (fun (qubits, seed) ->
+      let p = Dd.Pkg.create () in
+      let c = Algorithms.Random_circuit.unitary ~seed ~qubits ~gates:20 in
+      let h = gate_matrix Gates.H and top = qubits - 1 in
+      let ru = Dd.Pkg.root_m p (Qsim.Dd_sim.build_unitary p c) in
+      let rv = Dd.Pkg.root_v p (Qsim.Dd_sim.simulate p c) in
+      let ru' =
+        Dd.Pkg.root_m p
+          (Dd.Mat.mul_gate_left p ~n:qubits ~controls:[] ~target:top h (Dd.Pkg.mroot_edge ru))
+      in
+      let rv' =
+        Dd.Pkg.root_v p
+          (Dd.Mat.apply_gate p ~n:qubits ~controls:[] ~target:top h (Dd.Pkg.vroot_edge rv))
+      in
+      let m r =
+        let e = Dd.Pkg.mroot_edge r in
+        (Dd.Mat.node_count e, ref_count_m e)
+      and v r =
+        let e = Dd.Pkg.vroot_edge r in
+        (Dd.Vec.node_count e, ref_count_v e)
+      in
+      let counts () = [ m ru; m ru'; v rv; v rv'; m ru; m ru'; v rv; v rv' ] in
+      let before = counts () in
+      (* garbage for the sweep, then the same counts on the survivors *)
+      let junk = Algorithms.Random_circuit.unitary ~seed:(seed + 1) ~qubits ~gates:20 in
+      ignore (Qsim.Dd_sim.simulate p junk);
+      Dd.Pkg.compact p;
+      let after = counts () in
+      List.for_all (fun (n, r) -> n = r) (before @ after) && before = after)
+
+(* Every node that survives a sweep is still the canonical one: building
+   it again from its own successors must find it in the rebuilt table. *)
+let test_sweep_survivors_stay_canonical () =
+  let p = Dd.Pkg.create () in
+  let n = 4 in
+  let build seed =
+    Qsim.Dd_sim.build_unitary p (Algorithms.Random_circuit.unitary ~seed ~qubits:n ~gates:30)
+  in
+  Dd.Pkg.with_root_m p (build 11) (fun r ->
+      ignore (build 12);
+      Dd.Pkg.compact p;
+      let rebuilt = ref 0 in
+      let rec visit (e : Dd.Types.medge) =
+        match e.Dd.Types.mt with
+        | Some nd when not (Dd.Types.medge_is_zero e) ->
+          let again =
+            Dd.Pkg.make_mnode p nd.Dd.Types.mvar nd.Dd.Types.m00 nd.Dd.Types.m01
+              nd.Dd.Types.m10 nd.Dd.Types.m11
+          in
+          (match again.Dd.Types.mt with
+           | Some nd' when nd' == nd -> incr rebuilt
+           | _ -> Alcotest.failf "surviving node %d was built anew" nd.Dd.Types.mid);
+          List.iter visit
+            [ nd.Dd.Types.m00; nd.Dd.Types.m01; nd.Dd.Types.m10; nd.Dd.Types.m11 ]
+        | _ -> ()
+      in
+      visit (Dd.Pkg.mroot_edge r);
+      Alcotest.(check bool) "some nodes were rebuilt" true (!rebuilt > n))
 
 (* distinct non-canonical weight ids reachable from a rooted vector *)
 let reachable_weight_count (e : Dd.Types.vedge) =
@@ -428,6 +558,10 @@ let prop_compacting_checkpoints =
 let suite =
   [ Alcotest.test_case "basis states" `Quick test_basis_states
   ; Alcotest.test_case "cache replace" `Quick test_cache_replace
+  ; Alcotest.test_case "cache keys do not alias; clear after growth" `Quick
+      test_cache_keys_and_clear
+  ; Alcotest.test_case "swept survivors stay canonical" `Quick
+      test_sweep_survivors_stay_canonical
   ; Alcotest.test_case "compact rebuilds the weight table" `Quick
       test_compact_rebuilds_weight_table
   ; Alcotest.test_case "repeated apply hits the mv cache" `Quick
@@ -450,6 +584,7 @@ let suite =
   ; Alcotest.test_case "node counts" `Quick test_node_counts
   ; Alcotest.test_case "process fidelity" `Quick test_process_fidelity
   ; Alcotest.test_case "dot export" `Quick test_dot_export
+  ; Util.qtest prop_node_counts_match_reference
   ; Util.qtest prop_simulation_matches_dense
   ; Util.qtest prop_unitary_matches_dense
   ; Util.qtest prop_probabilities_sum_to_one

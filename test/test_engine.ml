@@ -111,6 +111,39 @@ let test_caller_runs_last_worker () =
     (fun (r : Job.result) -> Alcotest.(check int) "the caller is worker 0" 0 r.Job.worker)
     batch.Pool.results
 
+(* [run] parks its helper domains and the next [run] borrows them again:
+   the spawned worker's results reach [on_result] on the same domain in
+   two consecutive batches.  Four slower jobs (tens of milliseconds
+   each) lead each batch, so the helper wakes while the caller is still
+   busy with them and takes some. *)
+let test_run_reuses_helpers () =
+  let caller = (Domain.self () :> int) in
+  let specs =
+    specs_of_pairs (List.init 4 (fun _ -> Algorithms.Qft.make 32) @ List.init 2 bv_pair)
+  in
+  let helper_domains () =
+    let seen = ref [] in
+    let batch =
+      run ~workers:2
+        ~on_result:(fun r -> seen := ((Domain.self () :> int), r.Job.worker) :: !seen)
+        specs
+    in
+    List.iter
+      (fun r -> Alcotest.(check bool) "every pair verifies" true (Job.succeeded r))
+      batch.Pool.results;
+    List.iter
+      (fun (d, w) ->
+        Alcotest.(check bool) "the caller runs worker 1, a helper worker 0" true
+          ((d = caller) = (w = 1)))
+      !seen;
+    List.sort_uniq compare
+      (List.filter_map (fun (d, w) -> if w = 0 then Some d else None) !seen)
+  in
+  let first = helper_domains () in
+  let second = helper_domains () in
+  Alcotest.(check int) "the helper ran a job in the first batch" 1 (List.length first);
+  Alcotest.(check (list int)) "and the same helper in the second" first second
+
 (* per-job seeds derived from one batch seed keep simulative verdicts
    identical across worker counts *)
 let test_seeded_stimuli_deterministic () =
@@ -500,6 +533,8 @@ let suite =
       test_worker_count_equivalence
   ; Alcotest.test_case "the caller runs the last worker" `Quick
       test_caller_runs_last_worker
+  ; Alcotest.test_case "consecutive runs reuse the helper domain" `Quick
+      test_run_reuses_helpers
   ; Alcotest.test_case "seeded stimuli deterministic" `Quick
       test_seeded_stimuli_deterministic
   ; Alcotest.test_case "timeout and bounded retry" `Quick test_timeout_and_retries
