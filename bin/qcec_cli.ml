@@ -154,9 +154,14 @@ let portfolio_json (r : Qcec.Verify.portfolio_result) =
 
 let perm_conv =
   let parse s =
-    try
-      Ok (String.split_on_char ',' s |> List.map int_of_string |> Array.of_list)
-    with Failure _ -> Error (`Msg "expected a comma-separated permutation, e.g. 0,3,1,2")
+    match String.split_on_char ',' s |> List.map int_of_string |> Array.of_list with
+    | p when Circuit.Circ.is_permutation p -> Ok p
+    | p ->
+      Error
+        (`Msg
+           (Fmt.str "%s is not a permutation of 0..%d" s (Array.length p - 1)))
+    | exception Failure _ ->
+      Error (`Msg "expected a comma-separated permutation, e.g. 0,3,1,2")
   in
   Arg.conv (parse, fun ppf p ->
     Fmt.pf ppf "%a" Fmt.(array ~sep:(any ",") int) p)
@@ -269,8 +274,8 @@ let distribution_cmd =
         ];
     exit (if r.Qcec.Verify.distributions_equal then 0 else 1)
   in
-  let dyn = Arg.(required & pos 0 (some file) None & info [] ~docv:"DYNAMIC.qasm") in
-  let static = Arg.(required & pos 1 (some file) None & info [] ~docv:"STATIC.qasm") in
+  let dyn = Arg.(required & pos 0 (some string) None & info [] ~docv:"DYNAMIC.qasm") in
+  let static = Arg.(required & pos 1 (some string) None & info [] ~docv:"STATIC.qasm") in
   let cutoff =
     Arg.(value & opt float 1e-12 & info [ "cutoff" ] ~doc:"branch pruning threshold")
   in
@@ -318,7 +323,7 @@ let extract_cmd =
           ]
     end
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.qasm") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.qasm") in
   let cutoff =
     Arg.(value & opt float 1e-12 & info [ "cutoff" ] ~doc:"branch pruning threshold")
   in
@@ -349,7 +354,7 @@ let transform_cmd =
       | None -> print_string (Circuit.Qasm_printer.to_string out.Transform.Dynamic.circuit)
     end
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.qasm") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.qasm") in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.qasm")
   in
@@ -384,7 +389,7 @@ let optimize_cmd =
     | Some path -> Circuit.Qasm_printer.to_file path out.Qcompile.Optimize.circuit
     | None -> print_string (Circuit.Qasm_printer.to_string out.Qcompile.Optimize.circuit)
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.qasm") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.qasm") in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT.qasm")
   in
@@ -515,7 +520,7 @@ let analyze_cmd =
          exit 2)
   in
   let files =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.qasm")
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE.qasm")
   in
   let output =
     Arg.(
@@ -599,6 +604,10 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
     | Qcec.Verify.Rejected d ->
       Fmt.epr "%a@." Analysis.Diagnostic.pp d;
       exit 2
+    | Qcec.Verify.Perm_mismatch { entries; qubits } ->
+      Fmt.epr "qcec %s: --perm has %d entries but the aligned register has %d qubits@."
+        command entries qubits;
+      exit 2
   in
   let r, portfolio =
     match strategy, scheme with
@@ -666,8 +675,8 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
 (* [check] and [verify] share every argument but [verify]'s [--transform]
    and verdict-store options, which [check] fixes to on and off. *)
 let functional_cmd ~preflight name ~doc ~transform ~cache_dir ~no_result_cache =
-  let file_a = Arg.(required & pos 0 (some file) None & info [] ~docv:"A.qasm") in
-  let file_b = Arg.(required & pos 1 (some file) None & info [] ~docv:"B.qasm") in
+  let file_a = Arg.(required & pos 0 (some string) None & info [] ~docv:"A.qasm") in
+  let file_b = Arg.(required & pos 1 (some string) None & info [] ~docv:"B.qasm") in
   let strategy =
     Arg.(
       value
@@ -959,7 +968,7 @@ let stats_cmd =
     Fmt.pr "%a@." Circuit.Stats.pp s;
     Fmt.pr "dynamic: %b@." (Circuit.Circ.is_dynamic c)
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.qasm") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.qasm") in
   Cmd.v (Cmd.info "stats" ~doc:"Print structural circuit metrics") Term.(const run $ file)
 
 (* -- draw ------------------------------------------------------------ *)
@@ -968,7 +977,7 @@ let draw_cmd =
   let run file =
     Circuit.Draw.print (load file)
   in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.qasm") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.qasm") in
   Cmd.v (Cmd.info "draw" ~doc:"Render a circuit as ASCII art") Term.(const run $ file)
 
 (* -- gen ------------------------------------------------------------ *)

@@ -30,8 +30,8 @@ type sink =
   }
 
 type t =
-  { index : (string, entry) Shared.t
-  ; lock : Mutex.t  (** serializes inserts (append + publish) *)
+  { index : (string, entry) Hashtbl.t  (** guarded by [lock] *)
+  ; lock : Mutex.t  (** serializes every index access and append *)
   ; sink : sink option
   ; mutable recovered : int
   ; mutable dropped : int
@@ -136,7 +136,7 @@ let replay index path =
                        Result.to_option (entry_of_json j))
              with
              | Some e ->
-               Shared.publish index e.key e;
+               Hashtbl.replace index e.key e;
                incr kept
              | None -> incr torn
          done
@@ -144,7 +144,7 @@ let replay index path =
       (!kept, !torn))
 
 let in_memory () =
-  { index = Shared.create ()
+  { index = Hashtbl.create 16
   ; lock = Mutex.create ()
   ; sink = None
   ; recovered = 0
@@ -218,26 +218,22 @@ let insert t e =
        | None -> ()
        | Some sink ->
          if sink.written >= sink.segment_bytes then rotate sink;
-         (* one whole line per record, flushed before the index publish:
+         (* one whole line per record, flushed before the index update:
             a reader never sees an entry the disk does not hold *)
          let line = J.to_string (entry_to_json e) ^ "\n" in
          output_string sink.oc line;
          flush sink.oc;
          sink.written <- sink.written + String.length line;
          M.add m_bytes (String.length line));
-      Shared.publish t.index e.key e;
+      Hashtbl.replace t.index e.key e;
       M.incr m_inserts)
 
 let lookup t key =
-  match Shared.find t.index key with
-  | Some e ->
-    M.incr m_hits;
-    Some e
-  | None ->
-    M.incr m_misses;
-    None
+  let r = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.index key) in
+  M.incr (if Option.is_some r then m_hits else m_misses);
+  r
 
-let size t = Shared.size t.index
+let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.index)
 let recovered t = t.recovered
 let dropped t = t.dropped
 let dir t = Option.map (fun s -> s.dir) t.sink

@@ -9,9 +9,10 @@
     [cache.store.dropped]).  Segments rotate once they exceed the segment
     budget, keeping individual files bounded.
 
-    Lookups are served from an in-memory index (a {!Shared} tier, so
-    concurrent engine workers read it lock-free); inserts append to disk
-    and publish to the index under a mutex.
+    Lookups are served from an in-memory [Hashtbl] index.  One mutex
+    guards it: {!lookup}, {!size} and {!insert} take it, so engine
+    workers on any domain may share a store, and an insert appends its
+    record to disk before it adds the entry to the index.
 
     Metrics ([docs/OBSERVABILITY.md]): [cache.result.hits],
     [cache.result.misses], [cache.result.inserts], [cache.result.bytes],
@@ -47,7 +48,7 @@ val in_memory : unit -> t
 val lookup : t -> string -> entry option
 
 (** [insert t e] appends [e] to the newest segment (when persistent) and
-    publishes it to the index.  Last insert for a key wins. *)
+    adds it to the index.  Last insert for a key wins. *)
 val insert : t -> entry -> unit
 
 (** Number of indexed entries. *)

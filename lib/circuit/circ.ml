@@ -77,16 +77,20 @@ let inverse c =
   let inverted = List.rev_map Op.adjoint c.ops in
   { c with name = c.name ^ "_inv"; ops = inverted }
 
+let is_permutation p =
+  let n = Array.length p in
+  let seen = Array.make n false in
+  Array.for_all
+    (fun q ->
+      let fresh = q >= 0 && q < n && not seen.(q) in
+      if fresh then seen.(q) <- true;
+      fresh)
+    p
+
 let remap c ~perm =
   if Array.length perm <> c.num_qubits then
     invalid_arg "Circ.remap: permutation size mismatch";
-  let seen = Array.make c.num_qubits false in
-  Array.iter
-    (fun q ->
-      if q < 0 || q >= c.num_qubits || seen.(q) then
-        invalid_arg "Circ.remap: not a permutation";
-      seen.(q) <- true)
-    perm;
+  if not (is_permutation perm) then invalid_arg "Circ.remap: not a permutation";
   { c with ops = List.map (Op.map_qubits (fun q -> perm.(q))) c.ops }
 
 let append a b =

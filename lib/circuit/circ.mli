@@ -73,6 +73,10 @@ val strip_measurements : t -> t
     are not allowed either; strip them first). *)
 val inverse : t -> t
 
+(** [is_permutation p] holds when [p] is a permutation of
+    [0 .. Array.length p - 1]. *)
+val is_permutation : int array -> bool
+
 (** [remap c ~perm] renames qubit [q] to [perm.(q)]; [perm] must be a
     permutation of [0 .. num_qubits - 1]. *)
 val remap : t -> perm:int array -> t

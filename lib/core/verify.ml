@@ -6,6 +6,7 @@ module Circ = Circuit.Circ
 let now = Obs.Clock.now
 
 exception Rejected of Analysis.Diagnostic.t
+exception Perm_mismatch of { entries : int; qubits : int }
 
 type functional_result =
   { equivalent : bool
@@ -111,6 +112,8 @@ let align ?perm ~auto_align g g' =
   let g, g' = equalize_widths g g' in
   let perm =
     match perm with
+    | Some p when Array.length p <> g'.Circ.num_qubits ->
+      raise (Perm_mismatch { entries = Array.length p; qubits = g'.Circ.num_qubits })
     | Some _ as p -> p
     | None ->
       if auto_align && Circ.measurements g <> [] then measurement_alignment g g'

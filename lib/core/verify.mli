@@ -8,6 +8,13 @@
     before any transformation runs or DD package is constructed. *)
 exception Rejected of Analysis.Diagnostic.t
 
+(** Raised by {!functional} and {!approximate} when an explicit [perm]
+    has [entries] entries but the aligned register (both inputs
+    transformed and padded to one width) has [qubits] qubits.  The width
+    is only known after the transformation, so this is raised after it
+    and before any DD package is constructed. *)
+exception Perm_mismatch of { entries : int; qubits : int }
+
 (** {1 Scheme 1 (Section 4): full functional verification} *)
 
 type functional_result =

@@ -43,10 +43,10 @@ val size : t -> int
     re-interning of the same complex number. *)
 val rebuild : t -> value list -> unit
 
-(** Canonical zero, id 0.  Shared across tables. *)
+(** Canonical zero, id 0.  The same in every table. *)
 val zero : value
 
-(** Canonical one, id 1.  Shared across tables. *)
+(** Canonical one, id 1.  The same in every table. *)
 val one : value
 
 val is_zero : value -> bool

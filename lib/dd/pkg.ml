@@ -455,53 +455,6 @@ let gate p ~n ~controls ~target u =
 
 (* -- gate signatures --------------------------------------------------- *)
 
-(* Process-wide tier for the derived, package-independent part of a gate
-   signature (wire extents and the control lookup array, plus the matrix
-   itself), keyed on raw float bits rather than interned weight ids, so
-   concurrent packages checking the same workload compute it once.
-   Blueprints are frozen after publish, which is what
-   {!Cache_store.Shared} requires and keeps the domain-ownership guard
-   intact: mutable package state never crosses domains, only these
-   immutable derivations do. *)
-type sig_blueprint =
-  { b_u : Cx.t array
-  ; b_hi : int
-  ; b_lo : int
-  ; b_cmin : int
-  ; b_control_at : bool option array
-  }
-
-let sig_share : (int * (int * bool) list * int64 list, sig_blueprint) Cache_store.Shared.t =
-  Cache_store.Shared.create ~metrics:"dd.sig.shared" ()
-
-let shared_sig_key ~controls ~target u =
-  let bits =
-    Array.to_list u
-    |> List.concat_map (fun (z : Cx.t) ->
-           [ Int64.bits_of_float z.re; Int64.bits_of_float z.im ])
-  in
-  (target, controls, bits)
-
-(* [controls] must already be sorted ([List.sort_uniq compare]). *)
-let shared_blueprint ~controls ~target u =
-  let skey = shared_sig_key ~controls ~target u in
-  match Cache_store.Shared.find sig_share skey with
-  | Some bp -> bp
-  | None ->
-    let involved = target :: List.map fst controls in
-    let hi = List.fold_left max target involved in
-    let lo = List.fold_left min target involved in
-    let cmin =
-      List.fold_left
-        (fun acc (q, _) -> if q < target then min acc q else acc)
-        max_int controls
-    in
-    let control_at = Array.make (hi + 1) None in
-    List.iter (fun (q, pos) -> control_at.(q) <- Some pos) controls;
-    let bp = { b_u = u; b_hi = hi; b_lo = lo; b_cmin = cmin; b_control_at = control_at } in
-    Cache_store.Shared.publish sig_share skey bp;
-    bp
-
 let build_sig p ~key ~u ~swap ~controls ~target ~target2 =
   let involved = target :: (if swap then [ target2 ] else List.map fst controls) in
   let hi = List.fold_left max target involved in
@@ -541,23 +494,7 @@ let gate_sig p ~controls ~target u =
   let key = (0, controls, uw, target, -1) in
   match Hashtbl.find_opt p.sigs key with
   | Some s -> s
-  | None ->
-    let bp = shared_blueprint ~controls ~target u in
-    let s =
-      { gs_id = p.sig_next
-      ; gs_u = bp.b_u
-      ; gs_swap = false
-      ; gs_target = target
-      ; gs_target2 = -1
-      ; gs_hi = bp.b_hi
-      ; gs_lo = bp.b_lo
-      ; gs_cmin = bp.b_cmin
-      ; gs_control_at = bp.b_control_at
-      }
-    in
-    p.sig_next <- p.sig_next + 1;
-    Hashtbl.replace p.sigs key s;
-    s
+  | None -> build_sig p ~key ~u ~swap:false ~controls ~target ~target2:(-1)
 
 let swap_sig p a b =
   guard p;

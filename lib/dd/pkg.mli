@@ -123,13 +123,10 @@ type gate_sig = private
     2x2 matrix [u] (row-major, 4 entries) to [target] under [controls].
     Raises [Invalid_argument] on malformed wires.
 
-    Interning is two-tier: a per-package table keyed on interned weight
-    ids (fast path), backed by a process-wide read-mostly blueprint tier
-    ({!Cache_store.Shared}, metrics [dd.sig.shared.*]) keyed on raw float
-    bits, so concurrent packages verifying the same workload derive the
-    wire extents and control table once.  Blueprints are immutable after
-    publication, which keeps the {!Cross_domain_use} ownership guarantee:
-    no mutable package state ever crosses domains. *)
+    The table is the package's own, keyed on interned weight ids, so
+    structurally equal matrices share a signature; a miss derives the
+    wire extents and control table from [u], which the signature keeps.
+    Nothing is shared between packages. *)
 val gate_sig :
   t -> controls:(int * bool) list -> target:int -> Cxnum.Cx.t array -> gate_sig
 

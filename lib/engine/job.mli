@@ -100,7 +100,9 @@ type failure_class =
   | Lint_error  (** lint pre-flight found error-severity diagnostics *)
   | Parse_error  (** unreadable or malformed QASM input *)
   | Non_unitary  (** [Strategy.Non_unitary] escaped (non-transformable op) *)
-  | Rejected  (** dynamic input under [transform = false] *)
+  | Rejected
+      (** dynamic input under [transform = false], or a [perm] whose
+          length does not match the aligned register *)
   | Node_limit  (** live DD nodes exceeded the pool's [node_limit] *)
   | Cancelled
       (** killed on request (the daemon's [DELETE /v1/jobs/<id>]): the

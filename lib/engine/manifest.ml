@@ -111,7 +111,12 @@ let perm_field j =
           | _ -> Error "manifest: \"perm\" must be a list of integers")
         l
     in
-    Ok (Some (Array.of_list ints))
+    let p = Array.of_list ints in
+    if Circuit.Circ.is_permutation p then Ok (Some p)
+    else
+      Error
+        (Fmt.str "manifest: \"perm\" must be a permutation of 0..%d"
+           (Array.length p - 1))
   | Some _ -> Error "manifest: \"perm\" must be a list of integers"
 
 (* The fields a job may override, each falling back to [defaults]: a

@@ -260,8 +260,8 @@ let attempt cfg ?bank ~control (spec : Job.spec) =
   | _ ->
   with_guard ~deadline ~node_limit:cfg.node_limit ~control (fun () ->
     let on_dynamic = if spec.transform then `Transform else `Reject in
-    (* the store is shared across workers by design: lookups are
-       lock-free and inserts serialize inside [Cache_store.Store] *)
+    (* the store is shared across workers by design: lookups and
+       inserts serialize on [Cache_store.Store]'s mutex *)
     let cache = if spec.cache then cfg.cache else None in
     (* manifest [scheme = "auto"]: the analysis passes route the job now
        that both circuits are parsed; an explicitly pinned strategy always
@@ -306,6 +306,10 @@ let classify = function
   | Qcec.Strategy.Non_unitary op ->
     (Job.Non_unitary, Fmt.str "non-unitary operation %a" Circuit.Op.pp op)
   | Qcec.Verify.Rejected d -> (Job.Rejected, Analysis.Diagnostic.to_string d)
+  | Qcec.Verify.Perm_mismatch { entries; qubits } ->
+    ( Job.Rejected
+    , Fmt.str "perm has %d entries but the aligned register has %d qubits"
+        entries qubits )
   | e -> (Job.Crash, Printexc.to_string e)
 
 (* Every [Job.result] is built here: by [run_job] for a job that ran, and

@@ -15,9 +15,9 @@
     {2 Robustness}
 
     A job never aborts the batch: parse errors, lint errors,
-    [Strategy.Non_unitary], [Verify.Rejected], wall-clock timeouts and
-    node-budget overruns all come back as structured
-    [Job.Failed] outcomes.  Timeouts and node budgets cancel
+    [Strategy.Non_unitary], [Verify.Rejected], [Verify.Perm_mismatch],
+    wall-clock timeouts and node-budget overruns all come back as
+    structured [Job.Failed] outcomes.  Timeouts and node budgets cancel
     {e cooperatively}: a hook installed at the DD package's safepoints
     ([Dd.Pkg.checkpoint], reached after every gate application) raises
     {!Cancelled} when the attempt's deadline or the pool's node limit is
@@ -82,8 +82,8 @@ type config =
             finishes (on the domain of the worker that ran it, the calling
             domain included, in completion order) *)
   ; cache : Cache_store.Store.t option
-        (** verdict store shared by every worker (lookups are lock-free,
-            inserts serialize inside the store); jobs with
+        (** verdict store shared by every worker (lookups and inserts
+            serialize on the store's mutex); jobs with
             [spec.cache = false] bypass it *)
   }
 

@@ -1,16 +1,15 @@
 (* Verification-cache tests: structural circuit digests (qcheck
    properties, including permutation canonicalization agreeing with the
    verifier), pair-key sensitivity, the JSONL verdict store (round trip,
-   crash recovery from a torn segment), the shared read-mostly tier, and
-   cache-aware verification end to end — direct and through the batch
-   engine. *)
+   re-inserts, crash recovery from a torn segment, lookups racing
+   inserts), and cache-aware verification end to end — direct and through
+   the batch engine. *)
 
 module Op = Circuit.Op
 module Circ = Circuit.Circ
 module Gates = Circuit.Gates
 module Key = Cache_store.Key
 module Store = Cache_store.Store
-module Shared = Cache_store.Shared
 module Job = Engine.Job
 module Pool = Engine.Pool
 module Manifest = Engine.Manifest
@@ -165,6 +164,10 @@ let test_store_roundtrip () =
   (match Store.lookup s "k1" with
    | Some e -> Alcotest.(check bool) "verdict round trips" false e.Store.equivalent
    | None -> Alcotest.fail "k1 not found");
+  Store.insert s (entry ~key:"k0" ~equivalent:false);
+  Alcotest.(check (option bool)) "last insert wins" (Some false)
+    (Option.map (fun e -> e.Store.equivalent) (Store.lookup s "k0"));
+  Alcotest.(check int) "replacement does not grow the index" 2 (Store.size s);
   Alcotest.(check (option string)) "in-memory stores have no dir" None
     (Store.dir s);
   (* the JSONL codec round-trips every field *)
@@ -184,15 +187,20 @@ let test_store_persistence () =
          for i = 0 to 9 do
            Store.insert s (entry ~key:(Printf.sprintf "k%d" i) ~equivalent:(i mod 2 = 0))
          done;
+         (* the segment now holds k0 twice *)
+         Store.insert s (entry ~key:"k0" ~equivalent:false);
          Store.close s);
       match Store.open_dir dir with
       | Error msg -> Alcotest.fail msg
       | Ok s ->
-        Alcotest.(check int) "all ten replayed" 10 (Store.recovered s);
+        Alcotest.(check int) "all eleven replayed" 11 (Store.recovered s);
         Alcotest.(check int) "nothing dropped" 0 (Store.dropped s);
+        Alcotest.(check int) "one entry per key" 10 (Store.size s);
         (match Store.lookup s "k3" with
          | Some e -> Alcotest.(check bool) "odd keys not equivalent" false e.Store.equivalent
          | None -> Alcotest.fail "k3 lost across reopen");
+        Alcotest.(check (option bool)) "the last record of a key wins" (Some false)
+          (Option.map (fun e -> e.Store.equivalent) (Store.lookup s "k0"));
         Store.close s)
 
 let test_store_crash_recovery () =
@@ -235,38 +243,42 @@ let test_store_crash_recovery () =
              (Store.recovered s2);
            Store.close s2))
 
-(* -- the shared read-mostly tier ----------------------------------------- *)
+(* -- readers racing a writer --------------------------------------------- *)
 
-let test_shared_tier () =
-  let t = Shared.create () in
-  Alcotest.(check (option int)) "empty tier misses" None (Shared.find t "a");
-  Shared.publish t "a" 1;
-  Shared.publish t "b" 2;
-  Shared.publish t "a" 3;
-  Alcotest.(check (option int)) "last publish wins" (Some 3) (Shared.find t "a");
-  Alcotest.(check int) "replacement does not grow the tier" 2 (Shared.size t);
-  (* concurrent readers on other domains always see a consistent snapshot *)
-  let readers =
-    List.init 3 (fun _ ->
-      Domain.spawn (fun () ->
-        let ok = ref true in
-        for _ = 1 to 10_000 do
-          match Shared.find t "a" with
-          | Some v -> ok := !ok && v >= 3
-          | None -> ok := false
-        done;
-        !ok))
+let test_store_concurrent_lookup () =
+  let s = Store.in_memory () in
+  let n = 1_000 in
+  let key i = Printf.sprintf "k%d" i in
+  let started = Atomic.make 0 and stop = Atomic.make false in
+  (* a reader sees either nothing or the entry exactly as inserted *)
+  let reader () =
+    Atomic.incr started;
+    let ok = ref true in
+    while not (Atomic.get stop) do
+      for i = 0 to n - 1 do
+        match Store.lookup s (key i) with
+        | None -> ()
+        | Some e -> ok := !ok && e = entry ~key:(key i) ~equivalent:(i mod 2 = 0)
+      done
+    done;
+    !ok
   in
-  for i = 4 to 100 do
-    Shared.publish t "a" i
+  let readers = List.init 2 (fun _ -> Domain.spawn reader) in
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
   done;
+  for i = 0 to n - 1 do
+    Store.insert s (entry ~key:(key i) ~equivalent:(i mod 2 = 0))
+  done;
+  Atomic.set stop true;
   List.iter
     (fun d ->
-      Alcotest.(check bool) "readers never saw a torn snapshot" true
+      Alcotest.(check bool) "readers saw only None or complete entries" true
         (Domain.join d))
     readers;
-  Shared.clear t;
-  Alcotest.(check int) "clear empties the tier" 0 (Shared.size t)
+  Alcotest.(check int) "every insert indexed" n (Store.size s);
+  Alcotest.(check bool) "every key found after the join" true
+    (List.for_all (fun i -> Store.lookup s (key i) <> None) (List.init n Fun.id))
 
 (* -- cache-aware verification -------------------------------------------- *)
 
@@ -386,8 +398,8 @@ let suite =
   ; Alcotest.test_case "store persists across reopen" `Quick test_store_persistence
   ; Alcotest.test_case "store recovers from a torn segment" `Quick
       test_store_crash_recovery
-  ; Alcotest.test_case "shared tier: lock-free reads, last write wins" `Quick
-      test_shared_tier
+  ; Alcotest.test_case "store lookups race inserts safely" `Quick
+      test_store_concurrent_lookup
   ; Alcotest.test_case "Verify serves and fills the store" `Quick
       test_verify_with_cache
   ; Alcotest.test_case "engine short-circuits duplicate pairs" `Quick

@@ -337,6 +337,13 @@ let test_manifest_errors () =
   bad
     {|{ "schema": "qcec-manifest/v1",
         "jobs": [ { "a": "x.qasm", "b": "y.qasm", "strategy": "nope" } ] }|};
+  (* a perm must be a permutation of 0..k-1: no repeats, none out of range *)
+  bad
+    {|{ "schema": "qcec-manifest/v1",
+        "jobs": [ { "a": "x.qasm", "b": "y.qasm", "perm": [0, 0, 1, 2] } ] }|};
+  bad
+    {|{ "schema": "qcec-manifest/v1",
+        "jobs": [ { "a": "x.qasm", "b": "y.qasm", "perm": [1, 2] } ] }|};
   match Manifest.pair_files [ "a"; "b"; "c" ] with
   | Ok _ -> Alcotest.fail "odd file count must be rejected"
   | Error _ ->

@@ -1,5 +1,5 @@
-(* Shared test helpers: approximate comparisons between dense oracles and
-   decision-diagram results. *)
+(* Test helpers used across suites: approximate comparisons between
+   dense oracles and decision-diagram results. *)
 
 module Cx = Cxnum.Cx
 
