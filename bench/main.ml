@@ -22,7 +22,7 @@ let pr fmt = Fmt.pr fmt
 
 (* Equivalence failures no longer abort the run: they are recorded (so a
    --json report still covers every row) and turn the exit code non-zero,
-   which is what the CI bench-smoke job gates on. *)
+   which is what test/cli/bench.t gates on. *)
 let failures = ref 0
 
 let report_failure fmt =

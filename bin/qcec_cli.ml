@@ -58,14 +58,7 @@ let resolve_scheme ~strategy ~scheme a b =
   match scheme with
   | None -> strategy
   | Some (Scheme_fixed s) -> s
-  | Some Scheme_auto ->
-    (match
-       Obs.Span.with_ "analysis.route" (fun () ->
-         Analysis.Classify.route_application (Analysis.Cost.profile a)
-           (Analysis.Cost.profile b))
-     with
-     | Analysis.Cost.Proportional_order -> Qcec.Strategy.Proportional
-     | Analysis.Cost.Lookahead_order -> Qcec.Strategy.Lookahead)
+  | Some Scheme_auto -> Qcec.Strategy.route a b
 
 (* -- portfolio racing -------------------------------------------------- *)
 
@@ -99,16 +92,6 @@ let portfolio_width_arg =
            cost-model's solo pick leads a field of alternation orders and \
            simulative stimuli classes; the first definitive verdict wins \
            and the losers are cancelled at their next DD safepoint")
-
-(* Compose the race field: the most dynamic classification of the pair
-   gates the candidate set (simulative candidates cannot decide dynamic
-   circuits), the cost profiles order it. *)
-let portfolio_candidates ~width a b =
-  let kind = Analysis.Classify.pair_kind a b in
-  Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
-    Analysis.Classify.compose_portfolio ~width kind (Analysis.Cost.profile a)
-      (Analysis.Cost.profile b))
-  |> List.map (fun c -> (Qcec.Strategy.of_candidate c, Dd.Registry.default))
 
 let pp_portfolio_report ppf (r : Qcec.Verify.portfolio_result) =
   Fmt.pf ppf "@[<v>portfolio race: %d candidates, winner %s (#%d%s) in %.4fs"
@@ -483,11 +466,11 @@ let analyze_cmd =
       List.map
         (fun path ->
           let c = load path in
-          (path, Obs.Span.with_ "analysis.profile" (fun () ->
+          (path, c, Obs.Span.with_ "analysis.profile" (fun () ->
              Analysis.Cost.profile c)))
         files
     in
-    let file_json (path, p) =
+    let file_json (path, _, p) =
       match Analysis.Cost.to_json p with
       | Obs.Json.Obj fields ->
         Obs.Json.Obj (("file", Obs.Json.String path) :: fields)
@@ -495,12 +478,10 @@ let analyze_cmd =
     in
     let pair_fields =
       match entries with
-      | [ (_, a); (_, b) ] ->
+      | [ (_, ca, a); (_, cb, b) ] ->
         [ ("divergence", Obs.Json.Float (Analysis.Cost.divergence a b))
         ; ( "recommended_scheme"
-          , Obs.Json.String
-              (Analysis.Cost.scheme_name
-                 (Analysis.Classify.route_application a b)) )
+          , Obs.Json.String (Qcec.Strategy.name (Qcec.Strategy.route ca cb)) )
         ]
       | _ -> []
     in
@@ -612,7 +593,11 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
   let r, portfolio =
     match strategy, scheme with
     | Strat_portfolio, None ->
-      let candidates = portfolio_candidates ~width a b in
+      let candidates =
+        List.map
+          (fun s -> (s, Dd.Registry.default))
+          (Qcec.Strategy.race_field ~width a b)
+      in
       let pr =
         guarded (fun () ->
           Qcec.Verify.portfolio ~candidates ?perm ~on_dynamic ?cache:store a b)

@@ -53,12 +53,14 @@ let run host port workers queue_capacity rate burst max_body heartbeat timeout n
       Fmt.epr "qcec_serve: cannot bind %s:%d: %s@." host port (Unix.error_message err);
       exit 2
   in
-  Printf.printf "qcec_serve %s listening on http://%s:%d\n%!" Qcec.Version.string host
-    (Serve.Server.port server);
+  (* the handlers are in place before the daemon says it listens, so a
+     client that signals it as soon as it reads that line gets the drain *)
   let stop_requested = Atomic.make false in
   let request_stop _ = Atomic.set stop_requested true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+  Printf.printf "qcec_serve %s listening on http://%s:%d\n%!" Qcec.Version.string host
+    (Serve.Server.port server);
   while not (Atomic.get stop_requested) do
     Thread.delay 0.2
   done;

@@ -5,10 +5,6 @@ type scheme =
   | Proportional_order
   | Lookahead_order
 
-let scheme_name = function
-  | Proportional_order -> "proportional"
-  | Lookahead_order -> "lookahead"
-
 type t =
   { num_qubits : int
   ; total_ops : int

@@ -11,8 +11,6 @@ type scheme =
   | Proportional_order  (** advance by op counts ([i * nr <= j * nl]) *)
   | Lookahead_order  (** advance by predicted cost balance *)
 
-val scheme_name : scheme -> string
-
 type t =
   { num_qubits : int
   ; total_ops : int

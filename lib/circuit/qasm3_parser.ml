@@ -144,15 +144,9 @@ let parse_located ?(name = "qasm3") src =
 
 let parse ?name src = fst (parse_located ?name src)
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
-
 let parse_file path =
-  parse ~name:(Filename.remove_extension (Filename.basename path)) (read_file path)
+  parse ~name:(Filename.remove_extension (Filename.basename path))
+    (Qasm_parser.read_file path)
 
 (* Version dispatch: look for "OPENQASM 3" at the top; default to 2. *)
 let looks_like_v3 src =
@@ -174,6 +168,6 @@ let parse_any ?name src = fst (parse_any_located ?name src)
 let parse_any_file_located path =
   parse_any_located
     ~name:(Filename.remove_extension (Filename.basename path))
-    (read_file path)
+    (Qasm_parser.read_file path)
 
 let parse_any_file path = fst (parse_any_file_located path)

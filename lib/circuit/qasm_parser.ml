@@ -499,12 +499,13 @@ let parse_located ?(name = "qasm") src =
 
 let parse ?name src = fst (parse_located ?name src)
 
+(* Every exit path closes the channel.  Some failures, such as reading a
+   directory, raise a [Sys_error] that does not name the file; those get
+   the path in front, like the message of a failed open. *)
 let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  src
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg when not (String.starts_with ~prefix:(path ^ ": ") msg) ->
+    raise (Sys_error (path ^ ": " ^ msg))
 
 let parse_file_located path =
   parse_located ~name:(Filename.remove_extension (Filename.basename path))

@@ -20,6 +20,10 @@ exception Parse_error of string * int  (** message, line number *)
 (** [parse ?name src] parses a full program. *)
 val parse : ?name:string -> string -> Circ.t
 
+(** [read_file path] is the whole contents of [path].  A failure raises
+    [Sys_error] with a message that begins with [path]. *)
+val read_file : string -> string
+
 val parse_file : string -> Circ.t
 
 (** [parse_located ?name src] additionally returns the 1-based source line

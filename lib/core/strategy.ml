@@ -87,6 +87,22 @@ let of_candidate = function
   | Analysis.Cost.Local_stimuli shots -> Random_stimuli { kind = Product; shots }
   | Analysis.Cost.Global_stimuli shots -> Random_stimuli { kind = Entangled; shots }
 
+let route a b =
+  Obs.Span.with_ "analysis.route" (fun () ->
+    match
+      Analysis.Classify.route_application (Analysis.Cost.profile a)
+        (Analysis.Cost.profile b)
+    with
+    | Analysis.Cost.Proportional_order -> Proportional
+    | Analysis.Cost.Lookahead_order -> Lookahead)
+
+let race_field ~width a b =
+  let kind = Analysis.Classify.pair_kind a b in
+  Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
+    Analysis.Classify.compose_portfolio ~width kind (Analysis.Cost.profile a)
+      (Analysis.Cost.profile b))
+  |> List.map of_candidate
+
 exception Non_unitary of Op.t
 
 let unitary_ops (c : Circ.t) =

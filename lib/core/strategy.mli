@@ -74,6 +74,18 @@ val pp : Format.formatter -> t -> unit
     [Analysis.Cost.compose_portfolio] runs as. *)
 val of_candidate : Analysis.Cost.candidate -> t
 
+(** [route a b] is the alternation order [--scheme auto] and a manifest
+    [scheme = "auto"] run for the pair: {!Proportional} or {!Lookahead},
+    as the cost profiles of both circuits recommend
+    ([Analysis.Classify.route_application]). *)
+val route : Circuit.Circ.t -> Circuit.Circ.t -> t
+
+(** [race_field ~width a b] is the candidate field of a portfolio race
+    over the pair, between 1 and [width] strategies, best guess first:
+    the pair's most dynamic classification and the cost profiles of
+    both circuits compose it ([Analysis.Classify.compose_portfolio]). *)
+val race_field : width:int -> Circuit.Circ.t -> Circuit.Circ.t -> t list
+
 (** Raised by {!check} when a circuit still contains a non-unitary
     operation ([Reset] or a classically-controlled gate); carries the
     offending operation.  Dynamic circuits must go through the Section 4

@@ -167,15 +167,7 @@ let race_attempt cfg ~bank ~deadline ~control ~width (spec : Job.spec) a b =
     ~finally:(fun () -> Option.iter (fun bk -> bank_release bk granted) bank)
     (fun () ->
       let width = 1 + granted in
-      (* the most dynamic classification of the pair gates the candidate
-         set: simulative candidates cannot decide dynamic circuits *)
-      let kind = Analysis.Classify.pair_kind a b in
-      let composed =
-        Obs.Span.with_ "analysis.compose_portfolio" (fun () ->
-          Analysis.Classify.compose_portfolio ~width kind
-            (Analysis.Cost.profile a) (Analysis.Cost.profile b))
-        |> List.map Qcec.Strategy.of_candidate
-      in
+      let composed = Qcec.Strategy.race_field ~width a b in
       let strategies =
         match spec.strategy with
         | None -> composed
@@ -269,15 +261,7 @@ let attempt cfg ?bank ~control (spec : Job.spec) =
     let strategy =
       match spec.strategy with
       | Some _ as s -> s
-      | None when spec.auto_scheme ->
-        Some
-          (match
-             Obs.Span.with_ "analysis.route" (fun () ->
-               Analysis.Classify.route_application (Analysis.Cost.profile a)
-                 (Analysis.Cost.profile b))
-           with
-           | Analysis.Cost.Proportional_order -> Qcec.Strategy.Proportional
-           | Analysis.Cost.Lookahead_order -> Qcec.Strategy.Lookahead)
+      | None when spec.auto_scheme -> Some (Qcec.Strategy.route a b)
       | None -> None
     in
     let r =
@@ -583,8 +567,7 @@ let await_all helpers =
   absorb harvests;
   List.iter
     (function Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
-    outcomes;
-  harvests
+    outcomes
 
 (* A batch is the pool run to completion: one submission per spec, then a
    draining stop, with [workers - 1] worker loops on borrowed helper
@@ -594,8 +577,9 @@ let await_all helpers =
    once the helpers are done. *)
 let run (cfg : config) specs =
   let n = List.length specs in
-  (* the calling domain's registries gain the scheduling counters and its
-     own worker's jobs; their diffs over the run are its batch harvest *)
+  (* the calling domain's registries gain the scheduling counters, its own
+     worker's jobs and, once [await_all] absorbs them, the helpers'
+     harvests: their diffs over the run are the batch's reading *)
   let m_before = M.snapshot () and s_before = Obs.Span.report () in
   let t0 = now () in
   let pool = make { cfg with workers = min cfg.workers (max 1 n) } in
@@ -636,37 +620,14 @@ let run (cfg : config) specs =
         queue and wait for every lent loop before re-raising *)
      let bt = Printexc.get_raw_backtrace () in
      stop ~drain:false pool;
-     (try ignore (await_all !lent) with _ -> ());
+     (try await_all !lent with _ -> ());
      Printexc.raise_with_backtrace e bt);
-  let own =
-    ( M.diff ~before:m_before ~after:(M.snapshot ())
-    , Obs.Span.diff ~before:s_before ~after:(Obs.Span.report ()) )
-  in
-  let harvests = own :: await_all !lent in
+  await_all !lent;
   let wall_seconds = now () -. t0 in
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
-  let spans =
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun (_, entries) ->
-        List.iter
-          (fun (e : Obs.Span.entry) ->
-            match Hashtbl.find_opt tbl e.path with
-            | None -> Hashtbl.replace tbl e.path e
-            | Some prev ->
-              Hashtbl.replace tbl e.path
-                { e with
-                  count = prev.Obs.Span.count + e.count
-                ; seconds = prev.Obs.Span.seconds +. e.seconds
-                })
-          entries)
-      harvests;
-    Hashtbl.fold (fun _ e acc -> e :: acc) tbl []
-    |> List.sort (fun (a : Obs.Span.entry) b -> compare a.path b.path)
-  in
   { results = Array.to_list results |> List.map Option.get
   ; wall_seconds
   ; workers
-  ; metrics = M.merge (List.map fst harvests)
-  ; spans
+  ; metrics = M.diff ~before:m_before ~after:(M.snapshot ())
+  ; spans = Obs.Span.diff ~before:s_before ~after:(Obs.Span.report ())
   }

@@ -8,9 +8,9 @@
     packages never cross domains — [Dd.Pkg]'s owner guard enforces the
     contract.  Metric and span registries are domain-local; the pool
     harvests what every worker loop recorded (a diff over the loop) when
-    it ends, folds it into the calling domain ({!Obs.Metrics.absorb} /
-    {!Obs.Span.absorb}) and exposes the merged batch-attributable reading
-    in {!batch.metrics}.
+    it ends and folds it into the calling domain ({!Obs.Metrics.absorb} /
+    {!Obs.Span.absorb}); {!run}'s batch-attributable reading
+    ({!batch.metrics}) is the calling domain's diff over the run.
 
     {2 Robustness}
 
@@ -96,10 +96,11 @@ type batch =
   ; wall_seconds : float
   ; workers : int  (** domains actually used *)
   ; metrics : Obs.Metrics.snapshot
-        (** merged diffs of every worker loop and of the calling domain
-            over the run — exactly the batch's work *)
+        (** the calling domain's diff over the run, taken after it has
+            absorbed every helper's harvest — exactly the batch's work
+            (counters add, peak gauges take the max) *)
   ; spans : Obs.Span.entry list
-        (** merged span diffs, taken the same way *)
+        (** the span diff, taken the same way *)
   }
 
 (** [run config specs] executes the batch and returns once every job has

@@ -182,11 +182,14 @@ let register_job t (spec : Job.spec) =
   let j = Registry.add t.registry ~label:spec.Job.label ~control in
   jref := Some j;
   let on_done (r : Job.result) =
-    Registry.set_state t.registry j (Registry.Done r);
+    (* counted and announced before it shows as done: a client that saw
+       it done finds it in /v1/metrics, and an event stream that sees the
+       state [Done] still has the done frame to send *)
     Mutex.protect t.lock (fun () ->
       t.completed <- t.completed + 1;
       t.job_metrics <- Obs.Metrics.merge [ t.job_metrics; r.Job.metrics ]);
     Registry.emit t.registry j ~event:"done" (Job.to_json r);
+    Registry.set_state t.registry j (Registry.Done r);
     logf t "job %s done: %s (%.3fs)" j.id (Job.exit_class r.Job.outcome) r.Job.duration
   in
   (j, control, on_done)

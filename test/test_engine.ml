@@ -272,6 +272,21 @@ let test_batch_metrics () =
                (fun (e : Obs.Span.entry) ->
                  e.path = "verify.functional.check" && e.count = n)
                batch.Pool.spans);
+          (* the summary's latencies are nearest-rank picks from one sorted
+             sample, so they are ordered *)
+          let latencies =
+            match Obs.Json.member "latency_seconds" (Engine.Results.aggregate batch) with
+            | Some (Obs.Json.Obj l) ->
+              List.map
+                (fun k ->
+                  match List.assoc_opt k l with
+                  | Some (Obs.Json.Float s) -> s
+                  | _ -> Alcotest.failf "latency %s missing" k)
+                [ "p50"; "p95"; "p99"; "max" ]
+            | _ -> Alcotest.fail "summary has no latency_seconds"
+          in
+          Alcotest.(check (list (float 0.0))) "p50 <= p95 <= p99 <= max"
+            (List.sort compare latencies) latencies;
           List.iter
             (fun (r : Job.result) ->
               Alcotest.(check bool) "per-job metrics carry DD work" true

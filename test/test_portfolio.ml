@@ -296,11 +296,8 @@ let test_race_refutes_high_wire_phase () =
     Circuit.Circ.make ~name:"qft_s" ~qubits:n ~cbits:qft.Circuit.Circ.num_cbits
       (qft.Circuit.Circ.ops @ [ Circuit.Op.apply Circuit.Gates.S (n - 1) ])
   in
-  let kind = Analysis.Classify.pair_kind qft mutant in
   let candidates =
-    Analysis.Classify.compose_portfolio ~width:2 kind (Analysis.Cost.profile qft)
-      (Analysis.Cost.profile mutant)
-    |> List.map (fun c -> (Qcec.Strategy.of_candidate c, "classic"))
+    List.map (fun s -> (s, "classic")) (Qcec.Strategy.race_field ~width:2 qft mutant)
   in
   let r = Qcec.Verify.portfolio ~candidates ~seed:3 qft mutant in
   Alcotest.(check bool) "the race refutes the mutant" false

@@ -105,6 +105,26 @@ let test_parse_errors () =
   expect_error_at 5 "if(c==1) measure q[1] -> c[0];";
   expect_error_at 5 "u3(1/0,0,0) q[0];\nmeasure q[0] -> c[0];"
 
+(* A failed load closes its descriptor and names the file.  Reading a
+   directory opens it and then fails on the read, so a reader that does not
+   close on that path leaks one descriptor per load. *)
+let test_read_file_errors () =
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let before = open_fds () in
+  for _ = 1 to 100 do
+    match Circuit.Qasm3_parser.parse_any_file "." with
+    | _ -> Alcotest.fail "a directory parsed as a circuit"
+    | exception Sys_error msg ->
+      Alcotest.(check bool) (msg ^ " names the path") true
+        (String.starts_with ~prefix:".: " msg)
+  done;
+  Option.iter
+    (fun n -> Alcotest.(check (option int)) "no descriptor leaked" (Some n) (open_fds ()))
+    before
+
 let test_roundtrip_static () =
   let original = Algorithms.Qft.static 5 in
   let text = Circuit.Qasm_printer.to_string original in
@@ -206,6 +226,7 @@ let suite =
   ; Alcotest.test_case "parse dynamic primitives" `Quick test_parse_dynamic
   ; Alcotest.test_case "parse multi-bit condition" `Quick test_parse_multibit_condition
   ; Alcotest.test_case "parse errors" `Quick test_parse_errors
+  ; Alcotest.test_case "a failed load closes and names the file" `Quick test_read_file_errors
   ; Alcotest.test_case "round trip static" `Quick test_roundtrip_static
   ; Alcotest.test_case "round trip dynamic" `Quick test_roundtrip_dynamic
   ; Alcotest.test_case "round trip teleport" `Quick test_roundtrip_teleport

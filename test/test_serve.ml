@@ -374,6 +374,10 @@ let test_e2e_sse_stream () =
       Alcotest.(check int) "one queued frame" 1 (List.length (named "queued"));
       Alcotest.(check int) "one started frame" 1 (List.length (named "started"));
       Alcotest.(check int) "one done frame" 1 (List.length (named "done"));
+      let names = List.filter_map (fun (e : Sse.event) -> e.Sse.event) events in
+      Alcotest.(check (option string)) "queued comes first" (Some "queued") (List.nth_opt names 0);
+      Alcotest.(check (option string)) "done comes last" (Some "done")
+        (List.nth_opt (List.rev names) 0);
       Alcotest.(check bool)
         (Printf.sprintf "at least 3 progress frames (got %d)" (List.length (named "progress")))
         true
@@ -445,7 +449,19 @@ let test_e2e_backpressure_and_cancel () =
       Alcotest.(check string) "queued job cancelled" "cancelled"
         (Job.exit_class r_queued.Job.outcome);
       Alcotest.(check bool) "mid-run cancel is prompt" true (r_running.Job.duration < 15.0);
-      Alcotest.(check int) "cancelling a finished job is 409" 409 (del running_id).status)
+      Alcotest.(check int) "cancelling a finished job is 409" 409 (del running_id).status;
+      (* the server counters: two admissions, one 429, and both cancelled
+         jobs completed *)
+      let server =
+        match Json.member "server" (json_of (get ~port "/v1/metrics")) with
+        | Some s -> s
+        | None -> Alcotest.fail "metrics carry no server block"
+      in
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check (option int)) ("server " ^ name) (Some want)
+            (match Json.member name server with Some (Json.Int n) -> Some n | _ -> None))
+        [ ("submitted", 2); ("completed", 2); ("rejected", 1) ])
 
 let test_e2e_rate_limit () =
   with_server
@@ -497,7 +513,12 @@ let test_e2e_manifest_and_drain () =
             ] )
       ]
   in
-  let cache = Cache_store.Store.in_memory () in
+  let store = file "store" in
+  let cache =
+    match Cache_store.Store.open_dir store with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
   let server =
     Server.start { Server.default_config with Server.workers = 1; cache = Some cache }
   in
@@ -514,6 +535,13 @@ let test_e2e_manifest_and_drain () =
   Alcotest.(check bool) "server reports stopped" true (Server.stopping server);
   Alcotest.(check int) "drained job reached the verdict store" 1
     (Cache_store.Store.size cache);
+  Cache_store.Store.close cache;
+  (match Cache_store.Store.open_dir store with
+   | Ok reopened ->
+     Alcotest.(check int) "the drained verdict is on disk" 1
+       (Cache_store.Store.recovered reopened);
+     Cache_store.Store.close reopened
+   | Error e -> Alcotest.fail e);
   (* stop is idempotent *)
   Server.stop server
 
