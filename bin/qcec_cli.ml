@@ -466,11 +466,11 @@ let analyze_cmd =
       List.map
         (fun path ->
           let c = load path in
-          (path, c, Obs.Span.with_ "analysis.profile" (fun () ->
+          (path, Obs.Span.with_ "analysis.profile" (fun () ->
              Analysis.Cost.profile c)))
         files
     in
-    let file_json (path, _, p) =
+    let file_json (path, p) =
       match Analysis.Cost.to_json p with
       | Obs.Json.Obj fields ->
         Obs.Json.Obj (("file", Obs.Json.String path) :: fields)
@@ -478,10 +478,11 @@ let analyze_cmd =
     in
     let pair_fields =
       match entries with
-      | [ (_, ca, a); (_, cb, b) ] ->
+      | [ (_, a); (_, b) ] ->
         [ ("divergence", Obs.Json.Float (Analysis.Cost.divergence a b))
         ; ( "recommended_scheme"
-          , Obs.Json.String (Qcec.Strategy.name (Qcec.Strategy.route ca cb)) )
+          , Obs.Json.String
+              (Qcec.Strategy.name (Qcec.Strategy.route_profiles a b)) )
         ]
       | _ -> []
     in

@@ -87,14 +87,14 @@ let of_candidate = function
   | Analysis.Cost.Local_stimuli shots -> Random_stimuli { kind = Product; shots }
   | Analysis.Cost.Global_stimuli shots -> Random_stimuli { kind = Entangled; shots }
 
+let route_profiles pa pb =
+  match Analysis.Classify.route_application pa pb with
+  | Analysis.Cost.Proportional_order -> Proportional
+  | Analysis.Cost.Lookahead_order -> Lookahead
+
 let route a b =
   Obs.Span.with_ "analysis.route" (fun () ->
-    match
-      Analysis.Classify.route_application (Analysis.Cost.profile a)
-        (Analysis.Cost.profile b)
-    with
-    | Analysis.Cost.Proportional_order -> Proportional
-    | Analysis.Cost.Lookahead_order -> Lookahead)
+    route_profiles (Analysis.Cost.profile a) (Analysis.Cost.profile b))
 
 let race_field ~width a b =
   let kind = Analysis.Classify.pair_kind a b in

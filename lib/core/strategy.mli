@@ -80,6 +80,10 @@ val of_candidate : Analysis.Cost.candidate -> t
     ([Analysis.Classify.route_application]). *)
 val route : Circuit.Circ.t -> Circuit.Circ.t -> t
 
+(** [route_profiles pa pb] is {!route} on cost profiles the caller
+    already holds. *)
+val route_profiles : Analysis.Cost.t -> Analysis.Cost.t -> t
+
 (** [race_field ~width a b] is the candidate field of a portfolio race
     over the pair, between 1 and [width] strategies, best guess first:
     the pair's most dynamic classification and the cost profiles of

@@ -312,19 +312,32 @@ let test_e2e_submit_poll_verdict () =
       Alcotest.(check int) "submission is 202" 202 accepted.status;
       let result = wait_done ~port accepted in
       Alcotest.(check string) "verdict" "equivalent" (Job.exit_class result.Job.outcome);
-      (* parity with a direct engine run of the same pair *)
-      let a, b = qft_pair 6 in
-      let direct =
-        Pool.run
-          { Pool.default_config with Pool.workers = 1 }
-          [ Job.circuits ~index:0
-              (Circuit.Qasm3_parser.parse_any ~name:"a" a)
-              (Circuit.Qasm3_parser.parse_any ~name:"b" b)
-          ]
+      (* parity with a direct engine run of the same pair; the daemon
+         also parses a dynamic body and transforms it itself *)
+      let parity name (a, b) result =
+        let direct =
+          Pool.run
+            { Pool.default_config with Pool.workers = 1 }
+            [ Job.circuits ~index:0
+                (Circuit.Qasm3_parser.parse_any ~name:"a" a)
+                (Circuit.Qasm3_parser.parse_any ~name:"b" b)
+            ]
+        in
+        let direct = List.hd direct.Pool.results in
+        Alcotest.(check bool) (name ^ ": daemon verdict matches qcec check") true
+          (Job.same_outcome direct.Job.outcome result.Job.outcome)
       in
-      let direct = List.hd direct.Pool.results in
-      Alcotest.(check bool) "daemon verdict matches qcec check" true
-        (Job.same_outcome direct.Job.outcome result.Job.outcome);
+      parity "static QFT-6" (qft_pair 6) result;
+      let dynamic = (qasm (Algorithms.Qft.dynamic 7), qasm (Algorithms.Qft.static 7)) in
+      let dynamic_result =
+        wait_done ~port
+          (post ~port "/v1/jobs"
+             (Json.to_string
+                (Json.Obj [ ("a", Json.String (fst dynamic)); ("b", Json.String (snd dynamic)) ])))
+      in
+      Alcotest.(check string) "dynamic verdict" "equivalent"
+        (Job.exit_class dynamic_result.Job.outcome);
+      parity "dynamic QFT-7" dynamic dynamic_result;
       (* warm resubmission: cached verdict, zero new DD packages *)
       let packages_created () =
         match Json.member "metrics" (json_of (get ~port "/v1/metrics")) with
@@ -353,7 +366,7 @@ let test_e2e_submit_poll_verdict () =
       (* the job listing knows all of them *)
       match Json.member "jobs" (json_of (get ~port "/v1/jobs")) with
       | Some (Json.List jobs) ->
-        Alcotest.(check bool) "listing has all jobs" true (List.length jobs >= 3)
+        Alcotest.(check bool) "listing has all jobs" true (List.length jobs >= 4)
       | _ -> Alcotest.fail "job listing missing")
 
 let test_e2e_sse_stream () =
