@@ -416,47 +416,25 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
      | Ok _ | Error _ -> ());
     (r, seed, wall)
   in
-  (* Candidate 0 runs on the calling domain and only the others get a
-     domain of their own, so the caller reaches [Domain.join] only once its
-     own candidate is done.  A spawned candidate's registries hold exactly
-     its own work; they are folded into the caller at join, so per-job
-     metric diffs taken by callers (the batch pool) account for the whole
-     race.  Candidate 0's work is already in the caller's registries. *)
-  let spawned = ref [] in
-  let join d =
-    let c, m, spans = Domain.join d in
-    Obs.Metrics.absorb m;
-    Obs.Span.absorb spans;
-    (c, m)
+  (* Candidate 0 runs on the calling domain and the others on helper
+     domains, so the caller waits only once its own candidate is done.  A
+     helper's reading holds exactly its candidate's work and is folded into
+     the caller at join, so per-job metric diffs taken by callers (the
+     batch pool) account for the whole race; candidate 0's work is already
+     in the caller's registries.  If a spawn fails partway (domain
+     exhaustion under a racing batch pool) or the caller's own candidate
+     raises, [max_int] in the winner cell makes the running candidates
+     unwind at their next safepoint before the exception propagates. *)
+  let first, others =
+    Par.Helper.fork_join
+      ~abort:(fun () -> ignore (Atomic.compare_and_set winner (-1) max_int))
+      (List.mapi (fun i c () -> run_candidate (i + 1) c) (List.tl candidates))
+      (fun () ->
+        let m0 = Obs.Metrics.snapshot () in
+        let r = run_candidate 0 (List.hd candidates) in
+        (r, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())))
   in
-  let first =
-    match
-      List.iteri
-        (fun i c ->
-          if i > 0 then
-            spawned :=
-              Domain.spawn (fun () ->
-                let r = run_candidate i c in
-                (r, Obs.Metrics.snapshot (), Obs.Span.report ()))
-              :: !spawned)
-        candidates;
-      let m0 = Obs.Metrics.snapshot () in
-      let r = run_candidate 0 (List.hd candidates) in
-      (r, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ()))
-    with
-    | first -> first
-    | exception e ->
-      (* a spawn failed partway (domain exhaustion under a racing batch
-         pool) or the caller's own candidate raised: abort the race through
-         the winner cell — [max_int] makes the running candidates unwind at
-         their next safepoint — and join every spawned domain before the
-         exception propagates *)
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (Atomic.compare_and_set winner (-1) max_int);
-      List.iter (fun d -> try ignore (join d) with _ -> ()) !spawned;
-      Printexc.raise_with_backtrace e bt
-  in
-  let joined = first :: List.rev_map join !spawned in
+  let joined = first :: others in
   let t_wall = now () -. t0 in
   let decided = Atomic.get winner in
   let winner_index =

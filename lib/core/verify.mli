@@ -168,8 +168,8 @@ type candidate_report =
             which runs on the calling domain, the diff of that domain's
             registry over its run (peak gauges then keep the domain's
             lifetime peak, as in {!functional_result.metrics}); for every
-            other candidate, the full registry of the domain spawned for
-            it, which does nothing else *)
+            other candidate, what its helper domain recorded while it ran
+            ({!Par.Helper.join}) *)
   }
 
 type portfolio_result =
@@ -202,14 +202,19 @@ val candidate_seed : seed:int -> candidate:int -> int
     {!Dd.Registry.default}; any other name fails that candidate with
     [Invalid_argument].
     Candidate 0 runs on the calling domain and every other candidate on a
-    domain spawned for it, so a width-[k] race spawns [k - 1] domains and
-    joins them all before it returns or raises.  While candidate 0 runs,
+    helper domain ({!Par.Helper.spawn}): a parked one when one is idle,
+    so consecutive races reuse the same domain instead of spawning and
+    joining one per race, which in OCaml 5.1 starves the calling
+    domain's major GC.  Every candidate is joined before [portfolio]
+    returns or raises.  Every candidate's safepoint hook is cleared when
+    it finishes, cancelled or not, so none outlives it on a helper.
+    While candidate 0 runs,
     its safepoint hook replaces any hook the caller installed
     ({!Dd.Pkg.set_safepoint_hook}), and it is cleared afterwards.
     The instant a candidate publishes, every other candidate observes it
     at its next safepoint ([Pkg.checkpoint]) and unwinds.  Candidate 0's
     metrics and spans land in the calling domain's registries as it runs;
-    the spawned candidates' are folded into them at join, so a batch
+    the other candidates' are folded into them at join, so a batch
     worker's per-job metric diff covers the whole race, each candidate
     once.
 
@@ -232,7 +237,7 @@ val candidate_seed : seed:int -> candidate:int -> int
     the first such finisher become the winner, with
     [winner_definitive = false].  If {e no} candidate finishes, the
     first candidate's failure is re-raised so callers classify the race
-    like a solo run.  If a candidate domain fails to spawn, or the
+    like a solo run.  If a candidate's helper fails to spawn, or the
     calling domain's own share raises, the running candidates are unwound
     and joined before the exception propagates.  Increments
     [portfolio.races] once and [portfolio.cancelled] per cancelled

@@ -362,7 +362,7 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
    [Verify.functional], so packages never cross domains (and the package
    owner guard would catch it if one did). *)
 
-(* what a worker loop recorded: its metric and span diffs over the loop *)
+(* what a daemon worker recorded: its domain's registries when it exits *)
 type harvest = M.snapshot * Obs.Span.entry list
 
 type task =
@@ -382,8 +382,7 @@ type pool =
   ; mutable domains : harvest Domain.t list
   }
 
-let worker pool wid () : harvest =
-  let m0 = M.snapshot () and s0 = Obs.Span.report () in
+let worker pool wid () =
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.queue && not pool.stopping do
@@ -418,9 +417,7 @@ let worker pool wid () : harvest =
       loop ()
     end
   in
-  loop ();
-  ( M.diff ~before:m0 ~after:(M.snapshot ())
-  , Obs.Span.diff ~before:s0 ~after:(Obs.Span.report ()) )
+  loop ()
 
 (* a pool with no worker running yet *)
 let make (cfg : config) =
@@ -438,7 +435,12 @@ let make (cfg : config) =
 
 let create cfg =
   let pool = make cfg in
-  pool.domains <- List.init pool.pcfg.workers (fun wid -> Domain.spawn (worker pool wid));
+  pool.domains <-
+    List.init pool.pcfg.workers (fun wid ->
+      Domain.spawn (fun () ->
+        worker pool wid ();
+        (* a fresh domain's registries hold exactly its loop's work *)
+        (M.snapshot (), Obs.Span.report ())));
   pool
 
 let submit pool ?control ~on_done spec =
@@ -474,112 +476,30 @@ let stop ~drain pool =
 (* Fold worker harvests into the calling domain, so process-level reports
    ([qcec_cli stats], the daemon's metrics, bench output) see the pool's
    work. *)
-let absorb harvests =
+let join_workers pool =
+  let harvests = List.map Domain.join pool.domains in
+  pool.domains <- [];
   List.iter
     (fun (m, s) ->
       M.absorb m;
       Obs.Span.absorb s)
     harvests
 
-let join_workers pool =
-  let harvests = List.map Domain.join pool.domains in
-  pool.domains <- [];
-  absorb harvests
-
 let shutdown ?(drain = true) pool =
   stop ~drain pool;
   join_workers pool
 
-(* -- parked helper domains --------------------------------------------- *)
-
-(* [run]'s helper domains outlive it: they park between calls, and the
-   next [run] borrows them again, so a process that runs batch after
-   batch keeps the same domains and their heaps.  Spawning and joining
-   fresh ones each time left the process larger after every run (OCaml
-   5.1 does not compact), the more so when results allocated on them
-   are kept.  Only processes that call [run] hold parked helpers; the
-   most recently parked one is lent first. *)
-type helper =
-  { h_lock : Mutex.t
-  ; h_cond : Condition.t (* signalled when work arrives and when it is done *)
-  ; mutable work : (unit -> harvest) option
-  ; mutable outcome : (harvest, exn * Printexc.raw_backtrace) result option
-  }
-
-let parked_lock = Mutex.create ()
-let parked : helper list ref = ref []
-
-let rec serve h =
-  Mutex.lock h.h_lock;
-  while Option.is_none h.work do
-    Condition.wait h.h_cond h.h_lock
-  done;
-  let f = Option.get h.work in
-  h.work <- None;
-  Mutex.unlock h.h_lock;
-  let r =
-    match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  Mutex.protect h.h_lock (fun () -> h.outcome <- Some r);
-  Condition.broadcast h.h_cond;
-  serve h
-
-(* [lend f] runs the worker loop [f] on a parked helper, or on a new one
-   when none is parked; [await] waits for it and parks the helper again. *)
-let lend f =
-  let h =
-    match
-      Mutex.protect parked_lock (fun () ->
-        match !parked with
-        | h :: rest ->
-          parked := rest;
-          Some h
-        | [] -> None)
-    with
-    | Some h -> h
-    | None ->
-      let h =
-        { h_lock = Mutex.create (); h_cond = Condition.create (); work = None; outcome = None }
-      in
-      ignore (Domain.spawn (fun () -> serve h));
-      h
-  in
-  Mutex.protect h.h_lock (fun () -> h.work <- Some f);
-  Condition.broadcast h.h_cond;
-  h
-
-let await h =
-  Mutex.lock h.h_lock;
-  while Option.is_none h.outcome do
-    Condition.wait h.h_cond h.h_lock
-  done;
-  let r = Option.get h.outcome in
-  h.outcome <- None;
-  Mutex.unlock h.h_lock;
-  Mutex.protect parked_lock (fun () -> parked := h :: !parked);
-  r
-
-(* Wait for every lent loop, absorb what they recorded, then re-raise the
-   first failure, if any. *)
-let await_all helpers =
-  let outcomes = List.map await helpers in
-  let harvests = List.filter_map Result.to_option outcomes in
-  absorb harvests;
-  List.iter
-    (function Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
-    outcomes
-
 (* A batch is the pool run to completion: one submission per spec, then a
-   draining stop, with [workers - 1] worker loops on borrowed helper
-   domains and the calling domain running the last one itself.
+   draining stop, with [workers - 1] worker loops on helper domains
+   ([Par.Helper]) and the calling domain running the last one itself.
    [on_result] runs under [lock], in completion order.  If it raises (say
    EPIPE on a closed stdout), queued jobs are dropped and [run] re-raises
    once the helpers are done. *)
 let run (cfg : config) specs =
   let n = List.length specs in
   (* the calling domain's registries gain the scheduling counters, its own
-     worker's jobs and, once [await_all] absorbs them, the helpers'
-     harvests: their diffs over the run are the batch's reading *)
+     worker's jobs and, once joined, the helpers' loops: their diffs over
+     the run are the batch's reading *)
   let m_before = M.snapshot () and s_before = Obs.Span.report () in
   let t0 = now () in
   let pool = make { cfg with workers = min cfg.workers (max 1 n) } in
@@ -607,22 +527,14 @@ let run (cfg : config) specs =
      failure is re-raised below *)
   List.iteri (fun i spec -> ignore (submit pool ~on_done:(on_done i) spec)) specs;
   stop ~drain:true pool;
-  let lent = ref [] in
-  (match
-     for wid = 0 to workers - 2 do
-       lent := lend (worker pool wid) :: !lent
-     done;
-     ignore (worker pool (workers - 1) ())
-   with
-   | () -> ()
-   | exception e ->
-     (* a spawn failed partway or the caller's own loop raised: drop the
-        queue and wait for every lent loop before re-raising *)
-     let bt = Printexc.get_raw_backtrace () in
-     stop ~drain:false pool;
-     (try await_all !lent with _ -> ());
-     Printexc.raise_with_backtrace e bt);
-  await_all !lent;
+  (* if a spawn fails partway or the caller's own loop raises, the queue
+     is dropped before the helpers' loops are joined *)
+  let (), _ =
+    Par.Helper.fork_join
+      ~abort:(fun () -> stop ~drain:false pool)
+      (List.init (workers - 1) (worker pool))
+      (worker pool (workers - 1))
+  in
   let wall_seconds = now () -. t0 in
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   { results = Array.to_list results |> List.map Option.get

@@ -7,8 +7,8 @@
     [Qcec.Verify.functional]) on the worker domain that runs it, so
     packages never cross domains — [Dd.Pkg]'s owner guard enforces the
     contract.  Metric and span registries are domain-local; the pool
-    harvests what every worker loop recorded (a diff over the loop) when
-    it ends and folds it into the calling domain ({!Obs.Metrics.absorb} /
+    harvests what every worker loop recorded when it ends and folds it
+    into the calling domain ({!Obs.Metrics.absorb} /
     {!Obs.Span.absorb}); {!run}'s batch-attributable reading
     ({!batch.metrics}) is the calling domain's diff over the run.
 
@@ -107,17 +107,20 @@ type batch =
     a result: one {!submit} per spec and a draining stop, with [workers]
     clamped to the job count.  The calling domain runs the last worker
     itself and the other [workers - 1] run on helper domains, so
-    [workers = 1] uses none.  Helpers are parked when their loop ends,
-    and later [run]s in the process borrow them again instead of
-    spawning new domains: a process that has called [run] keeps as many
-    idle domains as its runs ever borrowed at once.  Every borrowed helper has
+    [workers = 1] uses none.  The helpers are borrowed from
+    {!Par.Helper}, the parked domains that races and parallel extraction
+    borrow too: a later [run] (or race) in the process finds them parked
+    instead of spawning and joining new domains, which in OCaml 5.1
+    starves the calling domain's major GC.  A helper idle for
+    {!Par.Helper.grace} seconds retires, and at most
+    {!Par.Helper.max_parked} stay parked.  Every borrowed helper has
     finished its loop before [run] returns or raises.  If
     [config.on_result] raises, the jobs still queued are dropped and
     [run] re-raises that exception once the helpers are done.
 
     Jobs with [spec.portfolio = Some w] ([w >= 2]) race candidate deciders
     via [Qcec.Verify.portfolio]: the job's worker runs candidate 0 and
-    every other candidate's domain is borrowed from the worker budget.
+    every other candidate's slot is borrowed from the worker budget.
     The pool never runs more than [config.workers] domains at once, so on
     a busy pool a race is granted fewer lanes (down to a single
     candidate) rather than oversubscribing the machine. *)

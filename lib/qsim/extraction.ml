@@ -196,39 +196,21 @@ let run_parallel ~cutoff ~domains (c : Circ.t) =
       (leaves, counters)
     in
     (* run at most [domains] tasks simultaneously: the first of each
-       batch on the calling domain, the others on domains of their own,
-       whose registries are folded into the caller at join *)
+       batch on the calling domain, the others on helper domains, whose
+       registries are folded into the caller at join *)
     let results = Array.make tasks None in
-    let join (idx, h) =
-      let r, m, spans = Domain.join h in
-      M.absorb m;
-      Obs.Span.absorb spans;
-      results.(idx) <- Some r
-    in
     Obs.Span.with_ "extract.walk.parallel" (fun () ->
       let next = ref 0 in
       while !next < tasks do
         let first = !next in
         let batch = min domains (tasks - first) in
-        let spawned = ref [] in
-        (match
-           for idx = first + 1 to first + batch - 1 do
-             spawned :=
-               ( idx
-               , Domain.spawn (fun () ->
-                   let r = task_of idx () in
-                   (r, M.snapshot (), Obs.Span.report ())) )
-               :: !spawned
-           done;
-           results.(first) <- Some (task_of first ())
-         with
-         | () -> ()
-         | exception e ->
-           (* join what was spawned before the caller's failure escapes *)
-           let bt = Printexc.get_raw_backtrace () in
-           List.iter (fun h -> try join h with _ -> ()) !spawned;
-           Printexc.raise_with_backtrace e bt);
-        List.iter join !spawned;
+        let r, others =
+          Par.Helper.fork_join
+            (List.init (batch - 1) (fun k -> task_of (first + 1 + k)))
+            (task_of first)
+        in
+        results.(first) <- Some r;
+        List.iteri (fun k (r, _) -> results.(first + 1 + k) <- Some r) others;
         next := first + batch
       done);
     let counters = new_counters () in

@@ -53,8 +53,11 @@ val pp_tree : Format.formatter -> tree -> unit
     over that many OCaml domains, the calling one included, each
     re-simulating its forced prefix with a private DD package (the paper
     notes the branches are embarrassingly parallel; its own evaluation is
-    sequential, and so is the default here).  The spawned domains'
-    metrics and spans are folded into the caller's at join.  The walk
+    sequential, and so is the default here).  The tasks the calling
+    domain does not run go to helper domains ({!Par.Helper.spawn}),
+    parked ones when idle, so repeated calls do not spawn and join a
+    domain each; their metrics and spans are folded into the caller's
+    at join.  The walk
     roots the state of every pending branch, so the packages' checkpoint
     sweeps are safe mid-walk.
 

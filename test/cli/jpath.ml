@@ -2,10 +2,10 @@
    [path: value] line per path, for a cram transcript to pin.  A [.jsonl]
    file reads as the list of its lines.  Steps are separated by '/',
    since metric names contain dots: a name selects an object member, [*]
-   maps the rest of the path over a list, and [k=v] selects the first
-   list element whose member [k] is [v] (a string, or any value in its
-   JSON form).  A path that resolves to nothing prints [(none)] and makes
-   the exit code 1. *)
+   maps the rest of the path over a list, [k=v] selects the first list
+   element whose member [k] is [v] (a string, or any value in its JSON
+   form), and [@keys] is an object's member names, in order.  A path that
+   resolves to nothing prints [(none)] and makes the exit code 1. *)
 
 module J = Qcec_json
 
@@ -26,6 +26,10 @@ let is k want x =
 
 let rec resolve v = function
   | [] -> Some v
+  | "@keys" :: rest ->
+    (match v with
+     | J.Obj members -> resolve (J.List (List.map (fun (k, _) -> J.String k) members)) rest
+     | _ -> None)
   | "*" :: rest ->
     (match v with
      | J.List l ->

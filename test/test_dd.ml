@@ -271,17 +271,40 @@ let prop_mul_associative_on_states =
       let rhs = Dd.Mat.apply p a (Dd.Mat.apply p b v) in
       Dd.Vec.fidelity p lhs rhs > 1.0 -. 1e-9)
 
+(* [(A B)^d] and [B^d A^d] for the 3-qubit, 8-gate random circuits of
+   seeds [s1] and [s2], built in one package, as dense matrices, with
+   whether the two DDs are one node. *)
+let adjoint_products s1 s2 =
+  let qubits = 3 in
+  let p = Dd.Pkg.create () in
+  let u c = Qsim.Dd_sim.build_unitary p (Algorithms.Random_circuit.unitary ~seed:c ~qubits ~gates:8) in
+  let a = u s1 and b = u s2 in
+  let lhs = Dd.Mat.adjoint p (Dd.Mat.mul p a b) in
+  let rhs = Dd.Mat.mul p (Dd.Mat.adjoint p b) (Dd.Mat.adjoint p a) in
+  ( Dd.Mat.to_array p lhs ~n:qubits
+  , Dd.Mat.to_array p rhs ~n:qubits
+  , Dd.Mat.equal p lhs rhs )
+
+(* Compared densely, as "DD unitary = dense unitary" does: [Mat.equal]
+   compares node identity, and the complex table's 1e-10 tolerance is not
+   transitive, so equal products can intern to different nodes (13 of the
+   1,002,001 seed pairs, the case below among them). *)
 let prop_adjoint_reverses_products =
   QCheck.Test.make ~name:"(A B)^d = B^d A^d" ~count:30
     QCheck.(pair (int_range 0 1000) (int_range 0 1000))
     (fun (s1, s2) ->
-      let qubits = 3 in
-      let p = Dd.Pkg.create () in
-      let u c = Qsim.Dd_sim.build_unitary p (Algorithms.Random_circuit.unitary ~seed:c ~qubits ~gates:8) in
-      let a = u s1 and b = u s2 in
-      let lhs = Dd.Mat.adjoint p (Dd.Mat.mul p a b) in
-      let rhs = Dd.Mat.mul p (Dd.Mat.adjoint p b) (Dd.Mat.adjoint p a) in
-      Dd.Mat.equal p lhs rhs)
+      let lhs, rhs, _ = adjoint_products s1 s2 in
+      Util.matrices_equal ~tol:1e-8 lhs rhs)
+
+(* Seeds (776, 30): the two products differ by at most 1e-16 per entry,
+   yet intern to different nodes.  The second assertion pins this known
+   non-canonical representative: a change that makes interning canonical
+   flips it, and must then flip the assertion. *)
+let test_adjoint_products_non_canonical () =
+  let lhs, rhs, same_node = adjoint_products 776 30 in
+  Alcotest.(check bool) "dense (A B)^d = B^d A^d" true (Util.matrices_equal ~tol:1e-8 lhs rhs);
+  Alcotest.(check bool) "known non-canonical representative: Mat.equal is false" false
+    same_node
 
 let prop_inner_product_unitary_invariant =
   QCheck.Test.make ~name:"<Ua|Ub> = <a|b>" ~count:30
@@ -596,4 +619,6 @@ let suite =
   ; Util.qtest prop_inner_product_unitary_invariant
   ; Util.qtest prop_compact_preserves_root_amplitudes
   ; Util.qtest prop_compacting_checkpoints
+  ; Alcotest.test_case "(A B)^d = B^d A^d on seeds (776, 30), non-canonical" `Quick
+      test_adjoint_products_non_canonical
   ]

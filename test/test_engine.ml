@@ -95,8 +95,9 @@ let test_worker_count_equivalence () =
        v.Job.equivalent
    | Job.Failed _ -> Alcotest.fail "job 0 unexpectedly failed")
 
-(* [run] spawns [workers - 1] domains and runs the last worker on the
-   calling domain, so a one-worker batch runs every job here *)
+(* [run] lends [workers - 1] worker loops to helper domains and runs the
+   last worker on the calling domain, so a one-worker batch runs every
+   job here *)
 let test_caller_runs_last_worker () =
   let caller = (Domain.self () :> int) in
   let seen = ref [] in

@@ -211,8 +211,8 @@ let test_loser_cancellation () =
       Alcotest.(check int) "portfolio.cancelled counts the loser" 1
         (after - before))
 
-(* Candidate 0 runs on the calling domain and candidate 1 on a domain
-   spawned for it.  Candidate 1 waits at its safepoints until candidate 0
+(* Candidate 0 runs on the calling domain and candidate 1 on a helper
+   domain.  Candidate 1 waits at its safepoints until candidate 0
    has reported one, so both report before the race ends; candidate 0
    sleeps at each of its own, so candidate 1 wins. *)
 let test_race_runs_candidate_0_on_caller () =
