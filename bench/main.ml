@@ -44,7 +44,7 @@ type row =
   ; t_sim : float option
   ; equivalent : bool option  (* functional check verdict, if run *)
   ; distributions_equal : bool option  (* distribution check verdict, if run *)
-  ; metrics : Obs.Metrics.snapshot  (* DD counters for this row (--json only) *)
+  ; metrics : Obs.Metrics.snapshot  (* this row's own reading (--json only) *)
   }
 
 let pp_time ppf = function
@@ -62,8 +62,7 @@ let print_header () =
 
 (* One Table 1 row: functional verification via the Section 4 scheme and,
    when requested, the Section 5 extraction against plain simulation. *)
-let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
-  let m0 = Obs.Metrics.snapshot () in
+let bench_row ?(extract = true) ?(verify = true) (pair : Pair.t) =
   let static = pair.Pair.static_circuit and dyn = pair.Pair.dynamic_circuit in
   (* static-analyzer overhead, reported as the analysis.lint span in the
      --json output; generated pairs must be lint-clean of errors *)
@@ -117,8 +116,13 @@ let bench_pair ?(extract = true) ?(verify = true) (pair : Pair.t) =
   ; t_sim
   ; equivalent
   ; distributions_equal
-  ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
+  ; metrics = []
   }
+
+(* A row is read in its own scope, so its peaks are its own. *)
+let bench_pair ?extract ?verify pair =
+  let row, reading = Obs.Scope.run (fun () -> bench_row ?extract ?verify pair) in
+  { row with metrics = reading.Obs.Scope.metrics }
 
 let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
 

@@ -82,10 +82,20 @@ let strat_opt_conv =
         | Strat s -> Fmt.string ppf (Qcec.Strategy.name s)
         | Strat_portfolio -> Fmt.string ppf "portfolio" )
 
+(* a race of fewer than two candidates is a solo run in disguise *)
+let portfolio_width_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 2 -> Ok k
+    | Some k -> Error (`Msg (Fmt.str "must be a width >= 2, got %d" k))
+    | None -> Error (`Msg (Fmt.str "expected an integer width >= 2, got %s" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let portfolio_width_arg =
   Arg.(
     value
-    & opt int 4
+    & opt portfolio_width_conv 4
     & info [ "portfolio-width" ] ~docv:"K"
         ~doc:
           "Candidate deciders raced by $(b,--strategy portfolio): the \
@@ -229,17 +239,34 @@ let open_store ~cache_dir ~no_result_cache =
 
 (* -- distribution ------------------------------------------------------ *)
 
+(* A negative cutoff would simulate outcomes of probability 0 and one of
+   1 or more prunes every branch, so either is a usage error. *)
+let cutoff_arg =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Qsim.Extraction.valid_cutoff x -> Ok x
+    | Some _ -> Error (`Msg (Fmt.str "%s is outside [0, 1)" s))
+    | None -> Error (`Msg (Fmt.str "expected a probability in [0, 1), got %s" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Fmt.float)) 1e-12
+    & info [ "cutoff" ] ~doc:"branch pruning threshold, in [0, 1)")
+
 let distribution_cmd =
   let run dyn_file static_file cutoff domains eps stats_json =
     enable_stats stats_json;
     let dyn = load dyn_file and static = load static_file in
-    let r = Qcec.Verify.distribution ~eps ~cutoff ~domains dyn static in
+    let r, reading =
+      Obs.Scope.run (fun () -> Qcec.Verify.distribution ~eps ~cutoff ~domains dyn static)
+    in
     Fmt.pr "%a@." Qcec.Verify.pp_distribution r;
     maybe_write_stats stats_json ~command:"distribution"
       ~files:[ dyn_file; static_file ]
       ~result:
         [ ("distributions_equal", Obs.Json.Bool r.Qcec.Verify.distributions_equal)
         ; ("total_variation", Obs.Json.Float r.Qcec.Verify.total_variation)
+        ; ("lost_mass", Obs.Json.Float r.Qcec.Verify.lost_mass)
         ; ("t_extract", Obs.Json.Float r.Qcec.Verify.t_extract)
         ; ("t_simulate", Obs.Json.Float r.Qcec.Verify.t_simulate)
         ; ( "extraction"
@@ -253,15 +280,12 @@ let distribution_cmd =
                 , Obs.Json.Int
                     r.Qcec.Verify.extraction_stats.Qsim.Extraction.gate_applications )
               ] )
-        ; ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics)
+        ; ("metrics", Obs.Metrics.to_json reading.Obs.Scope.metrics)
         ];
     exit (if r.Qcec.Verify.distributions_equal then 0 else 1)
   in
   let dyn = Arg.(required & pos 0 (some string) None & info [] ~docv:"DYNAMIC.qasm") in
   let static = Arg.(required & pos 1 (some string) None & info [] ~docv:"STATIC.qasm") in
-  let cutoff =
-    Arg.(value & opt float 1e-12 & info [ "cutoff" ] ~doc:"branch pruning threshold")
-  in
   let domains =
     Arg.(value & opt int 1 & info [ "j"; "domains" ] ~doc:"parallel domains")
   in
@@ -274,7 +298,7 @@ let distribution_cmd =
          "Compare the measurement-outcome distribution of a dynamic circuit \
           (extracted with the Section 5 scheme) against a static reference")
     Term.(
-      const run $ dyn $ static $ cutoff $ domains $ eps $ stats_json_arg)
+      const run $ dyn $ static $ cutoff_arg $ domains $ eps $ stats_json_arg)
 
 (* -- extract ------------------------------------------------------------ *)
 
@@ -307,9 +331,6 @@ let extract_cmd =
     end
   in
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.qasm") in
-  let cutoff =
-    Arg.(value & opt float 1e-12 & info [ "cutoff" ] ~doc:"branch pruning threshold")
-  in
   let tree =
     Arg.(value & flag & info [ "tree" ] ~doc:"print the branching tree (Fig. 4 style)")
   in
@@ -318,7 +339,7 @@ let extract_cmd =
     (Cmd.info "extract"
        ~doc:"Extract the measurement-outcome distribution of a dynamic circuit")
     Term.(
-      const run $ file $ cutoff $ tree $ top $ stats_json_arg)
+      const run $ file $ cutoff_arg $ tree $ top $ stats_json_arg)
 
 (* -- transform ------------------------------------------------------------ *)
 
@@ -580,8 +601,10 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
     end
   in
   let on_dynamic = if transform then `Transform else `Reject in
+  (* the check is read in its own scope: a race's reading covers every
+     candidate *)
   let guarded f =
-    try f () with
+    try Obs.Scope.run f with
     | Qcec.Strategy.Non_unitary op -> report_non_unitary op
     | Qcec.Verify.Rejected d ->
       Fmt.epr "%a@." Analysis.Diagnostic.pp d;
@@ -591,7 +614,7 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
         command entries qubits;
       exit 2
   in
-  let r, portfolio =
+  let (r, portfolio), reading =
     match strategy, scheme with
     | Strat_portfolio, None ->
       let candidates =
@@ -599,12 +622,12 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
           (fun s -> (s, Dd.Registry.default))
           (Qcec.Strategy.race_field ~width a b)
       in
-      let pr =
+      let pr, reading =
         guarded (fun () ->
           Qcec.Verify.portfolio ~candidates ?perm ~on_dynamic ?cache:store a b)
       in
       if not quiet then Fmt.pr "%a@." pp_portfolio_report pr;
-      (pr.Qcec.Verify.winner, Some pr)
+      ((pr.Qcec.Verify.winner, Some pr), reading)
     | Strat_portfolio, Some _ ->
       (* silently coercing the race to a solo run would drop an explicit
          request; the combination is a contradiction, so refuse it *)
@@ -615,9 +638,11 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
       exit 2
     | Strat strategy, _ ->
       let strategy = resolve_scheme ~strategy ~scheme a b in
-      ( guarded (fun () ->
+      let r, reading =
+        guarded (fun () ->
           Qcec.Verify.functional ~strategy ?perm ~on_dynamic ?cache:store a b)
-      , None )
+      in
+      ((r, None), reading)
   in
   Option.iter Cache_store.Store.close store;
   if not quiet then begin
@@ -644,7 +669,7 @@ let functional_run ~command ~preflight file_a file_b strategy scheme perm
       @ (match profiles with
          | Some ps -> [ ("profiles", Obs.Json.List (List.map Analysis.Classify.to_json ps)) ]
          | None -> [])
-      @ [ ("metrics", Obs.Metrics.to_json r.Qcec.Verify.metrics) ]
+      @ [ ("metrics", Obs.Metrics.to_json reading.Obs.Scope.metrics) ]
       @
       match portfolio with
       | Some pr -> [ ("portfolio", portfolio_json pr) ]

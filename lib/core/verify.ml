@@ -17,18 +17,17 @@ type functional_result =
   ; transformed_qubits : int
   ; peak_nodes : int
   ; cached : bool
-  ; metrics : Obs.Metrics.snapshot
   }
 
 type distribution_result =
   { distributions_equal : bool
   ; total_variation : float
+  ; lost_mass : float
   ; t_extract : float
   ; t_simulate : float
   ; dynamic_distribution : Distribution.t
   ; static_distribution : Distribution.t
   ; extraction_stats : Qsim.Extraction.stats
-  ; metrics : Obs.Metrics.snapshot
   }
 
 type approximate_result =
@@ -164,10 +163,12 @@ let pp_functional ppf r =
 
 let pp_distribution ppf r =
   Fmt.pf ppf
-    "@[<v>distribution equivalence: %s (TVD = %.3g)@,t_extract = %.4fs, t_sim = %.4fs@,\
+    "@[<v>distribution equivalence: %s (TVD = %.3g, lost mass = %.3g)@,\
+     t_extract = %.4fs, t_sim = %.4fs@,\
      branches: %d leaves, %d branch points, %d pruned@]"
     (if r.distributions_equal then "equivalent" else "NOT equivalent")
-    r.total_variation r.t_extract r.t_simulate r.extraction_stats.Qsim.Extraction.leaves
+    r.total_variation r.lost_mass r.t_extract r.t_simulate
+    r.extraction_stats.Qsim.Extraction.leaves
     r.extraction_stats.Qsim.Extraction.branch_points
     r.extraction_stats.Qsim.Extraction.pruned
 
@@ -176,7 +177,6 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
   preflight ~on_dynamic g g';
   (* consult the verdict store before any transformation or DD package
      construction — a warm run allocates no DD state at all *)
-  let m0 = Obs.Metrics.snapshot () in
   let hit, pending =
     match cache with
     | None -> (None, None)
@@ -197,7 +197,6 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
     ; transformed_qubits = e.Cache_store.Store.transformed_qubits
     ; peak_nodes = e.Cache_store.Store.peak_nodes
     ; cached = true
-    ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
     }
   | None ->
   let t0 = now () in
@@ -221,7 +220,6 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
     ; transformed_qubits = g'.Circ.num_qubits
     ; peak_nodes = outcome.Strategy.peak_nodes
     ; cached = false
-    ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
     }
   in
   (match pending with
@@ -241,8 +239,11 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
        });
   r
 
+(* Probability a distribution misses: what the cutoff pruned, floored at
+   0 against rounding. *)
+let lost d = Float.max 0.0 (1.0 -. Distribution.mass d)
+
 let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) dyn static =
-  let m0 = Obs.Metrics.snapshot () in
   let t0 = now () in
   let extraction =
     Obs.Span.with_ "verify.distribution.extract" (fun () ->
@@ -267,15 +268,19 @@ let distribution ?(eps = 1e-9) ?(cutoff = 1e-12) ?(domains = 1) dyn static =
         , t2 )
       end)
   in
-  let tv = Distribution.total_variation extraction.Qsim.Extraction.distribution static_dist in
-  { distributions_equal = tv <= eps
+  let dyn_dist = extraction.Qsim.Extraction.distribution in
+  let tv = Distribution.total_variation dyn_dist static_dist in
+  (* the pruned mass could sit anywhere: half of it bounds how far the
+     true total variation can exceed the one of the extracted parts *)
+  let lost_mass = lost dyn_dist +. lost static_dist in
+  { distributions_equal = tv +. (lost_mass /. 2.0) <= eps
   ; total_variation = tv
+  ; lost_mass
   ; t_extract = t1 -. t0
   ; t_simulate = t2 -. t1
-  ; dynamic_distribution = extraction.Qsim.Extraction.distribution
+  ; dynamic_distribution = dyn_dist
   ; static_distribution = static_dist
   ; extraction_stats = extraction.Qsim.Extraction.stats
-  ; metrics = Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())
   }
 
 let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) g g' =
@@ -314,7 +319,6 @@ type candidate_report =
   ; c_seed : int option
   ; c_outcome : candidate_outcome
   ; c_wall : float
-  ; c_metrics : Obs.Metrics.snapshot
   }
 
 type portfolio_result =
@@ -418,21 +422,17 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
   in
   (* Candidate 0 runs on the calling domain and the others on helper
      domains, so the caller waits only once its own candidate is done.  A
-     helper's reading holds exactly its candidate's work and is folded into
-     the caller at join, so per-job metric diffs taken by callers (the
-     batch pool) account for the whole race; candidate 0's work is already
-     in the caller's registries.  If a spawn fails partway (domain
-     exhaustion under a racing batch pool) or the caller's own candidate
-     raises, [max_int] in the winner cell makes the running candidates
-     unwind at their next safepoint before the exception propagates. *)
+     helper's reading is folded into the caller at join, so a scope the
+     caller reads (a batch job's) covers the whole race, each candidate
+     once.  If a spawn fails partway (domain exhaustion under a racing
+     batch pool) or the caller's own candidate raises, [max_int] in the
+     winner cell makes the running candidates unwind at their next
+     safepoint before the exception propagates. *)
   let first, others =
     Par.Helper.fork_join
       ~abort:(fun () -> ignore (Atomic.compare_and_set winner (-1) max_int))
       (List.mapi (fun i c () -> run_candidate (i + 1) c) (List.tl candidates))
-      (fun () ->
-        let m0 = Obs.Metrics.snapshot () in
-        let r = run_candidate 0 (List.hd candidates) in
-        (r, Obs.Metrics.diff ~before:m0 ~after:(Obs.Metrics.snapshot ())))
+      (fun () -> run_candidate 0 (List.hd candidates))
   in
   let joined = first :: others in
   let t_wall = now () -. t0 in
@@ -447,7 +447,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
          such finisher, flagged via [winner_definitive = false]. *)
       let rec first_ok i = function
         | [] -> None
-        | ((Ok _, _, _), _) :: _ -> Some i
+        | (Ok _, _, _) :: _ -> Some i
         | _ :: rest -> first_ok (i + 1) rest
       in
       first_ok 0 joined
@@ -456,7 +456,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
   let reports =
     let idx = ref (-1) in
     List.map2
-      (fun (strategy, _) ((r, seed, wall), m) ->
+      (fun (strategy, _) (r, seed, wall) ->
         incr idx;
         let outcome =
           match r with
@@ -469,7 +469,6 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
         ; c_seed = seed
         ; c_outcome = outcome
         ; c_wall = wall
-        ; c_metrics = m
         })
       candidates joined
   in
@@ -485,7 +484,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
        classify the race exactly like a solo run of their lead pick. *)
     (match
        List.find_map
-         (fun ((r, _, _), _) ->
+         (fun (r, _, _) ->
            match r with Error e when e <> Lost -> Some e | _ -> None)
          joined
      with
@@ -494,7 +493,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
   | Some w ->
     let winner_result =
       match List.nth joined w with
-      | (Ok r, _, _), _ -> r
+      | Ok r, _, _ -> r
       | _ -> assert false
     in
     { winner = winner_result

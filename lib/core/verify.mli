@@ -1,6 +1,11 @@
 (** End-to-end verification flows for circuits that may contain
     non-unitaries — the two schemes of the paper, instrumented with the
-    timings reported in its Table 1. *)
+    timings reported in its Table 1.
+
+    No result carries a metric reading: a caller that wants the counters,
+    spans and peaks of one check runs it in an {!Obs.Scope}.  A race's
+    helpers hand their readings to the calling domain at join, so a scope
+    around {!portfolio} covers every candidate once. *)
 
 (** Raised by {!functional} under [~on_dynamic:`Reject] when the static
     pre-flight ({!Analysis.classify}) finds a circuit the unitary-only
@@ -31,17 +36,21 @@ type functional_result =
         (** the verdict was served from the store; [t_transform] and
             [t_check] are 0 and [transformed_qubits]/[peak_nodes] replay
             the values recorded when it was first computed *)
-  ; metrics : Obs.Metrics.snapshot
-        (** DD-package counters attributable to this check (counter deltas;
-            peak gauges report their process-wide peak).  All zeros unless
-            collection is enabled via {!Obs.Metrics.set_enabled}. *)
   }
 
 (** {1 Scheme 2 (Section 5): fixed-input distribution equivalence} *)
 
 type distribution_result =
   { distributions_equal : bool
+        (** [total_variation +. lost_mass /. 2. <= eps]: the left side
+            bounds the total variation of the two whole distributions,
+            so pruning can make the check say "not equivalent" but never
+            "equivalent" wrongly *)
   ; total_variation : float
+        (** between the extracted parts of the two distributions *)
+  ; lost_mass : float
+        (** the probability the cutoff pruned, summed over both sides:
+            [max 0 (1 - mass)] of each *)
   ; t_extract : float
         (** seconds extracting the dynamic circuit's distribution
             ([t_extract]) *)
@@ -50,9 +59,6 @@ type distribution_result =
   ; dynamic_distribution : Distribution.t
   ; static_distribution : Distribution.t
   ; extraction_stats : Qsim.Extraction.stats
-  ; metrics : Obs.Metrics.snapshot
-        (** DD-package and extraction counters attributable to this
-            comparison; see {!functional_result.metrics}. *)
   }
 
 (** {1 Approximate equivalence}
@@ -124,7 +130,10 @@ val approximate :
     compares it with the distribution obtained by classically simulating
     [static] (which must not be dynamic) and marginalizing its final state
     onto its measured classical bits.  Both circuits start from |0...0>
-    and must write the same classical bits. *)
+    and must write the same classical bits.  [cutoff] (default [1e-12])
+    prunes both sides as in {!Qsim.Extraction.run}; outside [[0, 1)],
+    NaN included, the extraction of [dynamic], which runs first, raises
+    [Invalid_argument]. *)
 val distribution :
      ?eps:float
   -> ?cutoff:float
@@ -163,13 +172,6 @@ type candidate_report =
   ; c_wall : float
         (** seconds from the candidate's start on its domain to its
             verdict, failure or cancellation *)
-  ; c_metrics : Obs.Metrics.snapshot
-        (** the metrics attributable to this candidate: for candidate 0,
-            which runs on the calling domain, the diff of that domain's
-            registry over its run (peak gauges then keep the domain's
-            lifetime peak, as in {!functional_result.metrics}); for every
-            other candidate, what its helper domain recorded while it ran
-            ({!Par.Helper.join}) *)
   }
 
 type portfolio_result =
@@ -202,21 +204,17 @@ val candidate_seed : seed:int -> candidate:int -> int
     {!Dd.Registry.default}; any other name fails that candidate with
     [Invalid_argument].
     Candidate 0 runs on the calling domain and every other candidate on a
-    helper domain ({!Par.Helper.spawn}): a parked one when one is idle,
-    so consecutive races reuse the same domain instead of spawning and
-    joining one per race, which in OCaml 5.1 starves the calling
-    domain's major GC.  Every candidate is joined before [portfolio]
-    returns or raises.  Every candidate's safepoint hook is cleared when
-    it finishes, cancelled or not, so none outlives it on a helper.
-    While candidate 0 runs,
-    its safepoint hook replaces any hook the caller installed
-    ({!Dd.Pkg.set_safepoint_hook}), and it is cleared afterwards.
-    The instant a candidate publishes, every other candidate observes it
-    at its next safepoint ([Pkg.checkpoint]) and unwinds.  Candidate 0's
-    metrics and spans land in the calling domain's registries as it runs;
-    the other candidates' are folded into them at join, so a batch
-    worker's per-job metric diff covers the whole race, each candidate
-    once.
+    helper domain ({!Par.Helper.spawn}), and every candidate is joined
+    before [portfolio] returns or raises.  Every candidate's safepoint
+    hook is cleared when it finishes, cancelled or not, so none outlives
+    it on a helper.  While candidate 0 runs, its safepoint hook replaces
+    any hook the caller installed ({!Dd.Pkg.set_safepoint_hook}), and it
+    is cleared afterwards.  The instant a candidate publishes, every
+    other candidate observes it at its next safepoint ([Pkg.checkpoint])
+    and unwinds.  Candidate 0's metrics and spans land in the calling
+    domain's registries as it runs; each other candidate's helper runs
+    it in a scope whose reading is folded into them at join, so a scope
+    around the race (a batch job's) covers every candidate once.
 
     [seed] is the {e race} seed; candidate [i] runs under
     [candidate_seed ~seed ~candidate:i], so simulative candidates draw

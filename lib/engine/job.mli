@@ -128,8 +128,9 @@ type result =
   ; worker : int  (** pool worker id that ran the job *)
   ; seed : int option
   ; metrics : Obs.Metrics.snapshot
-        (** per-job counter deltas from the worker's registry (all zeros
-            unless collection is enabled) *)
+        (** the job's own reading ({!Obs.Scope}): its counters, and its
+            own peaks whatever ran before it on the worker; empty when
+            collection is off *)
   }
 
 val failure_class_string : failure_class -> string

@@ -77,32 +77,46 @@ let check_budget ~control ~deadline ~node_limit ~live_nodes =
   | Some l when live_nodes > l -> raise (Cancelled (`Node_limit l))
   | _ -> ()
 
-(* The cooperative cancellation point: [Pkg.checkpoint] (called by every
-   strategy / simulator / extraction loop after each gate) fires this hook,
-   which runs [check_budget] against the package's live-node count.  The
-   hook is domain-local, so one worker's never fires in another.  The same
-   hook drives the daemon's heartbeat: at most one [on_progress] call per
-   [progress_interval] seconds, carrying the live node count and elapsed
-   wall clock. *)
+(* The one safepoint closure of an attempt, solo or racing: it runs
+   [check_budget] against the package's live-node count, then sends at
+   most one [on_progress] beat per [progress_interval], under phase
+   ["check"] for a solo attempt and ["race:<candidate>"] for a race
+   candidate.  Every candidate of a race shares the throttle, hence the
+   lock. *)
+let guard ~control ~deadline ~node_limit =
+  let t0 = now () in
+  let beat_lock = Mutex.create () in
+  let last_beat = ref t0 in
+  fun ~candidate ~live_nodes ->
+    check_budget ~control ~deadline ~node_limit ~live_nodes;
+    match control with
+    | Some { on_progress = Some beat; progress_interval; _ } ->
+      let t = now () in
+      let due =
+        Mutex.protect beat_lock (fun () ->
+          t -. !last_beat >= progress_interval
+          && begin
+            last_beat := t;
+            true
+          end)
+      in
+      if due then begin
+        let phase = match candidate with None -> "check" | Some c -> "race:" ^ c in
+        beat { phase; live_nodes; elapsed = t -. t0 }
+      end
+    | _ -> ()
+
+(* The cooperative cancellation point of a solo attempt: [Pkg.checkpoint]
+   (called by every strategy / simulator / extraction loop after each
+   gate) fires this hook, which runs the attempt's [guard].  The hook is
+   domain-local, so one worker's never fires in another. *)
 let with_guard ~deadline ~node_limit ~control f =
   (match (deadline, node_limit, control) with
    | None, None, None -> ()
    | _ ->
-     let t0 = now () in
-     let last_beat = ref t0 in
+     let g = guard ~control ~deadline ~node_limit in
      Dd.Pkg.set_safepoint_hook
-       (Some
-          (fun p ->
-            let live_nodes = Dd.Pkg.live_nodes p in
-            check_budget ~control ~deadline ~node_limit ~live_nodes;
-            match control with
-            | Some { on_progress = Some beat; progress_interval; _ } ->
-              let t = now () in
-              if t -. !last_beat >= progress_interval then begin
-                last_beat := t;
-                beat { phase = "check"; live_nodes; elapsed = t -. t0 }
-              end
-            | _ -> ())));
+       (Some (fun p -> g ~candidate:None ~live_nodes:(Dd.Pkg.live_nodes p))));
   Fun.protect ~finally:(fun () -> Dd.Pkg.set_safepoint_hook None) f
 
 (* -- the worker-slot bank (portfolio admission) ------------------------ *)
@@ -157,8 +171,8 @@ let rec take_at_most k = function
 
 (* The racing attempt: compose a candidate field for the pair (the pinned
    strategy, if any, leads it) and hand the race to [Qcec.Verify.portfolio].
-   The safepoint closure runs [check_budget] on every candidate's domain,
-   where the DD safepoints actually fire, and reports progress under a
+   The attempt's [guard] runs on every candidate's domain, where the DD
+   safepoints actually fire, and reports progress under a
    ["race:<candidate>"] phase so SSE consumers see who is currently leading
    the pack. *)
 let race_attempt cfg ~bank ~deadline ~control ~width (spec : Job.spec) a b =
@@ -174,28 +188,8 @@ let race_attempt cfg ~bank ~deadline ~control ~width (spec : Job.spec) a b =
         | Some s -> take_at_most width (s :: List.filter (fun c -> c <> s) composed)
       in
       let candidates = List.map (fun s -> (s, Dd.Registry.default)) strategies in
-      let t0 = now () in
-      (* the throttle is shared by every candidate, hence the lock *)
-      let beat_lock = Mutex.create () in
-      let last_beat = ref t0 in
-      let safepoint ~candidate ~live_nodes =
-        check_budget ~control ~deadline ~node_limit:cfg.node_limit ~live_nodes;
-        match control with
-        | Some { on_progress = Some beat; progress_interval; _ } ->
-          let t = now () in
-          let fire =
-            Mutex.protect beat_lock (fun () ->
-              if t -. !last_beat >= progress_interval then begin
-                last_beat := t;
-                true
-              end
-              else false)
-          in
-          if fire then
-            beat
-              { phase = "race:" ^ candidate; live_nodes; elapsed = t -. t0 }
-        | _ -> ()
-      in
+      let g = guard ~control ~deadline ~node_limit:cfg.node_limit in
+      let safepoint ~candidate ~live_nodes = g ~candidate:(Some candidate) ~live_nodes in
       let on_dynamic = if spec.transform then `Transform else `Reject in
       let cache = if spec.cache then cfg.cache else None in
       let r =
@@ -320,36 +314,40 @@ let unstarted ~worker ~message spec =
   job_result spec ~worker ~attempts:0 ~duration:0.0 ~metrics:[]
     (Job.Failed { reason = Job.Cancelled; message })
 
+(* A job is read in its own scope: its counters, spans and peaks are the
+   job's alone, whatever ran before it on the same domain. *)
 let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
-  let m0 = M.snapshot () in
   let t0 = now () in
-  (match control with
-   | Some { on_start = Some f; _ } -> f ()
-   | _ -> ());
-  let rec go ~attempts =
-    let outcome =
-      match attempt cfg ?bank ~control spec with
-      | v -> Job.Verdict v
-      | exception e ->
-        let reason, message = classify e in
-        Job.Failed { reason; message }
-    in
-    match outcome with
-    | Job.Failed { reason = Job.Timeout; _ } when attempts <= spec.retries ->
-      M.incr m_retried;
-      go ~attempts:(attempts + 1)
-    | outcome -> (outcome, attempts)
+  let (outcome, attempts), reading =
+    Obs.Scope.run (fun () ->
+      (match control with
+       | Some { on_start = Some f; _ } -> f ()
+       | _ -> ());
+      let rec go ~attempts =
+        let outcome =
+          match attempt cfg ?bank ~control spec with
+          | v -> Job.Verdict v
+          | exception e ->
+            let reason, message = classify e in
+            Job.Failed { reason; message }
+        in
+        match outcome with
+        | Job.Failed { reason = Job.Timeout; _ } when attempts <= spec.retries ->
+          M.incr m_retried;
+          go ~attempts:(attempts + 1)
+        | outcome -> (outcome, attempts)
+      in
+      let outcome, attempts = go ~attempts:1 in
+      (match outcome with
+       | Job.Verdict _ -> M.incr m_completed
+       | Job.Failed { reason; _ } ->
+         M.incr m_failed;
+         if reason = Job.Timeout then M.incr m_timeout;
+         if reason = Job.Cancelled then M.incr m_cancelled);
+      (outcome, attempts))
   in
-  let outcome, attempts = go ~attempts:1 in
-  (match outcome with
-   | Job.Verdict _ -> M.incr m_completed
-   | Job.Failed { reason; _ } ->
-     M.incr m_failed;
-     if reason = Job.Timeout then M.incr m_timeout;
-     if reason = Job.Cancelled then M.incr m_cancelled);
   job_result spec ~worker ~attempts ~duration:(now () -. t0)
-    ~metrics:(M.diff ~before:m0 ~after:(M.snapshot ()))
-    outcome
+    ~metrics:reading.Obs.Scope.metrics outcome
 
 (* -- the pool ---------------------------------------------------------- *)
 
@@ -361,9 +359,6 @@ let run_job ?control ?bank cfg ~worker (spec : Job.spec) =
    policy, not the pool's.  Each job builds its own [Dd.Pkg.t] inside
    [Verify.functional], so packages never cross domains (and the package
    owner guard would catch it if one did). *)
-
-(* what a daemon worker recorded: its domain's registries when it exits *)
-type harvest = M.snapshot * Obs.Span.entry list
 
 type task =
   { spec : Job.spec
@@ -379,7 +374,8 @@ type pool =
   ; pbank : bank  (** worker-slot bank portfolio races borrow from *)
   ; mutable stopping : bool
   ; mutable active : int  (** tasks currently executing on a worker *)
-  ; mutable domains : harvest Domain.t list
+  ; mutable workers_lent : unit Par.Helper.t list
+        (** the daemon's worker loops, each lent to a helper *)
   }
 
 let worker pool wid () =
@@ -430,17 +426,16 @@ let make (cfg : config) =
   ; pbank = bank workers
   ; stopping = false
   ; active = 0
-  ; domains = []
+  ; workers_lent = []
   }
 
+(* The daemon lends every worker loop to a helper domain until
+   [shutdown] joins it, so the domains it leaves parked serve the
+   process's next parallel call. *)
 let create cfg =
   let pool = make cfg in
-  pool.domains <-
-    List.init pool.pcfg.workers (fun wid ->
-      Domain.spawn (fun () ->
-        worker pool wid ();
-        (* a fresh domain's registries hold exactly its loop's work *)
-        (M.snapshot (), Obs.Span.report ())));
+  pool.workers_lent <-
+    List.init pool.pcfg.workers (fun wid -> Par.Helper.spawn (worker pool wid));
   pool
 
 let submit pool ?control ~on_done spec =
@@ -473,73 +468,66 @@ let stop ~drain pool =
       with _ -> ())
     abandoned
 
-(* Fold worker harvests into the calling domain, so process-level reports
-   ([qcec_cli stats], the daemon's metrics, bench output) see the pool's
-   work. *)
-let join_workers pool =
-  let harvests = List.map Domain.join pool.domains in
-  pool.domains <- [];
-  List.iter
-    (fun (m, s) ->
-      M.absorb m;
-      Obs.Span.absorb s)
-    harvests
-
+(* Joining a worker loop folds what it recorded into the calling domain,
+   so process-level reports see the pool's work. *)
 let shutdown ?(drain = true) pool =
   stop ~drain pool;
-  join_workers pool
+  let lent = pool.workers_lent in
+  pool.workers_lent <- [];
+  List.iter Par.Helper.join lent
 
 (* A batch is the pool run to completion: one submission per spec, then a
    draining stop, with [workers - 1] worker loops on helper domains
    ([Par.Helper]) and the calling domain running the last one itself.
    [on_result] runs under [lock], in completion order.  If it raises (say
    EPIPE on a closed stdout), queued jobs are dropped and [run] re-raises
-   once the helpers are done. *)
+   once the helpers are done.  The run is read in its own scope, which
+   the joined helpers' loops fold into: the batch's reading is its
+   scheduling counters and its jobs, each once. *)
 let run (cfg : config) specs =
   let n = List.length specs in
-  (* the calling domain's registries gain the scheduling counters, its own
-     worker's jobs and, once joined, the helpers' loops: their diffs over
-     the run are the batch's reading *)
-  let m_before = M.snapshot () and s_before = Obs.Span.report () in
   let t0 = now () in
-  let pool = make { cfg with workers = min cfg.workers (max 1 n) } in
-  let workers = pool.pcfg.workers in
-  let lock = Mutex.create () in
-  let results = Array.make n None in
-  let failure = ref None in
-  let on_done i r =
-    let failed =
-      Mutex.protect lock (fun () ->
-        results.(i) <- Some r;
-        match cfg.on_result with
-        | Some f when !failure = None ->
-          (try
-             f r;
-             false
-           with e ->
-             failure := Some (e, Printexc.get_raw_backtrace ());
-             true)
-        | _ -> false)
-    in
-    if failed then stop ~drain:false pool
+  let (results, workers), reading =
+    Obs.Scope.run (fun () ->
+      let pool = make { cfg with workers = min cfg.workers (max 1 n) } in
+      let workers = pool.pcfg.workers in
+      let lock = Mutex.create () in
+      let results = Array.make n None in
+      let failure = ref None in
+      let on_done i r =
+        let failed =
+          Mutex.protect lock (fun () ->
+            results.(i) <- Some r;
+            match cfg.on_result with
+            | Some f when !failure = None ->
+              (try
+                 f r;
+                 false
+               with e ->
+                 failure := Some (e, Printexc.get_raw_backtrace ());
+                 true)
+            | _ -> false)
+        in
+        if failed then stop ~drain:false pool
+      in
+      (* a submission refused because a callback already failed is moot:
+         the failure is re-raised below *)
+      List.iteri (fun i spec -> ignore (submit pool ~on_done:(on_done i) spec)) specs;
+      stop ~drain:true pool;
+      (* if a spawn fails partway or the caller's own loop raises, the
+         queue is dropped before the helpers' loops are joined *)
+      let (), _ =
+        Par.Helper.fork_join
+          ~abort:(fun () -> stop ~drain:false pool)
+          (List.init (workers - 1) (worker pool))
+          (worker pool (workers - 1))
+      in
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
+      (results, workers))
   in
-  (* a submission refused because a callback already failed is moot: the
-     failure is re-raised below *)
-  List.iteri (fun i spec -> ignore (submit pool ~on_done:(on_done i) spec)) specs;
-  stop ~drain:true pool;
-  (* if a spawn fails partway or the caller's own loop raises, the queue
-     is dropped before the helpers' loops are joined *)
-  let (), _ =
-    Par.Helper.fork_join
-      ~abort:(fun () -> stop ~drain:false pool)
-      (List.init (workers - 1) (worker pool))
-      (worker pool (workers - 1))
-  in
-  let wall_seconds = now () -. t0 in
-  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   { results = Array.to_list results |> List.map Option.get
-  ; wall_seconds
+  ; wall_seconds = now () -. t0
   ; workers
-  ; metrics = M.diff ~before:m_before ~after:(M.snapshot ())
-  ; spans = Obs.Span.diff ~before:s_before ~after:(Obs.Span.report ())
+  ; metrics = reading.Obs.Scope.metrics
+  ; spans = reading.Obs.Scope.spans
   }

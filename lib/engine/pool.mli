@@ -6,11 +6,10 @@
     Each job constructs its own DD package (inside
     [Qcec.Verify.functional]) on the worker domain that runs it, so
     packages never cross domains — [Dd.Pkg]'s owner guard enforces the
-    contract.  Metric and span registries are domain-local; the pool
-    harvests what every worker loop recorded when it ends and folds it
-    into the calling domain ({!Obs.Metrics.absorb} /
-    {!Obs.Span.absorb}); {!run}'s batch-attributable reading
-    ({!batch.metrics}) is the calling domain's diff over the run.
+    contract.  Every job is read in its own {!Obs.Scope}
+    ({!Job.result.metrics}), and so is every {!run} ({!batch.metrics});
+    a worker loop on a helper hands its reading to the domain that joins
+    it.
 
     {2 Robustness}
 
@@ -96,11 +95,9 @@ type batch =
   ; wall_seconds : float
   ; workers : int  (** domains actually used *)
   ; metrics : Obs.Metrics.snapshot
-        (** the calling domain's diff over the run, taken after it has
-            absorbed every helper's harvest — exactly the batch's work
-            (counters add, peak gauges take the max) *)
-  ; spans : Obs.Span.entry list
-        (** the span diff, taken the same way *)
+        (** the run's own reading: its scheduling counters and every job
+            once, peaks its own; empty when collection is off *)
+  ; spans : Obs.Span.entry list  (** the spans of the same scope *)
   }
 
 (** [run config specs] executes the batch and returns once every job has
@@ -109,12 +106,8 @@ type batch =
     itself and the other [workers - 1] run on helper domains, so
     [workers = 1] uses none.  The helpers are borrowed from
     {!Par.Helper}, the parked domains that races and parallel extraction
-    borrow too: a later [run] (or race) in the process finds them parked
-    instead of spawning and joining new domains, which in OCaml 5.1
-    starves the calling domain's major GC.  A helper idle for
-    {!Par.Helper.grace} seconds retires, and at most
-    {!Par.Helper.max_parked} stay parked.  Every borrowed helper has
-    finished its loop before [run] returns or raises.  If
+    borrow too, and every one has finished its loop before [run]
+    returns or raises.  If
     [config.on_result] raises, the jobs still queued are dropped and
     [run] re-raises that exception once the helpers are done.
 
@@ -128,9 +121,10 @@ val run : config -> Job.spec list -> batch
 
 (** {1 Persistent pool}
 
-    The daemon's execution substrate: {!create} spawns all
-    [config.workers] domains, and they stay alive across submissions
-    until {!shutdown}.  Jobs are queued (unboundedly —
+    The daemon's execution substrate: {!create} lends [config.workers]
+    worker loops to {!Par.Helper} domains, and they run across
+    submissions until {!shutdown} joins them; the domains then park for
+    the process's next parallel call.  Jobs are queued (unboundedly —
     admission control is the {e caller's} policy) and every completion is
     delivered through its own callback, invoked on the worker domain that
     ran the job.  [config.on_result] is ignored in this mode. *)
@@ -158,8 +152,8 @@ val pending : pool -> int
 val active : pool -> int
 
 (** [shutdown ?drain pool] stops the pool and blocks until every worker
-    domain has exited, then folds their metric/span registries into the
-    calling domain (as {!run} does).  With [drain = true] (default) queued
+    loop has ended, folding what each recorded into the calling domain
+    ({!Par.Helper.join}).  With [drain = true] (default) queued
     jobs run to completion first; with [drain = false] they are abandoned
     — each still gets its [on_done] with a [Job.Cancelled] failure — and
     workers exit after their current job.  Further {!submit}s return

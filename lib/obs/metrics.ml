@@ -1,9 +1,9 @@
 (* Domain-local metric registries.  Metric *names* are registered globally
    (under a mutex), but every domain holds its own value slots in
-   domain-local storage: increments from parallel workers never race, and a
-   worker's readings can be harvested with [snapshot] at join time and
-   folded into another domain's registry with [absorb] (or combined
-   off-registry with [merge]). *)
+   domain-local storage: increments from parallel workers never race.  A
+   scope ([Scope.run], via [enter]/[leave] below) swaps in fresh slots for
+   its duration, and its reading is folded into another domain's registry
+   with [absorb] (or combined off-registry with [merge]). *)
 
 type kind =
   | Counter
@@ -94,9 +94,12 @@ type snapshot = (string * int) list
 let all_metas () =
   Mutex.protect lock (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) metas [])
 
-let snapshot () =
-  List.map (fun m -> (m.name, (slots_for m.ix).(m.ix))) (all_metas ())
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* every registered metric's value in the slots [a], sorted by name *)
+let read a =
+  List.map (fun m -> (m.name, if m.ix < Array.length a then a.(m.ix) else 0)) (all_metas ())
+  |> List.sort (fun (x, _) (y, _) -> String.compare x y)
+
+let snapshot () = read !(Domain.DLS.get slots_key)
 
 let kind_of name =
   Mutex.protect lock (fun () ->
@@ -130,19 +133,41 @@ let merge snaps =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let absorb snap =
+  (* a name no live registry knows has nothing to fold into *)
+  let known =
+    Mutex.protect lock (fun () ->
+      List.filter_map
+        (fun (name, v) -> Option.map (fun m -> (m, v)) (Hashtbl.find_opt metas name))
+        snap)
+  in
   List.iter
-    (fun (name, v) ->
-      match Mutex.protect lock (fun () -> Hashtbl.find_opt metas name) with
-      | None -> () (* a name no live registry knows; nothing to fold into *)
-      | Some m ->
-        let a = slots_for m.ix in
-        a.(m.ix) <- (match m.kind with Counter -> a.(m.ix) + v | Gauge -> max a.(m.ix) v))
-    snap
+    (fun (m, v) ->
+      let a = slots_for m.ix in
+      a.(m.ix) <- (match m.kind with Counter -> a.(m.ix) + v | Gauge -> max a.(m.ix) v))
+    known
 
 let find s name = match List.assoc_opt name s with Some v -> v | None -> 0
 
 let reset () =
   let a = !(Domain.DLS.get slots_key) in
   Array.fill a 0 (Array.length a) 0
+
+(* A scope's slots: fresh zeros until [leave] reinstalls the enclosing
+   ones and folds the scope's reading into them. *)
+type frame = int array
+
+let enter () =
+  let r = Domain.DLS.get slots_key in
+  let outer = !r in
+  r := Array.make (Mutex.protect lock (fun () -> !slot_count)) 0;
+  outer
+
+let leave outer =
+  let r = Domain.DLS.get slots_key in
+  let inner = !r in
+  r := outer;
+  let reading = read inner in
+  absorb reading;
+  reading
 
 let to_json s = Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) s)

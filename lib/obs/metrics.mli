@@ -5,11 +5,11 @@
     initialization of the instrumented layer) and may be used from any
     domain, but every domain accumulates into its {e own} value slots: a
     counter incremented inside a worker domain is visible in that domain's
-    {!snapshot} only.  Parallel drivers (the batch engine's worker pool)
-    harvest each worker's snapshot at join time and either fold it into the
-    calling domain's registry with {!absorb} or combine the readings
-    off-registry with {!merge}.  Increments therefore never race across
-    domains and no counts are dropped.
+    {!snapshot} only.  Work is attributed by {!Scope.run}: a scope reads
+    what one piece of work recorded, and a task lent to another domain
+    hands its scope's reading back at join, where {!absorb} folds it into
+    the joining domain.  Increments therefore never race across domains
+    and no counts are dropped.
 
     Collection is globally disabled by default: a disabled
     {!incr}/{!add}/{!observe} costs exactly one load and one branch, so
@@ -60,20 +60,19 @@ type snapshot = (string * int) list
 
 val snapshot : unit -> snapshot
 
-(** [diff ~before ~after] is the reading attributable to the interval:
-    counters are subtracted, peak gauges keep their [after] value (a peak
-    cannot be meaningfully differenced). *)
+(** [diff ~before ~after] subtracts counters and keeps the [after] value
+    of peak gauges (a peak cannot be differenced).  To read one piece of
+    work, {!Scope.run} it instead: a scope's gauges are its own peaks. *)
 val diff : before:snapshot -> after:snapshot -> snapshot
 
-(** [merge snaps] combines per-domain snapshots into one reading: counters
-    are summed, peak gauges maxed.  Use it to aggregate worker registries
-    collected at join. *)
+(** [merge snaps] combines readings into one: counters are summed, peak
+    gauges maxed (the daemon sums its jobs' readings this way). *)
 val merge : snapshot list -> snapshot
 
-(** [absorb snap] folds another domain's snapshot into the calling
-    domain's registry (counters add, gauges max), so process-level reports
-    taken on the main domain include work done by joined workers.  Names
-    not registered in this process are ignored. *)
+(** [absorb snap] folds a reading into the calling domain's registry
+    (counters add, gauges max), so process-level reports taken on the
+    main domain include work done by joined tasks.  Names not registered
+    in this process are ignored. *)
 val absorb : snapshot -> unit
 
 (** [find s name] is the value of [name] in [s], or [0]. *)
@@ -86,3 +85,13 @@ val reset : unit -> unit
 (** [to_json s] is the snapshot as a JSON object, one numeric field per
     metric. *)
 val to_json : snapshot -> Json.t
+
+(**/**)
+
+(* The metric half of [Scope.run]: [enter] installs fresh slots and
+   returns the enclosing ones; [leave] reinstalls them, folds the scope's
+   slots in and returns the scope's reading. *)
+type frame
+
+val enter : unit -> frame
+val leave : frame -> snapshot

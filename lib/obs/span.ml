@@ -4,27 +4,29 @@ type agg =
   }
 
 (* Aggregates and the open-span stack are domain-local: spans opened by
-   parallel workers nest and aggregate within their own domain, and the
-   pool folds worker reports back with [absorb] at join time. *)
+   parallel workers nest and aggregate within their own domain, and a
+   task's scope hands its aggregates back to the joining domain.  A scope
+   swaps in a fresh [table] and keeps the [stack], so spans opened inside
+   it still nest under the ones already open. *)
 type state =
-  { table : (string, agg) Hashtbl.t
+  { mutable table : (string, agg) Hashtbl.t
   ; mutable stack : string list (* open span paths, innermost first *)
   }
 
 let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { table = Hashtbl.create 32; stack = [] })
 
-let record st path dt =
+let add table path count ns =
   let a =
-    match Hashtbl.find_opt st.table path with
+    match Hashtbl.find_opt table path with
     | Some a -> a
     | None ->
       let a = { count = 0; total_ns = 0L } in
-      Hashtbl.add st.table path a;
+      Hashtbl.add table path a;
       a
   in
-  a.count <- a.count + 1;
-  a.total_ns <- Int64.add a.total_ns dt
+  a.count <- a.count + count;
+  a.total_ns <- Int64.add a.total_ns ns
 
 let with_ name f =
   if not (Metrics.enabled ()) then f ()
@@ -43,7 +45,7 @@ let with_ name f =
         (match st.stack with
          | p :: rest when String.equal p path -> st.stack <- rest
          | _ -> () (* a nested span leaked; keep going rather than corrupt *));
-        record st path dt)
+        add st.table path 1 dt)
       f
   end
 
@@ -53,38 +55,33 @@ type entry =
   ; seconds : float
   }
 
-let report () =
-  let st = Domain.DLS.get state_key in
+let entries table =
   Hashtbl.fold
     (fun path (a : agg) acc ->
       { path; count = a.count; seconds = Int64.to_float a.total_ns *. 1e-9 } :: acc)
-    st.table []
+    table []
   |> List.sort (fun a b -> String.compare a.path b.path)
 
-let absorb entries =
-  let st = Domain.DLS.get state_key in
-  List.iter
-    (fun e ->
-      let a =
-        match Hashtbl.find_opt st.table e.path with
-        | Some a -> a
-        | None ->
-          let a = { count = 0; total_ns = 0L } in
-          Hashtbl.add st.table e.path a;
-          a
-      in
-      a.count <- a.count + e.count;
-      a.total_ns <- Int64.add a.total_ns (Int64.of_float (e.seconds *. 1e9)))
-    entries
+let report () = entries (Domain.DLS.get state_key).table
 
-let diff ~before ~after =
-  List.filter_map
-    (fun e ->
-      match List.find_opt (fun b -> String.equal b.path e.path) before with
-      | None -> Some e
-      | Some b when b.count = e.count -> None
-      | Some b -> Some { e with count = e.count - b.count; seconds = e.seconds -. b.seconds })
-    after
+let absorb es =
+  let st = Domain.DLS.get state_key in
+  List.iter (fun e -> add st.table e.path e.count (Int64.of_float (e.seconds *. 1e9))) es
+
+type frame = (string, agg) Hashtbl.t
+
+let enter () =
+  let st = Domain.DLS.get state_key in
+  let outer = st.table in
+  st.table <- Hashtbl.create 16;
+  outer
+
+let leave outer =
+  let st = Domain.DLS.get state_key in
+  let inner = st.table in
+  st.table <- outer;
+  Hashtbl.iter (fun path (a : agg) -> add outer path a.count a.total_ns) inner;
+  entries inner
 
 let reset () =
   let st = Domain.DLS.get state_key in

@@ -10,8 +10,9 @@
 
     Nesting state and aggregates are {e domain-local}: spans opened by
     parallel workers nest within their own domain and never interleave
-    with another domain's stack.  Harvest a worker's {!report} at join
-    time and fold it into the calling domain with {!absorb}. *)
+    with another domain's stack.  {!Scope.run} reads the spans one piece
+    of work completed, and a task lent to another domain hands them back
+    at join, where {!absorb} folds them into the joining domain. *)
 
 (** [with_ name f] runs [f ()] inside a span called [name], nested under
     the currently open span (if any).  The span is closed — and its
@@ -31,11 +32,6 @@ val report : unit -> entry list
     domain's aggregates (counts and durations accumulate). *)
 val absorb : entry list -> unit
 
-(** [diff ~before ~after] is what two reports of one domain say was
-    recorded in between: counts and durations are subtracted, and paths
-    that completed no span in the interval are dropped. *)
-val diff : before:entry list -> after:entry list -> entry list
-
 (** Drop the calling domain's aggregates and any stale nesting state. *)
 val reset : unit -> unit
 
@@ -45,3 +41,12 @@ val entries_to_json : entry list -> Json.t
 
 (** [to_json ()] is [entries_to_json (report ())]. *)
 val to_json : unit -> Json.t
+
+(**/**)
+
+(* The span half of [Scope.run], as in [Metrics]: a scope keeps the
+   open-span stack and swaps the aggregate table. *)
+type frame
+
+val enter : unit -> frame
+val leave : frame -> entry list

@@ -1,14 +1,9 @@
-module M = Obs.Metrics
-
 let grace = 0.25
 let max_parked = max 1 (Domain.recommended_domain_count () - 1)
 
-(* what a task left behind, published by its helper *)
-type 'a outcome =
-  { value : ('a, exn * Printexc.raw_backtrace) result
-  ; metrics : M.snapshot
-  ; spans : Obs.Span.entry list
-  }
+(* what a task left behind, published by its helper: its value or
+   exception, and its scope's reading *)
+type 'a outcome = ('a, exn * Printexc.raw_backtrace) result * Obs.Scope.reading
 
 type 'a t =
   { t_lock : Mutex.t
@@ -95,13 +90,11 @@ let spawn f =
   let t = { t_lock = Mutex.create (); finished = Condition.create (); outcome = None } in
   let backtraces = Printexc.backtrace_status () in
   let task () =
-    M.reset ();
-    Obs.Span.reset ();
     Printexc.record_backtrace backtraces;
-    let value =
-      match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    let o =
+      Obs.Scope.run (fun () ->
+        match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     in
-    let o = { value; metrics = M.snapshot (); spans = Obs.Span.report () } in
     fun () ->
       Mutex.protect t.t_lock (fun () -> t.outcome <- Some o);
       Condition.broadcast t.finished
@@ -133,12 +126,11 @@ let join t =
   while Option.is_none t.outcome do
     Condition.wait t.finished t.t_lock
   done;
-  let o = Option.get t.outcome in
+  let value, reading = Option.get t.outcome in
   Mutex.unlock t.t_lock;
-  M.absorb o.metrics;
-  Obs.Span.absorb o.spans;
-  match o.value with
-  | Ok v -> (v, o.metrics)
+  Obs.Scope.absorb reading;
+  match value with
+  | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let fork_join ?(abort = ignore) tasks f =

@@ -3,10 +3,12 @@
     A race ([Qcec.Verify.portfolio]), a batch ([Engine.Pool.run]) and a
     parallel extraction ([Qsim.Extraction.run ~domains]) each run one
     share of their work on the calling domain and hand the others to
-    helpers.  {!spawn} lends a task to a parked helper and spawns a
-    domain only when none is parked; when the task ends its helper parks
-    again, so a process that runs thousands of width-2 races runs every
-    candidate 1 on the same domain.
+    helpers; the daemon's pool ([Engine.Pool.create]) lends each of its
+    worker loops to one until [Engine.Pool.shutdown] joins it.  {!spawn}
+    lends a task to a parked helper and spawns a domain only when none
+    is parked; when the task ends its helper parks again, so a process
+    that runs thousands of width-2 races runs every candidate 1 on the
+    same domain.
 
     Spawning and joining a domain per call starves the calling domain's
     major GC in OCaml 5.1: the process's major cycles fall behind its
@@ -19,11 +21,11 @@
     most {!max_parked} helpers stay parked (a surplus one retires when
     its task ends), and a helper parked for {!grace} seconds retires.
 
-    A task runs with its helper's metric and span registries emptied,
-    so what it records is exactly its own work; {!join} folds that into
-    the joining domain.  The helper's other domain-local state (a DD
-    safepoint hook, say) outlives the task: a task that installs any
-    must remove it on every exit path. *)
+    A task runs in its own {!Obs.Scope}, so what it records is exactly
+    its own work; {!join} folds that reading into the joining domain.
+    The helper's other domain-local state (a DD safepoint hook, say)
+    outlives the task: a task that installs any must remove it on every
+    exit path. *)
 
 type 'a t
 (** A task lent to a helper; {!join} it exactly once. *)
@@ -43,18 +45,15 @@ val spawn : (unit -> 'a) -> 'a t
     none is parked.  It raises if a domain is needed and cannot be
     spawned. *)
 
-val join : 'a t -> 'a * Obs.Metrics.snapshot
-(** [join t] waits for [t], folds the metrics and spans it recorded into
-    the calling domain ({!Obs.Metrics.absorb}, {!Obs.Span.absorb}) and
-    returns its value with that metric reading.  If the task raised,
-    [join] re-raises its exception with the task's backtrace (recorded
-    if the spawning domain records backtraces). *)
+val join : 'a t -> 'a
+(** [join t] waits for [t], folds the reading of its scope into the
+    calling domain ({!Obs.Scope.absorb}) and returns its value.  If the
+    task raised, its reading is folded all the same and [join] re-raises
+    its exception with the task's backtrace (recorded if the spawning
+    domain records backtraces). *)
 
 val fork_join :
-     ?abort:(unit -> unit)
-  -> (unit -> 'a) list
-  -> (unit -> 'b)
-  -> 'b * ('a * Obs.Metrics.snapshot) list
+  ?abort:(unit -> unit) -> (unit -> 'a) list -> (unit -> 'b) -> 'b * 'a list
 (** [fork_join tasks f] spawns every task, runs [f ()] on the calling
     domain, then joins the tasks in order.  Every spawned task is joined
     on every path: if a spawn or [f] raises, [abort ()] runs first (to

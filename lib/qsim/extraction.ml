@@ -96,7 +96,11 @@ let settle p ~n (i : Dd_sim.instr) state cvals o =
 (* The core branching walk over a program compiled for [p]; it returns
    the leaves, one (assignment, probability) pair per path.  [forced]
    optionally prescribes outcomes for the first branch points (used by
-   the parallel driver).
+   the parallel driver).  Every task that shares the forced bits above a
+   forced branch point reaches it, so only the one whose forced bits from
+   there on are all 0 counts it, and only the one whose later forced bits
+   are all 0 counts its outcome as pruned: the counts then add up to the
+   one-domain walk's.
 
    Each branch frame holds its state in a registered root: the parent's
    pre-projection state stays rooted across the recursion into the first
@@ -104,6 +108,10 @@ let settle p ~n (i : Dd_sim.instr) state cvals o =
    sweep a state that a pending sibling branch still needs. *)
 let walk ~pkg:p ~n ~cutoff ~counters ?(forced = [||]) prog num_cbits =
   let leaves = ref [] in
+  (* forced bits past this index are all 0 *)
+  let last_one = ref (-1) in
+  Array.iteri (fun k o -> if o = 1 then last_one := k) forced;
+  let last_one = !last_one in
   let apply r s =
     counters.c_gates <- counters.c_gates + 1;
     Pkg.set_vroot r (Mat.apply_sig p ~n s (Pkg.vroot_edge r));
@@ -123,7 +131,6 @@ let walk ~pkg:p ~n ~cutoff ~counters ?(forced = [||]) prog num_cbits =
         if Classical.cond_holds cond cvals then apply r s;
         go r (pc + 1) cvals prob depth
       | (Measure { qubit; _ } | Reset { qubit; _ }) as i ->
-        counters.c_branch_points <- counters.c_branch_points + 1;
         let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
         let take o p_out =
           let state', cvals' = settle p ~n i (Pkg.vroot_edge r) cvals o in
@@ -132,11 +139,15 @@ let walk ~pkg:p ~n ~cutoff ~counters ?(forced = [||]) prog num_cbits =
               go r' (pc + 1) cvals' (prob *. p_out) (depth + 1))
         in
         if depth < Array.length forced then begin
+          if depth > last_one then
+            counters.c_branch_points <- counters.c_branch_points + 1;
           let o = forced.(depth) in
           let p_out = if o = 1 then p1 else p0 in
           if prob *. p_out > cutoff then take o p_out
+          else if depth >= last_one then counters.c_pruned <- counters.c_pruned + 1
         end
         else begin
+          counters.c_branch_points <- counters.c_branch_points + 1;
           if prob *. p1 > cutoff then take 1 p1
           else counters.c_pruned <- counters.c_pruned + 1;
           if prob *. p0 > cutoff then take 0 p0
@@ -210,7 +221,7 @@ let run_parallel ~cutoff ~domains (c : Circ.t) =
             (task_of first)
         in
         results.(first) <- Some r;
-        List.iteri (fun k (r, _) -> results.(first + 1 + k) <- Some r) others;
+        List.iteri (fun k r -> results.(first + 1 + k) <- Some r) others;
         next := first + batch
       done);
     let counters = new_counters () in
@@ -229,11 +240,19 @@ let run_parallel ~cutoff ~domains (c : Circ.t) =
     result leaves counters
   end
 
+let valid_cutoff cutoff = cutoff >= 0.0 && cutoff < 1.0
+
+let check_cutoff fn cutoff =
+  if not (valid_cutoff cutoff) then
+    invalid_arg (Fmt.str "Extraction.%s: cutoff %g is outside [0, 1)" fn cutoff)
+
 let run ?(cutoff = 1e-12) ?(domains = 1) c =
+  check_cutoff "run" cutoff;
   M.incr m_runs;
   if domains <= 1 then run_sequential ~cutoff c else run_parallel ~cutoff ~domains c
 
 let tree ?(cutoff = 1e-12) (c : Circ.t) =
+  check_cutoff "tree" cutoff;
   let p = Pkg.create () in
   let n = c.Circ.num_qubits in
   let prog = Dd_sim.compile p c.Circ.ops in

@@ -16,6 +16,9 @@ type stats =
   ; branch_points : int  (** measurements/resets encountered, over all paths *)
   ; pruned : int  (** branches cut off by the probability threshold *)
   ; gate_applications : int
+        (** gates applied, over all paths; a parallel walk also counts
+            the forced prefix every task re-simulates, because that is
+            work done *)
   }
 
 type result =
@@ -45,21 +48,26 @@ type tree =
     spirit of the paper's Fig. 4. *)
 val pp_tree : Format.formatter -> tree -> unit
 
+(** [valid_cutoff x] holds when [x] is in [[0, 1)], NaN excluded: a
+    negative cutoff would simulate outcomes of probability 0, and one of
+    1 or more prunes every branch. *)
+val valid_cutoff : float -> bool
+
 (** [run c] extracts the distribution of the dynamic circuit [c] starting
     from |0...0>.
 
     [cutoff] prunes branches with accumulated probability at or below it
-    (default [1e-12]).  [domains] > 1 distributes the first branch points
+    (default [1e-12]); outside [[0, 1)] it raises [Invalid_argument].
+    [domains] > 1 distributes the first branch points
     over that many OCaml domains, the calling one included, each
     re-simulating its forced prefix with a private DD package (the paper
     notes the branches are embarrassingly parallel; its own evaluation is
-    sequential, and so is the default here).  The tasks the calling
-    domain does not run go to helper domains ({!Par.Helper.spawn}),
-    parked ones when idle, so repeated calls do not spawn and join a
-    domain each; their metrics and spans are folded into the caller's
-    at join.  The walk
-    roots the state of every pending branch, so the packages' checkpoint
-    sweeps are safe mid-walk.
+    sequential, and so is the default here).  [leaves], [branch_points]
+    and [pruned] equal the one-domain walk's at any domain count.  The
+    tasks the calling domain does not run go to helper domains
+    ({!Par.Helper.spawn}), whose readings are folded into the caller's
+    registries at join.  The walk roots the state of every pending
+    branch, so the packages' checkpoint sweeps are safe mid-walk.
 
     Each package compiles [c] once ({!Dd_sim.compile}) before its
     walk, so a branch pays only for DD work, not for resolving gate
@@ -71,5 +79,5 @@ val run : ?cutoff:float -> ?domains:int -> Circuit.Circ.t -> result
 
 (** [tree c] materializes the whole branching structure; only sensible
     for small numbers of measurements.  It walks a compiled program,
-    like {!run}. *)
+    like {!run}, and raises [Invalid_argument] on the same cutoffs. *)
 val tree : ?cutoff:float -> Circuit.Circ.t -> tree

@@ -36,10 +36,13 @@ let test_queue_drains () =
   List.iteri
     (fun i (r : Job.result) ->
       Alcotest.(check int) "results are in index order" i r.Job.index;
-      Alcotest.(check bool) "every pair verifies" true (Job.succeeded r))
+      Alcotest.(check bool) "every pair verifies" true (Job.succeeded r);
+      Alcotest.(check int) "collection off: no job reading" 0 (List.length r.Job.metrics))
     batch.Pool.results;
   Alcotest.(check bool) "workers clamp to the job count" true
-    (batch.Pool.workers <= n)
+    (batch.Pool.workers <= n);
+  Alcotest.(check bool) "collection off: no batch reading" true
+    (batch.Pool.metrics = [] && batch.Pool.spans = [])
 
 let test_streaming_callback () =
   let seen = ref [] in

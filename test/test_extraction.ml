@@ -210,6 +210,8 @@ let prop_mass_is_one =
       in
       Float.abs (Qcec.Distribution.mass (extract dyn) -. 1.0) < 1e-8)
 
+(* On 2 and 4 domains the walk finds the one-domain distribution and
+   counts the same leaves, branch points and pruned branches. *)
 let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"parallel extraction = sequential" ~count:12
     QCheck.(int_range 0 1000000)
@@ -218,10 +220,18 @@ let prop_parallel_matches_sequential =
         Algorithms.Random_circuit.dynamic ~seed ~qubits:3 ~cbits:3 ~ops:12
       in
       let s = Qsim.Extraction.run dyn in
-      let p = Qsim.Extraction.run ~domains:2 dyn in
-      Qcec.Distribution.total_variation s.Qsim.Extraction.distribution
-        p.Qsim.Extraction.distribution
-      < 1e-9)
+      let counts (r : Qsim.Extraction.result) =
+        let st = r.Qsim.Extraction.stats in
+        Qsim.Extraction.(st.leaves, st.branch_points, st.pruned)
+      in
+      List.for_all
+        (fun domains ->
+          let p = Qsim.Extraction.run ~domains dyn in
+          Qcec.Distribution.total_variation s.Qsim.Extraction.distribution
+            p.Qsim.Extraction.distribution
+          < 1e-9
+          && counts p = counts s)
+        [ 2; 4 ])
 
 (* The walk roots every pending branch: with a compaction at every
    checkpoint, on one domain or two, it still meets the dense oracle. *)

@@ -113,18 +113,60 @@ let test_span_absorb () =
         Span.report ())
       |> Domain.join
     in
-    let before = Span.report () in
-    Span.absorb worker;
+    let (), reading =
+      Obs.Scope.run (fun () ->
+        Span.absorb worker;
+        Span.with_ "later" (fun () -> ()))
+    in
     (match List.find_opt (fun (e : Span.entry) -> e.path = "absorbed") (Span.report ()) with
      | Some e ->
        Alcotest.(check int) "absorbed counts accumulate" 3 e.count;
        Alcotest.(check bool) "absorbed durations accumulate" true (e.seconds >= 0.0)
      | None -> Alcotest.fail "absorbed span path missing");
-    Span.with_ "later" (fun () -> ());
     let counts entries = List.map (fun (e : Span.entry) -> (e.path, e.count)) entries in
-    Alcotest.(check (list (pair string int))) "diff keeps only what was recorded in between"
+    Alcotest.(check (list (pair string int))) "a scope reads only what was recorded in it"
       [ ("absorbed", 2); ("later", 1) ]
-      (counts (Span.diff ~before ~after:(Span.report ()))))
+      (counts reading.Obs.Scope.spans))
+
+(* A scope reads exactly its own work: fresh counters and a fresh peak,
+   spans nested under the one already open.  On every exit path it
+   reinstalls the enclosing registries and folds its reading into them;
+   with collection off it only runs its thunk. *)
+let test_scope () =
+  with_metrics (fun () ->
+    let c = M.counter "test.obs.scopec" and g = M.gauge "test.obs.scopeg" in
+    M.add c 5;
+    M.observe g 50;
+    let v, r =
+      Span.with_ "outer" (fun () ->
+        Obs.Scope.run (fun () ->
+          M.add c 2;
+          M.observe g 7;
+          Span.with_ "inner" (fun () -> 42)))
+    in
+    Alcotest.(check int) "the thunk's value" 42 v;
+    Alcotest.(check int) "counters read the scope's increments" 2
+      (M.find r.Obs.Scope.metrics "test.obs.scopec");
+    Alcotest.(check int) "gauges read the scope's own peak" 7
+      (M.find r.Obs.Scope.metrics "test.obs.scopeg");
+    Alcotest.(check (list string)) "spans nest under the open one" [ "outer/inner" ]
+      (List.map (fun (e : Span.entry) -> e.path) r.Obs.Scope.spans);
+    Alcotest.(check int) "counters fold into the enclosing registry" 7 (M.value c);
+    Alcotest.(check int) "gauges fold by max" 50 (M.peak g);
+    Alcotest.(check (list (pair string int))) "the enclosing spans hold both"
+      [ ("outer", 1); ("outer/inner", 1) ]
+      (List.map (fun (e : Span.entry) -> (e.path, e.count)) (Span.report ()));
+    (match Obs.Scope.run (fun () -> M.incr c; failwith "expected") with
+     | _ -> Alcotest.fail "the scope swallowed the exception"
+     | exception Failure _ -> ());
+    Alcotest.(check int) "a raising scope still folds" 8 (M.value c);
+    M.incr c;
+    Alcotest.(check int) "and reinstalls the enclosing slots" 9 (M.value c);
+    M.set_enabled false;
+    let v, r = Obs.Scope.run (fun () -> 1) in
+    M.set_enabled true;
+    Alcotest.(check bool) "off: the thunk runs, the reading is empty" true
+      (v = 1 && r = Obs.Scope.empty))
 
 let test_span_survives_exception () =
   with_metrics (fun () ->
@@ -214,34 +256,34 @@ let test_clock_monotonic () =
     (Obs.Clock.elapsed_s ~since:(Obs.Clock.now_ns ()) >= 0.0)
 
 let test_verify_reports_metrics () =
-  (* end-to-end: a functional check with collection on yields nonzero DD
-     counters in its [metrics] field, and none with collection off *)
+  (* end-to-end: a functional check read in a scope with collection on
+     yields nonzero DD counters, and an empty reading with it off *)
   let pair = Algorithms.Qft.make 4 in
   let check () =
     Qcec.Verify.functional ~perm:pair.Algorithms.Pair.dyn_to_static
       pair.Algorithms.Pair.static_circuit pair.Algorithms.Pair.dynamic_circuit
   in
-  let off = check () in
-  Alcotest.(check int) "metrics are zero when disabled" 0
-    (List.fold_left (fun acc (_, v) -> acc + abs v) 0 off.Qcec.Verify.metrics);
+  let _, off = Obs.Scope.run check in
+  Alcotest.(check bool) "no reading when disabled" true (off = Obs.Scope.empty);
   with_metrics (fun () ->
-    let on = check () in
+    let on, reading = Obs.Scope.run check in
+    let m = reading.Obs.Scope.metrics in
     Alcotest.(check bool) "equivalent" true on.Qcec.Verify.equivalent;
     Alcotest.(check bool) "unique-table inserts recorded" true
-      (M.find on.Qcec.Verify.metrics "dd.unique.mat.inserts" > 0);
+      (M.find m "dd.unique.mat.inserts" > 0);
     Alcotest.(check bool) "kernel cache observed" true
-      (M.find on.Qcec.Verify.metrics "dd.kernel.hits"
-       + M.find on.Qcec.Verify.metrics "dd.kernel.misses"
-       > 0);
+      (M.find m "dd.kernel.hits" + M.find m "dd.kernel.misses" > 0);
     (* the generic gate-DD product still reports through the mm cache *)
-    let before = M.snapshot () in
-    let p = Dd.Pkg.create () in
-    let h = Circuit.Gates.matrix Circuit.Gates.H in
-    let x = Circuit.Gates.matrix Circuit.Gates.X in
-    let hd = Dd.Pkg.gate p ~n:3 ~controls:[] ~target:0 h in
-    let cx = Dd.Pkg.gate p ~n:3 ~controls:[ (0, true) ] ~target:2 x in
-    ignore (Dd.Mat.mul p cx hd);
-    let generic = M.diff ~before ~after:(M.snapshot ()) in
+    let (), generic =
+      Obs.Scope.run (fun () ->
+        let p = Dd.Pkg.create () in
+        let h = Circuit.Gates.matrix Circuit.Gates.H in
+        let x = Circuit.Gates.matrix Circuit.Gates.X in
+        let hd = Dd.Pkg.gate p ~n:3 ~controls:[] ~target:0 h in
+        let cx = Dd.Pkg.gate p ~n:3 ~controls:[ (0, true) ] ~target:2 x in
+        ignore (Dd.Mat.mul p cx hd))
+    in
+    let generic = generic.Obs.Scope.metrics in
     Alcotest.(check bool) "mm cache observed" true
       (M.find generic "dd.cache.mm.hits" + M.find generic "dd.cache.mm.misses" > 0);
     Alcotest.(check bool) "timings non-negative" true
@@ -264,4 +306,5 @@ let suite =
   ; Alcotest.test_case "metrics snapshot to json" `Quick test_metrics_to_json
   ; Alcotest.test_case "clock is monotonic" `Quick test_clock_monotonic
   ; Alcotest.test_case "verify reports metrics" `Quick test_verify_reports_metrics
+  ; Alcotest.test_case "a scope reads its own work" `Quick test_scope
   ]

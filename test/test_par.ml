@@ -1,8 +1,8 @@
-(* Helper-domain tests: races, batches and parallel extraction borrow the
-   same parked helper, a helper idle past the grace retires, at most
-   [max_parked] helpers stay parked, a task's exception reaches [join]
-   with its backtrace, and a cancelled race candidate leaves no safepoint
-   hook behind on its helper. *)
+(* Helper-domain tests: races, batches, the daemon's workers and parallel
+   extraction borrow the same parked helper, a helper idle past the grace
+   retires, at most [max_parked] helpers stay parked, a task's exception
+   reaches [join] with its backtrace, and a cancelled race candidate
+   leaves no safepoint hook behind on its helper. *)
 
 module Helper = Par.Helper
 module Pair = Algorithms.Pair
@@ -78,6 +78,28 @@ let test_pool_then_race () =
       (candidate_1_domain ())
   | ds -> Alcotest.failf "worker 0 ran on %d domains" (List.length ds)
 
+(* [Pool.create]'s worker loops are helper tasks: the daemon's worker
+   runs on a helper domain, and once [shutdown] has joined it the next
+   parallel call borrows that domain. *)
+let test_daemon_worker_is_a_helper () =
+  let pool =
+    Engine.Pool.create { Engine.Pool.default_config with Engine.Pool.workers = 1 }
+  in
+  let p = Algorithms.Bv.make (Algorithms.Bv.hidden_string ~seed:3 4) in
+  let spec =
+    Engine.Job.circuits ~perm:p.Pair.dyn_to_static ~index:0 p.Pair.static_circuit
+      p.Pair.dynamic_circuit
+  in
+  let ran_on = Atomic.make (-1) in
+  (match Engine.Pool.submit pool ~on_done:(fun _ -> Atomic.set ran_on (self ())) spec with
+   | Ok () -> ()
+   | Error `Stopped -> Alcotest.fail "a fresh pool refused a job");
+  Engine.Pool.shutdown pool;
+  let d = Atomic.get ran_on in
+  Alcotest.(check bool) "the worker ran on another domain" true (d >= 0 && d <> self ());
+  Alcotest.(check int) "the next parallel call borrows it" d
+    (Helper.join (Helper.spawn self))
+
 let test_idle_helper_retires () =
   let d = candidate_1_domain () in
   let parked_at = Unix.gettimeofday () in
@@ -137,7 +159,7 @@ let test_exception_reaches_join () =
            (Fmt.str "the backtrace names the raise:\n%s" bt)
            true
            (Util.contains ~sub:"test_par.ml" bt));
-      let d, _ = Helper.join (Helper.spawn self) in
+      let d = Helper.join (Helper.spawn self) in
       Alcotest.(check int) "the same helper serves the next task" (Atomic.get raised_on) d)
 
 (* A cancelled candidate unwinds through its safepoint hook; the hook is
@@ -148,7 +170,7 @@ let test_cancelled_candidate_leaves_no_hook () =
   (match (List.nth r.Verify.candidates 1).Verify.c_outcome with
    | `Cancelled -> ()
    | o -> Alcotest.failf "candidate 1: expected `Cancelled, got %a" Verify.pp_candidate_outcome o);
-  let next, _ =
+  let next =
     Helper.join
       (Helper.spawn (fun () ->
          let p = Dd.Pkg.create () in
@@ -169,4 +191,6 @@ let suite =
       test_exception_reaches_join
   ; Alcotest.test_case "a cancelled candidate leaves no safepoint hook" `Quick
       test_cancelled_candidate_leaves_no_hook
+  ; Alcotest.test_case "the daemon's worker borrows a helper" `Quick
+      test_daemon_worker_is_a_helper
   ]

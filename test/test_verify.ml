@@ -88,6 +88,36 @@ let test_negative_distribution () =
   Alcotest.(check bool) "distribution check catches mutation" false
     r.Qcec.Verify.distributions_equal
 
+(* A cutoff that prunes every branch leaves two empty distributions at
+   total variation 0: the lost mass keeps that from reading equivalent.
+   A cutoff outside [0, 1) is refused before any work. *)
+let test_distribution_counts_lost_mass () =
+  let dyn = Algorithms.Qft.dynamic 4 and static = Algorithms.Ghz.static 4 in
+  let r = Qcec.Verify.distribution ~cutoff:0.6 dyn static in
+  Alcotest.(check int) "nothing extracted" 0
+    (List.length r.Qcec.Verify.dynamic_distribution);
+  Alcotest.(check (float 0.0)) "the extracted parts agree" 0.0 r.Qcec.Verify.total_variation;
+  Alcotest.(check (float 1e-12)) "both sides lost all their mass" 2.0
+    r.Qcec.Verify.lost_mass;
+  Alcotest.(check bool) "so they are not called equivalent" false
+    r.Qcec.Verify.distributions_equal;
+  let pair = Algorithms.Qft.make 4 in
+  let full = Qcec.Verify.distribution pair.Pair.dynamic_circuit pair.Pair.static_circuit in
+  Alcotest.(check bool) "an unpruned equivalent pair still is" true
+    (full.Qcec.Verify.distributions_equal && full.Qcec.Verify.lost_mass <= 1e-14);
+  List.iter
+    (fun cutoff ->
+      let refused name f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted cutoff %g" name cutoff
+        | exception Invalid_argument _ -> ()
+      in
+      refused "Verify.distribution" (fun () ->
+        ignore (Qcec.Verify.distribution ~cutoff dyn static));
+      refused "Extraction.run" (fun () -> ignore (Qsim.Extraction.run ~cutoff dyn));
+      refused "Extraction.tree" (fun () -> ignore (Qsim.Extraction.tree ~cutoff dyn)))
+    [ -1.0; Float.nan; 1.0; 1.5 ]
+
 let test_distribution_families () =
   List.iter
     (fun (name, (pair : Pair.t)) ->
@@ -381,4 +411,6 @@ let suite =
   ; Util.qtest prop_measure_terminal_matches_dense
   ; Util.qtest prop_distribution_matches_dense
   ; Util.qtest prop_compacting_strategies
+  ; Alcotest.test_case "pruned mass never reads equivalent" `Quick
+      test_distribution_counts_lost_mass
   ]
