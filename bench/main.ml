@@ -92,7 +92,8 @@ let bench_row ?(extract = true) ?(verify = true) (pair : Pair.t) =
   in
   let t_extract, t_sim, distributions_equal =
     if extract then begin
-      let r = Qcec.Verify.distribution dyn static in
+      (* one domain: the paper's sequential t_extract and t_sim *)
+      let r = Qcec.Verify.distribution ~domains:1 dyn static in
       if not r.Qcec.Verify.distributions_equal then
         report_failure "%s: distributions differ!@." static.Circ.name;
       ( Some r.Qcec.Verify.t_extract
@@ -338,17 +339,23 @@ let ablation_pruning () =
 let ablation_parallel () =
   pr "@.== Ablation: parallel extraction (Section 5 notes the branches are@.";
   pr "embarrassingly parallel; the paper's own evaluation is sequential) ==@.@.";
-  let n = 13 in
-  let dyn = Algorithms.Qft.dynamic n in
-  pr "QFT %d (%d branches):@." n (1 lsl n);
+  let default = Domain.recommended_domain_count () in
   List.iter
-    (fun domains ->
-      let t0 = Qcec.Verify.now () in
-      let r = Qsim.Extraction.run ~domains dyn in
-      let dt = Qcec.Verify.now () -. t0 in
-      pr "  domains = %d: %.4f s (%d leaves)@." domains dt
-        r.Qsim.Extraction.stats.Qsim.Extraction.leaves)
-    [ 1; 2; 4; 8 ]
+    (fun (name, dyn) ->
+      pr "%s:@." name;
+      List.iter
+        (fun domains ->
+          let t0 = Qcec.Verify.now () in
+          let r = Qsim.Extraction.run ~domains dyn in
+          let dt = Qcec.Verify.now () -. t0 in
+          let st = r.Qsim.Extraction.stats in
+          pr "  domains = %d: %.4f s (%d leaves, %d gate applications)@." domains dt
+            st.Qsim.Extraction.leaves st.Qsim.Extraction.gate_applications)
+        (if default > 1 then [ 1; default ] else [ 1 ]))
+    [ ("QFT 13 (a genuine branch at every measurement)", Algorithms.Qft.dynamic 13)
+    ; ( "BV 128 (no genuine branch: one domain walks)"
+      , Algorithms.Bv.dynamic (Algorithms.Bv.hidden_string ~seed:128 127) )
+    ]
 
 let ablation_strategies () =
   pr "@.== Ablation: equivalence-checking strategies (QPE textbook, 8 bits) ==@.@.";

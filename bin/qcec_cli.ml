@@ -258,7 +258,12 @@ let distribution_cmd =
     enable_stats stats_json;
     let dyn = load dyn_file and static = load static_file in
     let r, reading =
-      Obs.Scope.run (fun () -> Qcec.Verify.distribution ~eps ~cutoff ~domains dyn static)
+      try
+        Obs.Scope.run (fun () -> Qcec.Verify.distribution ~eps ~cutoff ~domains dyn static)
+      with Qcec.Verify.Cbits_mismatch { dynamic; static } ->
+        Fmt.epr "qcec distribution: %s writes %d classical bits but %s writes %d@."
+          dyn_file dynamic static_file static;
+        exit 2
     in
     Fmt.pr "%a@." Qcec.Verify.pp_distribution r;
     maybe_write_stats stats_json ~command:"distribution"
@@ -287,7 +292,20 @@ let distribution_cmd =
   let dyn = Arg.(required & pos 0 (some string) None & info [] ~docv:"DYNAMIC.qasm") in
   let static = Arg.(required & pos 1 (some string) None & info [] ~docv:"STATIC.qasm") in
   let domains =
-    Arg.(value & opt int 1 & info [ "j"; "domains" ] ~doc:"parallel domains")
+    let parse s =
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> Ok k
+      | Some k -> Error (`Msg (Fmt.str "must be a domain count >= 1, got %d" k))
+      | None -> Error (`Msg (Fmt.str "expected a domain count >= 1, got %s" s))
+    in
+    Arg.(
+      value
+      & opt (conv (parse, Fmt.int)) (Domain.recommended_domain_count ())
+      & info [ "j"; "domains" ] ~docv:"N"
+          ~doc:
+            "The most domains the check uses, the calling one included: the \
+             reference runs beside the extraction walk, which splits where \
+             both outcomes of a branch point survive the cutoff")
   in
   let eps =
     Arg.(value & opt float 1e-9 & info [ "eps" ] ~doc:"total-variation tolerance")

@@ -20,6 +20,12 @@ exception Rejected of Analysis.Diagnostic.t
     and before any DD package is constructed. *)
 exception Perm_mismatch of { entries : int; qubits : int }
 
+(** Raised by {!distribution} when the two circuits write different
+    numbers of classical bits, [dynamic] and [static]: their outcome
+    strings cannot be compared.  Raised before any task is lent or DD
+    package constructed. *)
+exception Cbits_mismatch of { dynamic : int; static : int }
+
 (** {1 Scheme 1 (Section 4): full functional verification} *)
 
 type functional_result =
@@ -53,9 +59,15 @@ type distribution_result =
             [max 0 (1 - mass)] of each *)
   ; t_extract : float
         (** seconds extracting the dynamic circuit's distribution
-            ([t_extract]) *)
+            ([t_extract]): from the start of the call until every task
+            of the walk is done and the distribution is built *)
   ; t_simulate : float
-        (** seconds classically simulating the static circuit ([t_sim]) *)
+        (** seconds classically simulating the static circuit ([t_sim]),
+            timed in the reference's own task: the simulation alone,
+            without reading the distribution out of the final state, or
+            the extraction of a dynamic reference.  The reference runs
+            beside the walk, so [t_extract +. t_simulate] can exceed the
+            call's wall time *)
   ; dynamic_distribution : Distribution.t
   ; static_distribution : Distribution.t
   ; extraction_stats : Qsim.Extraction.stats
@@ -127,13 +139,25 @@ val approximate :
 
 (** [distribution ?eps ?cutoff ?domains dynamic static] extracts the
     measurement-outcome distribution of [dynamic] (Section 5 scheme) and
-    compares it with the distribution obtained by classically simulating
-    [static] (which must not be dynamic) and marginalizing its final state
-    onto its measured classical bits.  Both circuits start from |0...0>
-    and must write the same classical bits.  [cutoff] (default [1e-12])
-    prunes both sides as in {!Qsim.Extraction.run}; outside [[0, 1)],
-    NaN included, the extraction of [dynamic], which runs first, raises
-    [Invalid_argument]. *)
+    compares it with the distribution of the reference [static]: a
+    static reference is simulated once and its final state marginalized
+    onto its measured classical bits, a dynamic one is extracted too.
+    Both circuits start from |0...0> and must write the same number of
+    classical bits, or {!Cbits_mismatch} is raised.  [cutoff] (default
+    [1e-12]) prunes both sides as in {!Qsim.Extraction.run}; outside
+    [[0, 1)], NaN included, it raises [Invalid_argument], and so does a
+    [domains] below 1.  Both are checked before any work.
+
+    [domains] bounds the domains the call uses, the calling one included
+    (default [Domain.recommended_domain_count ()]).  The reference is
+    lent to a helper domain ({!Par.Bag}) while the calling domain walks
+    [dynamic], and the walk lends subtrees where its tree branches, as
+    in {!Qsim.Extraction.run}; at most [domains - 1] tasks are lent at
+    once.  On one domain the reference runs after the walk, the paper's
+    sequential order.  [extraction_stats] count the same leaves, branch
+    points and pruned branches at any [domains].  Every lent task is
+    joined before the call returns or raises; a safepoint hook the
+    caller installed does not run in them. *)
 val distribution :
      ?eps:float
   -> ?cutoff:float

@@ -1,10 +1,13 @@
 (** Helper domains that parallel calls borrow instead of spawning.
 
-    A race ([Qcec.Verify.portfolio]), a batch ([Engine.Pool.run]) and a
-    parallel extraction ([Qsim.Extraction.run ~domains]) each run one
-    share of their work on the calling domain and hand the others to
-    helpers; the daemon's pool ([Engine.Pool.create]) lends each of its
-    worker loops to one until [Engine.Pool.shutdown] joins it.  {!spawn}
+    A race ([Qcec.Verify.portfolio]) and a batch ([Engine.Pool.run]) each
+    run one share of their work on the calling domain and hand the
+    others to helpers; the daemon's pool ([Engine.Pool.create]) lends
+    each of its worker loops to one until [Engine.Pool.shutdown] joins
+    it.  A Section 5 check ([Qcec.Verify.distribution]) lends its
+    reference and the subtrees its extraction walk splits off, and a
+    bare extraction ([Qsim.Extraction.run]) its subtrees, through a
+    {!Bag} that keeps at most [domains - 1] of them on helpers.  {!spawn}
     lends a task to a parked helper and spawns a domain only when none
     is parked; when the task ends its helper parks again, so a process
     that runs thousands of width-2 races runs every candidate 1 on the

@@ -1,4 +1,3 @@
-module Op = Circuit.Op
 module Circ = Circuit.Circ
 module M = Obs.Metrics
 
@@ -93,31 +92,52 @@ let settle p ~n (i : Dd_sim.instr) state cvals o =
     ((if o = 1 then Mat.apply_sig p ~n x state' else state'), cvals)
   | Gate _ | Cond _ -> assert false (* branch points only *)
 
-(* The core branching walk over a program compiled for [p]; it returns
-   the leaves, one (assignment, probability) pair per path.  [forced]
-   optionally prescribes outcomes for the first branch points (used by
-   the parallel driver).  Every task that shares the forced bits above a
-   forced branch point reaches it, so only the one whose forced bits from
-   there on are all 0 counts it, and only the one whose later forced bits
-   are all 0 counts its outcome as pruned: the counts then add up to the
-   one-domain walk's.
+(* A subtree of the walk, lent where the walk splits: the outcomes of
+   the branch points from the root down to its own (its own, 1, last),
+   the probability of that path and the genuine branch points on it.
+   Once it has run, [out] holds its counters and its leaves in pieces,
+   the last found first: a run of leaves, or a subtree it split off
+   there. *)
+type subtree =
+  { path : int list
+  ; prob : float
+  ; level : int
+  ; mutable out : (piece list * counters) option
+  }
+
+and piece =
+  | Leaves of (string * float) list
+  | Split of subtree
+
+(* One task of the branching walk, in a package of its own: it replays
+   the forced prefix of [job] and walks the subtree below.  The prefix
+   counts only its gates, which is work done; its branch points and
+   pruned branches are counted by the task that walked them.
+
+   A genuine branch point is one where both outcomes survive the cutoff.
+   Within the first [levels] of them on a path, the walk lends its
+   outcome-1 subtree ([split]) and goes on with outcome 0, so the leaves,
+   branch points and pruned branches add up to the one-domain walk's.
+   A deterministic measurement or reset does not split.
 
    Each branch frame holds its state in a registered root: the parent's
    pre-projection state stays rooted across the recursion into the first
    outcome, so automatic compaction at any checkpoint safepoint cannot
    sweep a state that a pending sibling branch still needs. *)
-let walk ~pkg:p ~n ~cutoff ~counters ?(forced = [||]) prog num_cbits =
-  let leaves = ref [] in
-  (* forced bits past this index are all 0 *)
-  let last_one = ref (-1) in
-  Array.iteri (fun k o -> if o = 1 then last_one := k) forced;
-  let last_one = !last_one in
+let walk ~split ~levels ~cutoff (c : Circ.t) job =
+  let p = Pkg.create () in
+  let n = c.Circ.num_qubits in
+  let prog = Dd_sim.compile p c.Circ.ops in
+  let counters = new_counters () in
+  let leaves = ref [] and pieces = ref [] in
   let apply r s =
     counters.c_gates <- counters.c_gates + 1;
     Pkg.set_vroot r (Mat.apply_sig p ~n s (Pkg.vroot_edge r));
     Pkg.checkpoint p
   in
-  let rec go r pc cvals prob depth =
+  (* [path] is the outcomes so far, the last first, kept only while a
+     split may still come *)
+  let rec go r pc cvals prob path level =
     if pc = Array.length prog then begin
       counters.c_leaves <- counters.c_leaves + 1;
       leaves := (Bytes.to_string cvals, prob) :: !leaves
@@ -126,39 +146,104 @@ let walk ~pkg:p ~n ~cutoff ~counters ?(forced = [||]) prog num_cbits =
       match prog.(pc) with
       | Dd_sim.Gate s ->
         apply r s;
-        go r (pc + 1) cvals prob depth
+        go r (pc + 1) cvals prob path level
       | Cond (cond, s) ->
         if Classical.cond_holds cond cvals then apply r s;
-        go r (pc + 1) cvals prob depth
+        go r (pc + 1) cvals prob path level
       | (Measure { qubit; _ } | Reset { qubit; _ }) as i ->
+        counters.c_branch_points <- counters.c_branch_points + 1;
         let p0, p1 = outcome_probs p (Pkg.vroot_edge r) qubit in
+        let live0 = prob *. p0 > cutoff and live1 = prob *. p1 > cutoff in
+        let below = if live0 && live1 then level + 1 else level in
         let take o p_out =
           let state', cvals' = settle p ~n i (Pkg.vroot_edge r) cvals o in
           Pkg.with_root_v p state' (fun r' ->
               Pkg.checkpoint p;
-              go r' (pc + 1) cvals' (prob *. p_out) (depth + 1))
+              go r' (pc + 1) cvals' (prob *. p_out)
+                (if below < levels then o :: path else [])
+                below)
         in
-        if depth < Array.length forced then begin
-          if depth > last_one then
-            counters.c_branch_points <- counters.c_branch_points + 1;
-          let o = forced.(depth) in
-          let p_out = if o = 1 then p1 else p0 in
-          if prob *. p_out > cutoff then take o p_out
-          else if depth >= last_one then counters.c_pruned <- counters.c_pruned + 1
+        if live0 && live1 && level < levels then begin
+          let sub =
+            { path = List.rev (1 :: path); prob = prob *. p1; level = below; out = None }
+          in
+          pieces := Split sub :: Leaves !leaves :: !pieces;
+          leaves := [];
+          split sub;
+          take 0 p0
         end
         else begin
-          counters.c_branch_points <- counters.c_branch_points + 1;
-          if prob *. p1 > cutoff then take 1 p1
-          else counters.c_pruned <- counters.c_pruned + 1;
-          if prob *. p0 > cutoff then take 0 p0
-          else counters.c_pruned <- counters.c_pruned + 1
+          if live1 then take 1 p1 else counters.c_pruned <- counters.c_pruned + 1;
+          if live0 then take 0 p0 else counters.c_pruned <- counters.c_pruned + 1
         end
   in
+  (* no sibling waits on a forced outcome, so the replay keeps one root *)
+  let rec replay r pc cvals = function
+    | [] ->
+      let path = if job.level < levels then List.rev job.path else [] in
+      go r pc cvals job.prob path job.level
+    | o :: rest as path ->
+      (match prog.(pc) with
+       | Dd_sim.Gate s ->
+         apply r s;
+         replay r (pc + 1) cvals path
+       | Cond (cond, s) ->
+         if Classical.cond_holds cond cvals then apply r s;
+         replay r (pc + 1) cvals path
+       | (Measure _ | Reset _) as i ->
+         let state', cvals' = settle p ~n i (Pkg.vroot_edge r) cvals o in
+         Pkg.set_vroot r state';
+         Pkg.checkpoint p;
+         replay r (pc + 1) cvals' rest)
+  in
   Pkg.with_root_v p (Pkg.zero_state p n) (fun r ->
-      go r 0 (Bytes.make num_cbits '0') 1.0 0);
-  !leaves
+      replay r 0 (Bytes.make c.Circ.num_cbits '0') job.path);
+  job.out <- Some (Leaves !leaves :: !pieces, counters)
 
-let result leaves counters =
+(* The leaves of [job] and of the subtrees it split off, in the order the
+   one-domain walk finds them, put before [acc]; the counters are added
+   to [total]. *)
+let rec collect total job acc =
+  let pieces, c = Option.get job.out in
+  total.c_leaves <- total.c_leaves + c.c_leaves;
+  total.c_branch_points <- total.c_branch_points + c.c_branch_points;
+  total.c_pruned <- total.c_pruned + c.c_pruned;
+  total.c_gates <- total.c_gates + c.c_gates;
+  List.fold_right
+    (fun piece acc ->
+      match piece with
+      | Leaves l -> if acc = [] then l else l @ acc
+      | Split sub -> collect total sub acc)
+    pieces acc
+
+let valid_cutoff cutoff = cutoff >= 0.0 && cutoff < 1.0
+
+let check_cutoff fn cutoff =
+  if not (valid_cutoff cutoff) then
+    invalid_arg (Fmt.str "Extraction.%s: cutoff %g is outside [0, 1)" fn cutoff)
+
+(* the least [k] with [2^k >= d] *)
+let levels_for d =
+  let rec go k = if 1 lsl k >= d then k else go (k + 1) in
+  go 0
+
+let run_in bag ?(cutoff = 1e-12) (c : Circ.t) =
+  check_cutoff "run" cutoff;
+  M.incr m_runs;
+  let levels = levels_for (Par.Bag.domains bag) in
+  let pending = Atomic.make 0 in
+  let rec split sub =
+    Atomic.incr pending;
+    Par.Bag.lend bag (fun () ->
+      walk ~split ~levels ~cutoff c sub;
+      Atomic.decr pending)
+  in
+  let root = { path = []; prob = 1.0; level = 0; out = None } in
+  Obs.Span.with_ "extract.walk" (fun () ->
+    walk ~split ~levels ~cutoff c root;
+    Par.Bag.help bag ~until:(fun () -> Atomic.get pending = 0));
+  let counters = new_counters () in
+  let leaves = collect counters root [] in
   publish_counters counters;
   { distribution = Classical.canonical leaves
   ; stats =
@@ -169,87 +254,9 @@ let result leaves counters =
       }
   }
 
-let run_sequential ~cutoff (c : Circ.t) =
-  let p = Pkg.create () in
-  let counters = new_counters () in
-  let leaves =
-    Obs.Span.with_ "extract.walk" (fun () ->
-      walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters
-        (Dd_sim.compile p c.Circ.ops) c.Circ.num_cbits)
-  in
-  result leaves counters
-
-(* Parallel driver: the first [depth] branch points are forced per task,
-   so the 2^depth tasks partition the branching tree; each re-simulates
-   its prefix in a private package (DD nodes cannot be shared across
-   domains). *)
-let run_parallel ~cutoff ~domains (c : Circ.t) =
-  let branchy =
-    List.exists (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops
-  in
-  if not branchy then run_sequential ~cutoff c
-  else begin
-    let rec depth_for d = if 1 lsl d >= domains then d else depth_for (d + 1) in
-    let n_branches =
-      List.length
-        (List.filter (function Op.Measure _ | Op.Reset _ -> true | _ -> false) c.Circ.ops)
-    in
-    let depth = min (depth_for 0) n_branches in
-    let tasks = 1 lsl depth in
-    let task_of idx () =
-      let p = Pkg.create () in
-      let counters = new_counters () in
-      let forced = Array.init depth (fun k -> (idx lsr k) land 1) in
-      let leaves =
-        walk ~pkg:p ~n:c.Circ.num_qubits ~cutoff ~counters ~forced
-          (Dd_sim.compile p c.Circ.ops) c.Circ.num_cbits
-      in
-      (leaves, counters)
-    in
-    (* run at most [domains] tasks simultaneously: the first of each
-       batch on the calling domain, the others on helper domains, whose
-       registries are folded into the caller at join *)
-    let results = Array.make tasks None in
-    Obs.Span.with_ "extract.walk.parallel" (fun () ->
-      let next = ref 0 in
-      while !next < tasks do
-        let first = !next in
-        let batch = min domains (tasks - first) in
-        let r, others =
-          Par.Helper.fork_join
-            (List.init (batch - 1) (fun k -> task_of (first + 1 + k)))
-            (task_of first)
-        in
-        results.(first) <- Some r;
-        List.iteri (fun k r -> results.(first + 1 + k) <- Some r) others;
-        next := first + batch
-      done);
-    let counters = new_counters () in
-    let leaves =
-      Array.fold_left
-        (fun acc -> function
-          | None -> acc
-          | Some (leaves, ctr) ->
-            counters.c_leaves <- counters.c_leaves + ctr.c_leaves;
-            counters.c_branch_points <- counters.c_branch_points + ctr.c_branch_points;
-            counters.c_pruned <- counters.c_pruned + ctr.c_pruned;
-            counters.c_gates <- counters.c_gates + ctr.c_gates;
-            List.rev_append leaves acc)
-        [] results
-    in
-    result leaves counters
-  end
-
-let valid_cutoff cutoff = cutoff >= 0.0 && cutoff < 1.0
-
-let check_cutoff fn cutoff =
-  if not (valid_cutoff cutoff) then
-    invalid_arg (Fmt.str "Extraction.%s: cutoff %g is outside [0, 1)" fn cutoff)
-
-let run ?(cutoff = 1e-12) ?(domains = 1) c =
-  check_cutoff "run" cutoff;
-  M.incr m_runs;
-  if domains <= 1 then run_sequential ~cutoff c else run_parallel ~cutoff ~domains c
+let run ?cutoff ?(domains = Domain.recommended_domain_count ()) c =
+  if domains < 1 then invalid_arg (Fmt.str "Extraction.run: %d domains" domains);
+  Par.Bag.run ~domains (fun bag -> run_in bag ?cutoff c)
 
 let tree ?(cutoff = 1e-12) (c : Circ.t) =
   check_cutoff "tree" cutoff;

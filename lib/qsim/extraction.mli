@@ -16,9 +16,9 @@ type stats =
   ; branch_points : int  (** measurements/resets encountered, over all paths *)
   ; pruned : int  (** branches cut off by the probability threshold *)
   ; gate_applications : int
-        (** gates applied, over all paths; a parallel walk also counts
-            the forced prefix every task re-simulates, because that is
-            work done *)
+        (** gates applied, over all paths; a split walk also counts the
+            prefix each lent subtree re-simulates, because that is work
+            done *)
   }
 
 type result =
@@ -58,16 +58,25 @@ val valid_cutoff : float -> bool
 
     [cutoff] prunes branches with accumulated probability at or below it
     (default [1e-12]); outside [[0, 1)] it raises [Invalid_argument].
-    [domains] > 1 distributes the first branch points
-    over that many OCaml domains, the calling one included, each
-    re-simulating its forced prefix with a private DD package (the paper
-    notes the branches are embarrassingly parallel; its own evaluation is
-    sequential, and so is the default here).  [leaves], [branch_points]
-    and [pruned] equal the one-domain walk's at any domain count.  The
-    tasks the calling domain does not run go to helper domains
-    ({!Par.Helper.spawn}), whose readings are folded into the caller's
-    registries at join.  The walk roots the state of every pending
-    branch, so the packages' checkpoint sweeps are safe mid-walk.
+    [domains] bounds the domains the walk uses, the calling one included
+    (default [Domain.recommended_domain_count ()]); below 1 it raises
+    [Invalid_argument].  The paper notes the branches are embarrassingly
+    parallel; its own evaluation is sequential, and [~domains:1] walks in
+    exactly that order.  A genuine branch point is one where both
+    outcomes survive the cutoff.  Within the first [ceil (log2 domains)]
+    of them on a path, the walk lends its outcome-1 subtree to a
+    {!Par.Bag} of [domains] domains and goes on with outcome 0: a free
+    helper takes it at once, otherwise the next domain of the call whose
+    task ends.  A circuit without a genuine branch point (dynamic BV, say)
+    runs on the calling domain alone.  Each subtree re-simulates its
+    forced prefix in a package of its own, so the work and every count
+    are the same whichever domain runs it, and [leaves], [branch_points]
+    and [pruned] equal the one-domain walk's.  The leaves are merged in
+    the one-domain walk's order, so at a given [domains] the distribution
+    is bit-identical from run to run.  A lent subtree's readings are folded into the
+    caller at join; a safepoint hook the caller installed does not run
+    in it.  The walk roots the state of every pending branch, so the
+    packages' checkpoint sweeps are safe mid-walk.
 
     Each package compiles [c] once ({!Dd_sim.compile}) before its
     walk, so a branch pays only for DD work, not for resolving gate
@@ -76,6 +85,12 @@ val valid_cutoff : float -> bool
     reused.  The leaves are collected in a list and summed into the
     distribution by one sort. *)
 val run : ?cutoff:float -> ?domains:int -> Circuit.Circ.t -> result
+
+(** [run_in bag c] is {!run} with the walk's subtrees lent to [bag],
+    which may hold the caller's other tasks: [Par.Bag.domains bag] plays
+    the part of [domains].  It returns once its own subtrees are done,
+    and runs waiting tasks of the bag on the calling domain until then. *)
+val run_in : Par.Bag.t -> ?cutoff:float -> Circuit.Circ.t -> result
 
 (** [tree c] materializes the whole branching structure; only sensible
     for small numbers of measurements.  It walks a compiled program,

@@ -112,15 +112,27 @@ let test_tree_structure () =
   Alcotest.(check bool) "render mentions measure" true
     (String.length rendered > 0 && String.sub rendered 0 7 = "measure")
 
+let counts (r : Qsim.Extraction.result) =
+  let st = r.Qsim.Extraction.stats in
+  Qsim.Extraction.(st.leaves, st.branch_points, st.pruned)
+
+let gate_applications (r : Qsim.Extraction.result) =
+  r.Qsim.Extraction.stats.Qsim.Extraction.gate_applications
+
 let test_parallel_matches_sequential () =
   let dyn = Algorithms.Qft.dynamic 6 in
-  let seq = Qsim.Extraction.run dyn in
+  let seq = Qsim.Extraction.run ~domains:1 dyn in
   let par = Qsim.Extraction.run ~domains:4 dyn in
   Util.check_distributions "parallel = sequential"
     seq.Qsim.Extraction.distribution par.Qsim.Extraction.distribution;
-  Alcotest.(check int) "same leaf count"
-    seq.Qsim.Extraction.stats.Qsim.Extraction.leaves
-    par.Qsim.Extraction.stats.Qsim.Extraction.leaves
+  Alcotest.(check (triple int int int)) "same leaves, branch points and pruned"
+    (counts seq) (counts par);
+  List.iter
+    (fun domains ->
+      match Qsim.Extraction.run ~domains dyn with
+      | _ -> Alcotest.failf "%d domains accepted" domains
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
 
 (* Branches of this circuit outgrow the sweep floor, so the default
    package sweeps mid-walk; the distribution must still be the dense
@@ -210,28 +222,64 @@ let prop_mass_is_one =
       in
       Float.abs (Qcec.Distribution.mass (extract dyn) -. 1.0) < 1e-8)
 
+(* Resets of qubits that X and CX keep in basis states: every branch
+   point keeps one outcome. *)
+let basis_resets seed =
+  let st = Random.State.make [| seed |] in
+  let q () = Random.State.int st 3 in
+  let op _ =
+    match Random.State.int st 3 with
+    | 0 -> Op.apply Gates.X (q ())
+    | 1 ->
+      let c = q () in
+      Op.controlled Gates.X ~control:c ~target:((c + 1 + Random.State.int st 2) mod 3)
+    | _ -> Op.Reset (q ())
+  in
+  Circ.make ~name:"basis_resets" ~qubits:3 ~cbits:1 (List.init 12 op)
+
+(* The gates a circuit applies before its first branch point. *)
+let rec prefix_gates = function
+  | (Op.Apply _ | Op.Swap _) :: rest -> 1 + prefix_gates rest
+  | _ -> 0
+
 (* On 2 and 4 domains the walk finds the one-domain distribution and
-   counts the same leaves, branch points and pruned branches. *)
+   counts the same leaves, branch points and pruned branches.  Where no
+   branch point keeps both outcomes it never splits, so it applies the
+   same gates too: dynamic BV-6 and a circuit whose only branch points
+   are resets.  Dynamic QFT-6 splits at its first measurement on 2
+   domains, and the lent subtree re-applies the gates before it. *)
 let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"parallel extraction = sequential" ~count:12
     QCheck.(int_range 0 1000000)
     (fun seed ->
+      let run domains c = Qsim.Extraction.run ~domains c in
       let dyn =
         Algorithms.Random_circuit.dynamic ~seed ~qubits:3 ~cbits:3 ~ops:12
       in
-      let s = Qsim.Extraction.run dyn in
-      let counts (r : Qsim.Extraction.result) =
-        let st = r.Qsim.Extraction.stats in
-        Qsim.Extraction.(st.leaves, st.branch_points, st.pruned)
+      let s = run 1 dyn in
+      let unsplit c =
+        let s = run 1 c in
+        List.for_all
+          (fun domains ->
+            let p = run domains c in
+            p.Qsim.Extraction.distribution = s.Qsim.Extraction.distribution
+            && counts p = counts s
+            && gate_applications p = gate_applications s)
+          [ 1; 2; 4 ]
       in
+      let qft = Algorithms.Qft.dynamic 6 in
       List.for_all
         (fun domains ->
-          let p = Qsim.Extraction.run ~domains dyn in
+          let p = run domains dyn in
           Qcec.Distribution.total_variation s.Qsim.Extraction.distribution
             p.Qsim.Extraction.distribution
           < 1e-9
           && counts p = counts s)
-        [ 2; 4 ])
+        [ 2; 4 ]
+      && unsplit (Algorithms.Bv.dynamic (Algorithms.Bv.hidden_string ~seed 5))
+      && unsplit (basis_resets seed)
+      && gate_applications (run 2 qft)
+         = gate_applications (run 1 qft) + prefix_gates qft.Circ.ops)
 
 (* The walk roots every pending branch: with a compaction at every
    checkpoint, on one domain or two, it still meets the dense oracle. *)

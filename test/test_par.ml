@@ -117,12 +117,12 @@ let test_idle_helper_retires () =
   Alcotest.(check bool) "the next race spawns a new helper" true
     (candidate_1_domain () <> d)
 
-(* Four domains split QPE-3's first two measurements into four tasks: the
-   caller runs one and three helpers the others.  On a 2-vCPU host only
-   one of them may stay parked. *)
+(* Both outcomes of QPE-3's first two measurements survive, so four
+   domains split its walk into four tasks: the caller runs one and lends
+   three.  On a 2-vCPU host only one helper may stay parked. *)
 let test_extraction_caps_parked () =
   let dyn = Algorithms.Qpe.dynamic ~theta:(3.0 /. 16.0) ~bits:3 in
-  let seq = Qsim.Extraction.run dyn in
+  let seq = Qsim.Extraction.run ~domains:1 dyn in
   let par = Qsim.Extraction.run ~domains:4 dyn in
   Util.check_distributions "4 domains extract the sequential distribution"
     seq.Qsim.Extraction.distribution par.Qsim.Extraction.distribution;

@@ -359,9 +359,23 @@ let prop_distribution_matches_dense =
       let dense_dyn = Qsim.Statevector.extract_distribution dyn in
       let dense_static = Qsim.Statevector.extract_distribution static in
       let tv = Qcec.Distribution.total_variation in
+      (* one domain walks in the paper's order; the default and 4 domains
+         split the walk and run the reference beside it *)
+      let one = Qcec.Verify.distribution ~domains:1 dyn static in
+      let counts (r : Qcec.Verify.distribution_result) =
+        let st = r.Qcec.Verify.extraction_stats in
+        Qsim.Extraction.(st.leaves, st.branch_points, st.pruned)
+      in
       tv r.Qcec.Verify.dynamic_distribution dense_dyn <= 1e-9
       && tv r.Qcec.Verify.static_distribution dense_static <= 1e-9
-      && r.Qcec.Verify.distributions_equal = (tv dense_dyn dense_static <= 1e-9))
+      && r.Qcec.Verify.distributions_equal = (tv dense_dyn dense_static <= 1e-9)
+      && List.for_all
+           (fun (r : Qcec.Verify.distribution_result) ->
+             r.Qcec.Verify.distributions_equal = one.Qcec.Verify.distributions_equal
+             && Float.abs (r.Qcec.Verify.total_variation -. one.Qcec.Verify.total_variation)
+                <= 1e-12
+             && counts r = counts one)
+           [ r; Qcec.Verify.distribution ~domains:4 dyn static ])
 
 (* Unsorted lists over eight 3-bit assignments, so keys repeat. *)
 let arb_distribution =
@@ -384,6 +398,91 @@ let prop_total_variation_matches_reference =
       <= 1e-12
       && strictly_sorted canon
       && Float.abs (Qcec.Distribution.mass canon -. Qcec.Distribution.mass a) <= 1e-12)
+
+(* Outcome strings of 4 classical bits cannot be compared with ones of
+   3, and a domain count below 1 means nothing: both are refused before
+   any work. *)
+let test_distribution_inputs_refused () =
+  let dyn = Algorithms.Qft.dynamic 4 in
+  (match Qcec.Verify.distribution dyn (Algorithms.Qft.static 3) with
+   | _ -> Alcotest.fail "4 classical bits compared with 3"
+   | exception Qcec.Verify.Cbits_mismatch { dynamic; static } ->
+     Alcotest.(check (pair int int)) "both widths named" (4, 3) (dynamic, static));
+  List.iter
+    (fun domains ->
+      match Qcec.Verify.distribution ~domains dyn (Algorithms.Qft.static 4) with
+      | _ -> Alcotest.failf "%d domains accepted" domains
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
+
+exception Checkpoint
+
+(* A safepoint hook on the caller raises in the middle of its walk.  The
+   exception leaves [distribution] only once the reference, lent before
+   the walk began, is joined: its span is in the caller's reading.  The
+   next call then runs as usual. *)
+let test_distribution_joins_on_exception () =
+  let pair = Algorithms.Qft.make 6 in
+  let dyn = pair.Pair.dynamic_circuit and static = pair.Pair.static_circuit in
+  let k = ref 0 in
+  Obs.Metrics.set_enabled true;
+  Dd.Pkg.set_safepoint_hook
+    (Some
+       (fun _ ->
+         incr k;
+         if !k = 20 then raise Checkpoint));
+  let raised, reading =
+    Fun.protect
+      ~finally:(fun () ->
+        Dd.Pkg.set_safepoint_hook None;
+        Obs.Metrics.set_enabled false)
+      (fun () ->
+        Obs.Scope.run (fun () ->
+          match Qcec.Verify.distribution ~domains:2 dyn static with
+          | _ -> false
+          | exception Checkpoint -> true))
+  in
+  Alcotest.(check bool) "the hook's exception leaves the call" true raised;
+  Alcotest.(check (list int)) "the lent reference was joined first" [ 1 ]
+    (List.filter_map
+       (fun (e : Obs.Span.entry) ->
+         if e.Obs.Span.path = "verify.distribution.simulate" then Some e.Obs.Span.count
+         else None)
+       reading.Obs.Scope.spans);
+  Alcotest.(check bool) "the next call succeeds" true
+    (Qcec.Verify.distribution ~domains:2 dyn static).Qcec.Verify.distributions_equal
+
+(* The bare resets of q0 and q1 keep both outcomes and merge them into
+   one classical assignment, so leaves of different tasks add up in one
+   entry; they are merged in a fixed order. *)
+let test_distribution_deterministic () =
+  let dyn =
+    Circ.make ~name:"merging_resets" ~qubits:3 ~cbits:2
+      [ Op.apply Gates.H 0
+      ; Op.apply (Gates.RY 0.7) 1
+      ; Op.controlled Gates.X ~control:0 ~target:2
+      ; Op.Reset 0
+      ; Op.apply (Gates.RY 1.3) 0
+      ; Op.controlled Gates.X ~control:1 ~target:0
+      ; Op.Reset 1
+      ; Op.apply Gates.H 1
+      ; Op.controlled Gates.X ~control:1 ~target:2
+      ; Op.Measure { qubit = 0; cbit = 0 }
+      ; Op.apply (Gates.RY 0.4) 2
+      ; Op.Measure { qubit = 2; cbit = 1 }
+      ]
+  in
+  let static = Transform.Dynamic.transform dyn in
+  let run () = Qcec.Verify.distribution dyn static in
+  let first = run () in
+  Alcotest.(check bool) "equivalent" true first.Qcec.Verify.distributions_equal;
+  for i = 2 to 20 do
+    let r = run () in
+    if
+      r.Qcec.Verify.dynamic_distribution <> first.Qcec.Verify.dynamic_distribution
+      || r.Qcec.Verify.static_distribution <> first.Qcec.Verify.static_distribution
+    then Alcotest.failf "call %d returned another distribution" i
+  done
 
 let suite =
   [ Alcotest.test_case "BV functional" `Quick test_bv_functional
@@ -413,4 +512,10 @@ let suite =
   ; Util.qtest prop_compacting_strategies
   ; Alcotest.test_case "pruned mass never reads equivalent" `Quick
       test_distribution_counts_lost_mass
+  ; Alcotest.test_case "mismatched registers and domain counts refused" `Quick
+      test_distribution_inputs_refused
+  ; Alcotest.test_case "an exception leaves once every lent task is joined" `Quick
+      test_distribution_joins_on_exception
+  ; Alcotest.test_case "merged branches sum in one order" `Quick
+      test_distribution_deterministic
   ]
