@@ -148,44 +148,13 @@ let identity_outcome p m ~n ~peak =
   ; peak_nodes = max peak (Mat.node_count m)
   }
 
-let check_alternating ~take_left p (g : Circ.t) (g' : Circ.t) =
-  let n = g.Circ.num_qubits in
-  let left = unitary_ops g and right = unitary_ops g' in
-  let nl = List.length left and nr = List.length right in
-  Pkg.with_root_m p (Pkg.ident p n) (fun rm ->
-      let peak = ref 0 in
-      let apply_left op =
-        Pkg.set_mroot rm (Sim.mul_op_left p ~n op (Pkg.mroot_edge rm));
-        peak := max !peak (Mat.node_count (Pkg.mroot_edge rm));
-        Pkg.checkpoint p
-      in
-      let apply_right op =
-        Pkg.set_mroot rm (Sim.mul_op_right p ~n op (Pkg.mroot_edge rm));
-        peak := max !peak (Mat.node_count (Pkg.mroot_edge rm));
-        Pkg.checkpoint p
-      in
-      (* advance the side that is proportionally behind *)
-      let rec go i j left right =
-        match (left, right) with
-        | [], [] -> ()
-        | op :: rest, [] ->
-          apply_left op;
-          go (i + 1) j rest []
-        | [], op :: rest ->
-          apply_right op;
-          go i (j + 1) [] rest
-        | opl :: restl, opr :: restr ->
-          if take_left ~i ~j ~nl ~nr then begin
-            apply_left opl;
-            go (i + 1) j restl right
-          end
-          else begin
-            apply_right opr;
-            go i (j + 1) left restr
-          end
-      in
-      go 0 0 left right;
-      identity_outcome p (Pkg.mroot_edge rm) ~n ~peak:!peak)
+(* The gate signatures of a unitary op stream, compiled once in [p]. *)
+let signatures p ops =
+  Array.map
+    (function
+      | Sim.Gate s -> s
+      | Sim.Cond _ | Sim.Measure _ | Sim.Reset _ -> assert false (* [unitary_ops] *))
+    (Sim.compile p ops)
 
 (* How far the cost-aware schedule may drift from the proportional
    position before it is forced back: at state (i, j) the scheduler must
@@ -193,7 +162,7 @@ let check_alternating ~take_left p (g : Circ.t) (g' : Circ.t) =
    misleading cost profile. *)
 let lookahead_window = 8
 
-(* The analysis-driven lookahead scheme.  A static per-op cost profile
+(* The analysis-driven lookahead order.  A static per-op cost profile
    (Clifford membership, entangling structure, cancellation pairs — see
    [Analysis.Cost]) is computed for both op streams, and the scheduler
    advances whichever side keeps the *applied cost mass* balanced: the
@@ -206,10 +175,8 @@ let lookahead_window = 8
    multiplications for that step — with the proportional order as the
    final tie-break.  A window bound keeps the schedule within
    [lookahead_window] ops of the proportional position either way. *)
-let check_lookahead p (g : Circ.t) (g' : Circ.t) =
-  let n = g.Circ.num_qubits in
-  let left = unitary_ops g and right = unitary_ops g' in
-  let nl = List.length left and nr = List.length right in
+let lookahead p ~n (ops, left) (ops', right) =
+  let nl = Array.length left and nr = Array.length right in
   let cumulative w =
     let k = Array.length w in
     let c = Array.make (k + 1) 0.0 in
@@ -218,8 +185,8 @@ let check_lookahead p (g : Circ.t) (g' : Circ.t) =
     done;
     c
   in
-  let cuml = cumulative (Analysis.Cost.op_weights ~num_qubits:n left) in
-  let cumr = cumulative (Analysis.Cost.op_weights ~num_qubits:n right) in
+  let cuml = cumulative (Analysis.Cost.op_weights ~num_qubits:n ops) in
+  let cumr = cumulative (Analysis.Cost.op_weights ~num_qubits:n ops') in
   let tl = Float.max cuml.(nl) epsilon_float in
   let tr = Float.max cumr.(nr) epsilon_float in
   (* half the average normalized step: below this the profile's
@@ -227,8 +194,48 @@ let check_lookahead p (g : Circ.t) (g' : Circ.t) =
   let tie_eps =
     0.25 *. ((1.0 /. float_of_int (max nl 1)) +. (1.0 /. float_of_int (max nr 1)))
   in
-  let left_of op m = Sim.mul_op_left p ~n op m in
-  let right_of op m = Sim.mul_op_right p ~n op m in
+  fun ~i ~j m ->
+    (* window guard: don't let either side run away from the
+       proportional position *)
+    if i * nr - (j * nl) > lookahead_window * nr then false
+    else if (j * nl) - (i * nr) > lookahead_window * nl then true
+    else begin
+      (* cost-mass imbalance after advancing each side *)
+      let bal_l = Float.abs ((cuml.(i + 1) /. tl) -. (cumr.(j) /. tr))
+      and bal_r = Float.abs ((cuml.(i) /. tl) -. (cumr.(j + 1) /. tr)) in
+      if Float.abs (bal_l -. bal_r) > tie_eps then bal_l < bal_r
+      else begin
+        (* static tie: evaluate both candidate products (computed
+           before either is rooted; no safepoint separates them, so both
+           stay canonical); the loop then applies the chosen one again,
+           a kernel-cache hit *)
+        let ml = Mat.mul_sig p ~n ~left:true left.(i) m
+        and mr = Mat.mul_sig p ~n ~left:false right.(j) m in
+        let cl = Mat.node_count ml and cr = Mat.node_count mr in
+        if cl <> cr then cl < cr else i * nr <= j * nl
+      end
+    end
+
+(* The plain orders: every gate of [g] first, or whichever side is
+   proportionally behind. *)
+let sequential _ _ ~i:_ ~j:_ _ = true
+
+let proportional (_, left) (_, right) =
+  let nl = Array.length left and nr = Array.length right in
+  fun ~i ~j _ -> i * nr <= j * nl
+
+(* Sequential, proportional and lookahead are this one loop.  They
+   differ only in [order], which builds from both sides' ops and
+   signatures the chooser [take_left ~i ~j m]: asked while both sides
+   have gates left, it says whether the next gate is [left.(i)]
+   (multiplied from the left) rather than [right.(j)] (from the right),
+   [m] being the product so far. *)
+let check_alternating p ~order (g : Circ.t) (g' : Circ.t) =
+  let n = g.Circ.num_qubits in
+  let ops = unitary_ops g and ops' = unitary_ops g' in
+  let left = signatures p ops and right = signatures p ops' in
+  let take_left = order (ops, left) (ops', right) in
+  let nl = Array.length left and nr = Array.length right in
   Pkg.with_root_m p (Pkg.ident p n) (fun rm ->
       let peak = ref 0 in
       let advance next =
@@ -236,50 +243,20 @@ let check_lookahead p (g : Circ.t) (g' : Circ.t) =
         peak := max !peak (Mat.node_count next);
         Pkg.checkpoint p
       in
-      let rec go i j left right =
-        let m = Pkg.mroot_edge rm in
-        match (left, right) with
-        | [], [] -> ()
-        | op :: rest, [] ->
-          advance (left_of op m);
-          go (i + 1) j rest []
-        | [], op :: rest ->
-          advance (right_of op m);
-          go i (j + 1) [] rest
-        | opl :: restl, opr :: restr ->
-          let take_left =
-            (* window guard: don't let either side run away from the
-               proportional position *)
-            if i * nr - (j * nl) > lookahead_window * nr then false
-            else if (j * nl) - (i * nr) > lookahead_window * nl then true
-            else begin
-              (* cost-mass imbalance after advancing each side *)
-              let bal_l =
-                Float.abs ((cuml.(i + 1) /. tl) -. (cumr.(j) /. tr))
-              and bal_r =
-                Float.abs ((cuml.(i) /. tl) -. (cumr.(j + 1) /. tr))
-              in
-              if Float.abs (bal_l -. bal_r) > tie_eps then bal_l < bal_r
-              else begin
-                (* static tie: evaluate both candidate products (computed
-                   before either is rooted; no safepoint separates them,
-                   so both stay canonical) *)
-                let ml = left_of opl m and mr = right_of opr m in
-                let cl = Mat.node_count ml and cr = Mat.node_count mr in
-                if cl <> cr then cl < cr else i * nr <= j * nl
-              end
-            end
-          in
-          if take_left then begin
-            advance (left_of opl m);
-            go (i + 1) j restl right
+      let rec go i j =
+        if i < nl || j < nr then begin
+          let m = Pkg.mroot_edge rm in
+          if j = nr || (i < nl && take_left ~i ~j m) then begin
+            advance (Mat.mul_sig p ~n ~left:true left.(i) m);
+            go (i + 1) j
           end
           else begin
-            advance (right_of opr m);
-            go i (j + 1) left restr
+            advance (Mat.mul_sig p ~n ~left:false right.(j) m);
+            go i (j + 1)
           end
+        end
       in
-      go 0 0 left right;
+      go 0 0;
       identity_outcome p (Pkg.mroot_edge rm) ~n ~peak:!peak)
 
 (* Materialize a stimulus description ([Qsim.Stimuli] draws it as pure
@@ -289,13 +266,8 @@ let materialize p ~n (s : Qsim.Stimuli.t) =
   | Qsim.Stimuli.Basis_state bits -> Pkg.basis_state p n (fun q -> bits.(q))
   | Qsim.Stimuli.Product_state amps -> Pkg.product_state p amps
   | Qsim.Stimuli.Stabilizer_state { bits; prep } ->
-    Pkg.with_root_v p (Pkg.basis_state p n (fun q -> bits.(q))) (fun r ->
-        List.iter
-          (fun op ->
-            Pkg.set_vroot r (Sim.apply_op p ~n (Pkg.vroot_edge r) op);
-            Pkg.checkpoint p)
-          prep;
-        Pkg.vroot_edge r)
+    let state = Pkg.basis_state p n (fun q -> bits.(q)) in
+    Sim.run p ~n (Sim.compile p prep) state
 
 let random_stimulus p ~kind ~n st =
   materialize p ~n (Qsim.Stimuli.draw st (stimuli_class kind) ~num_qubits:n)
@@ -309,24 +281,13 @@ let check_simulation p ?seed ~kind shots (g : Circ.t) (g' : Circ.t) =
      extends rather than replaces it — see [Qsim.Stimuli.rng] *)
   let st = Qsim.Stimuli.rng ?seed ~num_qubits:n ~shots () in
   let prog = Sim.compile p ops and prog' = Sim.compile p ops' in
-  let run prog state =
-    Pkg.with_root_v p state (fun r ->
-        Array.iter
-          (function
-            | Sim.Gate s ->
-              Pkg.set_vroot r (Mat.apply_sig p ~n s (Pkg.vroot_edge r));
-              Pkg.checkpoint p
-            | Cond _ | Measure _ | Reset _ -> assert false (* [unitary_ops] *))
-          prog;
-        Pkg.vroot_edge r)
-  in
   (* the input must stay rooted while both circuits run on it, and the
      first output while the second one is produced; roots are released
      per shot *)
   let one_shot () =
     Pkg.with_root_v p (random_stimulus p ~kind ~n st) (fun rin ->
-        Pkg.with_root_v p (run prog (Pkg.vroot_edge rin)) (fun rout ->
-            let out' = run prog' (Pkg.vroot_edge rin) in
+        Pkg.with_root_v p (Sim.run p ~n prog (Pkg.vroot_edge rin)) (fun rout ->
+            let out' = Sim.run p ~n prog' (Pkg.vroot_edge rin) in
             let out = Pkg.vroot_edge rout in
             let fid = Vec.fidelity p out out' in
             ( Float.abs (fid -. 1.0) <= 1e-9
@@ -347,16 +308,10 @@ let check ?seed p strategy (g : Circ.t) (g' : Circ.t) =
     invalid_arg "Strategy.check: circuits act on different numbers of qubits";
   match strategy with
   | Construction -> check_construction p g g'
-  | Sequential ->
-    check_alternating
-      ~take_left:(fun ~i:_ ~j:_ ~nl:_ ~nr:_ -> true)
-      p g g'
-  | Proportional ->
-    (* advance whichever side is proportionally behind *)
-    check_alternating
-      ~take_left:(fun ~i ~j ~nl ~nr -> i * nr <= j * nl)
-      p g g'
-  | Lookahead -> check_lookahead p g g'
+  | Sequential -> check_alternating p ~order:sequential g g'
+  | Proportional -> check_alternating p ~order:proportional g g'
+  | Lookahead ->
+    check_alternating p ~order:(lookahead p ~n:g.Circ.num_qubits) g g'
   | Simulation shots -> check_simulation p ?seed ~kind:Basis shots g g'
   | Random_stimuli { kind; shots } ->
     check_simulation p ?seed ~kind shots g g'

@@ -102,11 +102,14 @@ exception Non_unitary of Circuit.Op.t
     random-stimuli state of the simulative strategies, so batch runs can
     derive a distinct, reproducible stream per job from one
     manifest-level seed; it is ignored by the exact strategies.  Every
-    gate application goes through the direct kernels ([Mat.apply_gate]
-    and friends); the simulative strategies compile both circuits once
-    ({!Qsim.Dd_sim.compile}) and run the programs on every
-    stimulus.  Raises [Invalid_argument] on register mismatch and
-    {!Non_unitary} on non-unitary operations. *)
+    strategy compiles both circuits once ({!Qsim.Dd_sim.compile}):
+    {!Sequential}, {!Proportional} and {!Lookahead} are one alternation
+    loop over the two signature arrays ([Dd.Mat.mul_sig]) that differ
+    only in how they pick the next side, {!Construction} builds both
+    system matrices ({!Qsim.Dd_sim.build_unitary}), and the simulative
+    strategies run both programs on every stimulus
+    ({!Qsim.Dd_sim.run}).  Raises [Invalid_argument] on register
+    mismatch and {!Non_unitary} on non-unitary operations. *)
 val check :
      ?seed:int
   -> Dd.Pkg.t

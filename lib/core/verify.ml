@@ -103,9 +103,9 @@ let equalize_widths g g' =
 
 (* Bring both sides to unitary form on one register: transform dynamic
    inputs with the Section 4 scheme, pad the narrower one, then line [g']'s
-   wires up with [g]'s — by [perm] if given, else, under [auto_align], by
-   the correspondence the measurements imply. *)
-let align ?perm ~auto_align g g' =
+   wires up with [g]'s — by [perm] if given, else by the correspondence
+   the measurements imply. *)
+let align ?perm g g' =
   let static_of c = if Circ.is_dynamic c then Transform.Dynamic.transform c else c in
   let g = static_of g in
   let g' = static_of g' in
@@ -116,8 +116,7 @@ let align ?perm ~auto_align g g' =
       raise (Perm_mismatch { entries = Array.length p; qubits = g'.Circ.num_qubits })
     | Some _ as p -> p
     | None ->
-      if auto_align && Circ.measurements g <> [] then measurement_alignment g g'
-      else None
+      if Circ.measurements g <> [] then measurement_alignment g g' else None
   in
   (g, match perm with None -> g' | Some perm -> Circ.remap g' ~perm)
 
@@ -173,8 +172,8 @@ let pp_distribution ppf r =
     r.extraction_stats.Qsim.Extraction.branch_points
     r.extraction_stats.Qsim.Extraction.pruned
 
-let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
-    ?(on_dynamic = `Transform) ?seed ?cache g g' =
+let functional ?(strategy = Strategy.default) ?perm ?(on_dynamic = `Transform) ?seed
+    ?cache g g' =
   preflight ~on_dynamic g g';
   (* consult the verdict store before any transformation or DD package
      construction — a warm run allocates no DD state at all *)
@@ -203,7 +202,7 @@ let functional ?(strategy = Strategy.default) ?perm ?(auto_align = true)
   let t0 = now () in
   let g, g' =
     Obs.Span.with_ "verify.functional.transform" (fun () ->
-      align ?perm ~auto_align g g')
+      align ?perm g g')
   in
   let t1 = now () in
   let p = Dd.Pkg.create () in
@@ -258,7 +257,7 @@ let reference ~cutoff static =
       let p = Dd.Pkg.create () in
       let final = Qsim.Dd_sim.simulate p static in
       let t = now () -. t0 in
-      ( Qsim.Dd_sim.measured_distribution p final ~n:static.Circ.num_qubits
+      ( Qsim.Dd_sim.measured_distribution final ~n:static.Circ.num_qubits
           ~num_cbits:static.Circ.num_cbits ~measures:(Circ.measurements static) ~cutoff ()
       , t )
     end)
@@ -299,9 +298,9 @@ let distribution ?(eps = 1e-9) ?(cutoff = 1e-12)
   ; extraction_stats = extraction.Qsim.Extraction.stats
   }
 
-let approximate ?(threshold = 1.0 -. 1e-9) ?perm ?(auto_align = true) g g' =
+let approximate ?(threshold = 1.0 -. 1e-9) ?perm g g' =
   let t0 = now () in
-  let g, g' = align ?perm ~auto_align g g' in
+  let g, g' = align ?perm g g' in
   let t1 = now () in
   let p = Dd.Pkg.create () in
   let fidelity =
@@ -384,8 +383,7 @@ let candidate_seed ~seed ~candidate =
   let h = h lxor (h lsr 27) in
   h land max_int
 
-let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint g
-    g' =
+let portfolio ~candidates ?perm ?on_dynamic ?seed ?cache ?safepoint g g' =
   if candidates = [] then invalid_arg "Verify.portfolio: no candidates";
   let t0 = now () in
   (* -1 = undecided; the first candidate whose compare-and-set lands owns
@@ -416,8 +414,7 @@ let portfolio ~candidates ?perm ?auto_align ?on_dynamic ?seed ?cache ?safepoint 
             let t = now () in
             let r =
               match
-                functional ~strategy ?perm ?auto_align ?on_dynamic ?seed ?cache
-                  g g'
+                functional ~strategy ?perm ?on_dynamic ?seed ?cache g g'
               with
               | r -> Ok r
               | exception e -> Error e

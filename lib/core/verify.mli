@@ -90,10 +90,11 @@ type approximate_result =
 (** [functional ?strategy ?perm g g'] checks full functional equivalence.
     Dynamic inputs are first transformed with the Section 4 scheme; [perm]
     (applied to the transformed [g']) aligns its wires with [g]'s (see
-    {!Algorithms.Pair.dyn_to_static}).  When [perm] is omitted and
-    [auto_align] is true (the default), the alignment is inferred from the
-    measurements: qubits writing the same classical bit are identified, and
-    unmeasured qubits matched in ascending order.  If the (transformed)
+    {!Algorithms.Pair.dyn_to_static}).  When [perm] is omitted and [g]
+    measures, the alignment is inferred from the measurements: qubits
+    writing the same classical bit are identified, and unmeasured qubits
+    matched in ascending order.  Pass the identity permutation to compare
+    the wires as they are.  If the (transformed)
     circuits act on different numbers of qubits, the narrower one is padded
     with idle wires, which the check then requires to be exact identities.
     Final measurements are stripped before the unitary comparison.
@@ -113,7 +114,6 @@ type approximate_result =
 val functional :
      ?strategy:Strategy.t
   -> ?perm:int array
-  -> ?auto_align:bool
   -> ?on_dynamic:[ `Transform | `Reject ]
   -> ?seed:int
   -> ?cache:Cache_store.Store.t
@@ -132,7 +132,6 @@ val measurement_alignment : Circuit.Circ.t -> Circuit.Circ.t -> int array option
 val approximate :
      ?threshold:float
   -> ?perm:int array
-  -> ?auto_align:bool
   -> Circuit.Circ.t
   -> Circuit.Circ.t
   -> approximate_result
@@ -267,7 +266,6 @@ val candidate_seed : seed:int -> candidate:int -> int
 val portfolio :
      candidates:(Strategy.t * string) list
   -> ?perm:int array
-  -> ?auto_align:bool
   -> ?on_dynamic:[ `Transform | `Reject ]
   -> ?seed:int
   -> ?cache:Cache_store.Store.t

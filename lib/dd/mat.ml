@@ -366,7 +366,7 @@ let apply_sig p ~n (s : Pkg.gate_sig) (v : vedge) =
 
 (* [left = true] computes G * M; [left = false] computes M * G^dagger (the
    adjoint of the 2x2 taken entry-wise — no full [adjoint] pass). *)
-let kernel_mul_sig p (s : Pkg.gate_sig) ~n ~left (m : medge) =
+let mul_sig p ~n ~left (s : Pkg.gate_sig) (m : medge) =
   let sid = s.Pkg.gs_id
   and target = s.Pkg.gs_target
   and hi = s.Pkg.gs_hi
@@ -664,13 +664,13 @@ let apply_gate p ~n ~controls ~target u v =
 let apply_swap p ~n a b v = apply_sig p ~n (Pkg.swap_sig p a b) v
 
 let mul_gate_left p ~n ~controls ~target u m =
-  kernel_mul_sig p (Pkg.gate_sig p ~controls ~target u) ~n ~left:true m
+  mul_sig p ~n ~left:true (Pkg.gate_sig p ~controls ~target u) m
 
 let mul_gate_right p ~n ~controls ~target u m =
-  kernel_mul_sig p (Pkg.gate_sig p ~controls ~target u) ~n ~left:false m
+  mul_sig p ~n ~left:false (Pkg.gate_sig p ~controls ~target u) m
 
-let mul_swap_left p ~n a b m = kernel_mul_sig p (Pkg.swap_sig p a b) ~n ~left:true m
-let mul_swap_right p ~n a b m = kernel_mul_sig p (Pkg.swap_sig p a b) ~n ~left:false m
+let mul_swap_left p ~n a b m = mul_sig p ~n ~left:true (Pkg.swap_sig p a b) m
+let mul_swap_right p ~n a b m = mul_sig p ~n ~left:false (Pkg.swap_sig p a b) m
 
 let trace _p (a : medge) ~n =
   let memo : (int, Cx.t) Hashtbl.t = Hashtbl.create 64 in

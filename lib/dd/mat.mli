@@ -50,6 +50,15 @@ val apply_swap : Pkg.t -> n:int -> int -> int -> vedge -> vedge
     reused). *)
 val apply_sig : Pkg.t -> n:int -> Pkg.gate_sig -> vedge -> vedge
 
+(** [mul_sig p ~n ~left s m] multiplies [m] by the gate or swap that [s]
+    describes: [G * m] when [left], [m * G^dagger] otherwise, the
+    adjoint of the 2x2 taken entry-wise, with no {!adjoint} pass over [m]
+    and no gate DD.  It is to matrices what {!apply_sig} is to vectors:
+    the [mul_gate_*] and [mul_swap_*] wrappers below resolve a signature
+    and call it, and a caller that multiplies by the same gates again and
+    again resolves them once.  [s] must come from [p]. *)
+val mul_sig : Pkg.t -> n:int -> left:bool -> Pkg.gate_sig -> medge -> medge
+
 (** [mul_gate_left p ~n ~controls ~target u m] is [G * m]. *)
 val mul_gate_left :
      Pkg.t

@@ -190,30 +190,6 @@ let of_array p v =
   in
   build 0 len
 
-let nonzero_paths p (a : vedge) ~n ?(cutoff = 1e-12) ~limit () =
-  ignore p;
-  let results = ref [] in
-  let count = ref 0 in
-  let bits = Array.make n 0 in
-  let rec go (e : vedge) q mass =
-    if (not (vedge_is_zero e)) && mass > cutoff && !count < limit then begin
-      let mass = mass *. Cx.abs2 (wcx e.vw) in
-      if mass > cutoff then begin
-        match e.vt with
-        | None ->
-          incr count;
-          results := (Array.copy bits, mass) :: !results
-        | Some node ->
-          bits.(q - 1) <- 0;
-          go node.v0 (q - 1) mass;
-          bits.(q - 1) <- 1;
-          go node.v1 (q - 1) mass
-      end
-    end
-  in
-  go a n 1.0;
-  List.rev !results
-
 let node_count (a : vedge) =
   let stamp = fresh_stamp () in
   let rec go (e : vedge) =

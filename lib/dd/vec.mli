@@ -43,12 +43,5 @@ val to_array : Pkg.t -> vedge -> n:int -> Cxnum.Cx.t array
     power of two. *)
 val of_array : Pkg.t -> Cxnum.Cx.t array -> vedge
 
-(** [nonzero_paths p a ~n ~limit] enumerates basis states with probability
-    above [cutoff] (default [1e-12]) as [(bits, probability)] pairs, qubit 0
-    least significant, stopping after [limit] entries.  The state is assumed
-    normalized. *)
-val nonzero_paths :
-  Pkg.t -> vedge -> n:int -> ?cutoff:float -> limit:int -> unit -> (int array * float) list
-
 (** Number of distinct nodes reachable from this edge (terminal excluded). *)
 val node_count : vedge -> int

@@ -38,10 +38,11 @@ let test_auto_align_matches_known_perm () =
 let test_auto_align_disabled () =
   let pair = Algorithms.Qft.make 4 in
   let r =
-    Qcec.Verify.functional ~auto_align:false pair.Algorithms.Pair.static_circuit
+    Qcec.Verify.functional ~perm:[| 0; 1; 2; 3 |] pair.Algorithms.Pair.static_circuit
       pair.Algorithms.Pair.dynamic_circuit
   in
-  (* without alignment the wires are reversed, so they must NOT match *)
+  (* the identity permutation compares the wires as they are; they are
+     reversed, so they must NOT match *)
   Alcotest.(check bool) "misaligned circuits differ" false r.Qcec.Verify.equivalent
 
 let test_alignment_rejects_mismatch () =

@@ -140,6 +140,67 @@ let test_pool_auto_scheme () =
       | Job.Failed { message; _ } -> Alcotest.fail message)
     batch.Engine.Pool.results
 
+(* What each strategy does, not only its verdict: one check's peak
+   nodes, kernel calls and matrix-node inserts are pinned per strategy,
+   so a schedule that reorders, adds or drops a step fails here.  The
+   static side goes first, as the engine runs it. *)
+let test_schedule_pinned () =
+  let module S = Qcec.Strategy in
+  let qpe =
+    Algorithms.Qpe.make_textbook
+      ~theta:(Algorithms.Qpe.random_theta ~seed:3 ~bits:8) ~bits:8
+  in
+  let qft = Algorithms.Qft.make 8 in
+  let grover = Circ.strip_measurements (Algorithms.Grover.static ~marked:5 ~qubits:4 ()) in
+  let basis =
+    (Qcompile.Optimize.run (Qcompile.Decompose.to_basis grover)).Qcompile.Optimize.circuit
+  in
+  let of_pair (pair : Pair.t) =
+    (pair.Pair.static_circuit, pair.Pair.dynamic_circuit, Some pair.Pair.dyn_to_static)
+  in
+  let cases =
+    [ ( "QPE textbook 8"
+      , of_pair qpe
+      , [ (S.Construction, (21_854, 114, 37_471))
+        ; (S.Sequential, (16_389, 114, 124_881))
+        ; (S.Proportional, (1_131, 114, 16_323))
+        ; (S.Lookahead, (1_131, 172, 20_769))
+        ] )
+    ; ( "QFT 8"
+      , of_pair qft
+      , [ (S.Construction, (510, 72, 3_227))
+        ; (S.Sequential, (255, 72, 2_761))
+        ; (S.Proportional, (15, 72, 212))
+        ; (S.Lookahead, (15, 144, 380))
+        ] )
+    ; ( "Grover 4 vs basis"
+      , (grover, basis, None)
+      , [ (S.Construction, (30, 374, 3_688))
+        ; (S.Sequential, (39, 374, 3_657))
+        ; (S.Proportional, (15, 374, 1_609))
+        ; (S.Lookahead, (15, 478, 1_731))
+        ] )
+    ]
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun (name, (g, g', perm), expected) ->
+          List.iter
+            (fun (strategy, want) ->
+              let r, reading =
+                Obs.Scope.run (fun () -> Qcec.Verify.functional ~strategy ?perm g g')
+              in
+              let m = Obs.Metrics.find reading.Obs.Scope.metrics in
+              Alcotest.(check (triple int int int))
+                (Fmt.str "%s, %s: peak / kernel calls / mat inserts" name (S.name strategy))
+                want
+                (r.Qcec.Verify.peak_nodes, m "dd.kernel.calls", m "dd.unique.mat.inserts"))
+            expected)
+        cases)
+
 let suite =
   [ Alcotest.test_case "verdicts identical across schemes" `Quick
       test_verdicts_identical
@@ -149,4 +210,5 @@ let suite =
   ; Alcotest.test_case "manifest scheme field" `Quick test_manifest_scheme
   ; Alcotest.test_case "manifest scheme errors" `Quick test_manifest_scheme_errors
   ; Alcotest.test_case "pool scheme=auto routing" `Quick test_pool_auto_scheme
+  ; Alcotest.test_case "each strategy's schedule is pinned" `Quick test_schedule_pinned
   ]

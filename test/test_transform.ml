@@ -138,7 +138,7 @@ let prop_transform_preserves_distribution =
       let p = Dd.Pkg.create () in
       let final = Qsim.Dd_sim.simulate p static in
       let static_dist =
-        Qsim.Dd_sim.measured_distribution p final ~n:static.Circ.num_qubits
+        Qsim.Dd_sim.measured_distribution final ~n:static.Circ.num_qubits
           ~num_cbits:static.Circ.num_cbits ~measures:(Circ.measurements static) ()
       in
       Qcec.Distribution.total_variation dyn_dist static_dist < 1e-8)
